@@ -15,7 +15,7 @@ from pathlib import Path
 from .controller import ControllerState, Mode, drain_sms, step
 from .core import (Alert, ActuatorCommand, AlertKind, Buzzer, ContractViolation,
                    ControllerConfig, DEFAULT_CONFIG, IgnitionInhibit, SensorEvent,
-                   Severity, SmsSend, SolenoidLock, ValidationError, VirtualClock,
+                   Severity, SmsSend, SolenoidLock, VirtualClock,
                    apply_overrides, event_from_record, event_to_record,
                    require_valid_config, severity_of)
 from .gsm import FakeModem, ModemClient
@@ -110,7 +110,8 @@ def _label_from_obj(obj: dict, line_no: int) -> ExpectedLabel:
     end = extra.pop("end_ms", None)
     if extra:
         raise SchemaError(line_no, f"label has extra fields: {sorted(extra)}")
-    if not isinstance(start, int) or not isinstance(end, int):
+    # type() rather than isinstance(): JSON true/false must not pass as 1/0
+    if type(start) is not int or type(end) is not int:
         raise SchemaError(line_no, "label window needs integer start_ms and end_ms")
     try:
         return ExpectedLabel(kind, start, end)
@@ -154,7 +155,10 @@ def loads_scenario(text: str) -> Scenario:
     config = header.get("config", {})
     if not isinstance(config, dict):
         raise SchemaError(header_line, "config must be an object")
-    expected = [_label_from_obj(obj, header_line) for obj in header.get("expected", [])]
+    labels = header.get("expected", [])
+    if not isinstance(labels, list):
+        raise SchemaError(header_line, "expected must be a list")
+    expected = [_label_from_obj(obj, header_line) for obj in labels]
     kinds_pos = {lab.kind for lab in expected if not lab.negative}
     kinds_neg = {lab.kind for lab in expected if lab.negative}
     clash = kinds_pos & kinds_neg
@@ -269,17 +273,18 @@ class ConfusionMatrix:
         return self.tp + self.tn + self.fp + self.fn
 
 
-def match_alerts(log: EventLog, expected: list[ExpectedLabel]) -> ConfusionMatrix:
+def _match(log: EventLog, expected: list[ExpectedLabel]
+           ) -> tuple[ConfusionMatrix, list[Alert], list[ExpectedLabel]]:
     """Greedy windowed matching: each alert satisfies at most one label.
 
     A positive window is a true positive when some alert of its kind lands
     inside it, matched earliest-window first. Alerts left over are false
-    positives. Negative labels count as true negatives unless violated.
+    positives and windows left over false negatives; both are returned in
+    input order. Negative labels count as true negatives unless violated.
     """
     alerts = log.alerts()
     positives = [lab for lab in expected if not lab.negative]
-    negatives = [lab for lab in expected if lab.negative]
-    fp = 0
+    strays: list[Alert] = []
     matched: set[int] = set()
     by_kind: dict[AlertKind, list[tuple[int, ExpectedLabel]]] = {}
     for idx, lab in enumerate(positives):
@@ -287,19 +292,23 @@ def match_alerts(log: EventLog, expected: list[ExpectedLabel]) -> ConfusionMatri
     for windows in by_kind.values():
         windows.sort(key=lambda pair: (pair[1].start_ms, pair[1].end_ms, pair[0]))
     for alert in alerts:
-        windows = by_kind.get(alert.kind, [])
-        hit = next((idx for idx, lab in windows
+        hit = next((idx for idx, lab in by_kind.get(alert.kind, [])
                     if idx not in matched and lab.start_ms <= alert.t_ms <= lab.end_ms),
                    None)
         if hit is None:
-            fp += 1
+            strays.append(alert)
         else:
             matched.add(hit)
-    tp = len(matched)
-    fn = len(positives) - tp
+    missed = [lab for idx, lab in enumerate(positives) if idx not in matched]
     seen_kinds = {a.kind for a in alerts}
-    tn = sum(1 for lab in negatives if lab.kind not in seen_kinds)
-    return ConfusionMatrix(tp=tp, tn=tn, fp=fp, fn=fn)
+    tn = sum(1 for lab in expected if lab.negative and lab.kind not in seen_kinds)
+    cm = ConfusionMatrix(tp=len(matched), tn=tn, fp=len(strays), fn=len(missed))
+    return cm, strays, missed
+
+
+def match_alerts(log: EventLog, expected: list[ExpectedLabel]) -> ConfusionMatrix:
+    """Score a log against its labels with the greedy windowed matcher."""
+    return _match(log, expected)[0]
 
 
 def accuracy(cm: ConfusionMatrix) -> float:
@@ -337,49 +346,17 @@ def _label_text(lab: ExpectedLabel) -> str:
     return f"{lab.kind.value}[{lab.start_ms}..{lab.end_ms}]"
 
 
-def _case_incidents(log: EventLog, expected: list[ExpectedLabel]) -> tuple[list[str], Severity | None]:
-    alerts = log.alerts()
-    notes: list[str] = []
-    worst: Severity | None = None
-
-    def bump(kind: AlertKind) -> None:
-        nonlocal worst
-        sev = severity_of(kind)
-        worst = sev if worst is None else max(worst, sev)
-
-    positives = [lab for lab in expected if not lab.negative]
-    matched: set[int] = set()
-    by_kind: dict[AlertKind, list[tuple[int, ExpectedLabel]]] = {}
-    for idx, lab in enumerate(positives):
-        by_kind.setdefault(lab.kind, []).append((idx, lab))
-    for windows in by_kind.values():
-        windows.sort(key=lambda pair: (pair[1].start_ms, pair[1].end_ms, pair[0]))
-    for alert in alerts:
-        hit = next((idx for idx, lab in by_kind.get(alert.kind, [])
-                    if idx not in matched and lab.start_ms <= alert.t_ms <= lab.end_ms),
-                   None)
-        if hit is None:
-            notes.append(f"unexpected {alert.kind.value} alert at t={alert.t_ms}ms")
-            bump(alert.kind)
-        else:
-            matched.add(hit)
-    for idx, lab in enumerate(positives):
-        if idx not in matched:
-            notes.append(f"missed {lab.kind.value} alert in "
-                         f"[{lab.start_ms}..{lab.end_ms}]ms")
-            bump(lab.kind)
-    return notes, worst
-
-
 def evaluate_scenarios(scenarios: list[Scenario],
                        cfg: ControllerConfig = DEFAULT_CONFIG) -> list[CaseResult]:
     """Run and score scenarios in deterministic (name) order."""
     results: list[CaseResult] = []
     ordered = sorted(scenarios, key=lambda sc: sc.name)
     for pos, sc in enumerate(ordered, start=1):
-        log = run(sc, cfg)
-        cm = match_alerts(log, sc.expected)
-        notes, worst = _case_incidents(log, sc.expected)
+        cm, strays, missed = _match(run(sc, cfg), sc.expected)
+        incidents = ([f"unexpected {a.kind.value} alert at t={a.t_ms}ms" for a in strays]
+                     + [f"missed {lab.kind.value} alert in [{lab.start_ms}..{lab.end_ms}]ms"
+                        for lab in missed])
+        kinds = [a.kind for a in strays] + [lab.kind for lab in missed]
         results.append(CaseResult(
             case_id=f"TC-{pos:02d}",
             name=sc.name,
@@ -388,8 +365,8 @@ def evaluate_scenarios(scenarios: list[Scenario],
             expected_summary="; ".join(_label_text(lab) for lab in sc.expected) or "none",
             cm=cm,
             passed=cm.fp == 0 and cm.fn == 0,
-            incidents=notes,
-            worst_severity=worst,
+            incidents=incidents,
+            worst_severity=max(map(severity_of, kinds), default=None),
         ))
     return results
 
@@ -413,6 +390,14 @@ def _table(rows: list[list[str]]) -> list[str]:
             for row in rows]
 
 
+def _summary(results: list[CaseResult]) -> tuple[int, int, ConfusionMatrix]:
+    """Cases run, cases passed, and the confusion matrix summed over cases."""
+    passed = sum(1 for r in results if r.passed)
+    agg = ConfusionMatrix(tp=sum(r.cm.tp for r in results), tn=sum(r.cm.tn for r in results),
+                          fp=sum(r.cm.fp for r in results), fn=sum(r.cm.fn for r in results))
+    return len(results), passed, agg
+
+
 def render_report(results: list[CaseResult]) -> str:
     """Plain-text report: per-case table, execution summary, incident log."""
     lines: list[str] = ["TEST CASE RESULTS"]
@@ -425,8 +410,7 @@ def render_report(results: list[CaseResult]) -> str:
                          r.expected_summary, "Passed" if r.passed else "Failed"])
         lines.extend(_table(rows))
 
-    total = len(results)
-    passed = sum(1 for r in results if r.passed)
+    total, passed, agg = _summary(results)
     failed = total - passed
     lines += ["", "TEST EXECUTION SUMMARY",
               f"No of TC Executed {_pct(total, total)} ({total} of {total})",
@@ -434,8 +418,6 @@ def render_report(results: list[CaseResult]) -> str:
               f"Failed {_pct(failed, total)} ({failed} of {total})",
               f"No of TC Not Executed 0% (0 of {total})"]
 
-    agg = ConfusionMatrix(tp=sum(r.cm.tp for r in results), tn=sum(r.cm.tn for r in results),
-                          fp=sum(r.cm.fp for r in results), fn=sum(r.cm.fn for r in results))
     lines += ["", "DETECTION METRICS",
               f"tp={agg.tp} tn={agg.tn} fp={agg.fp} fn={agg.fn}"]
     if agg.total == 0:
@@ -463,10 +445,7 @@ def render_report(results: list[CaseResult]) -> str:
 
 def report_json(results: list[CaseResult]) -> dict:
     """Machine-readable mirror of render_report."""
-    total = len(results)
-    passed = sum(1 for r in results if r.passed)
-    agg = ConfusionMatrix(tp=sum(r.cm.tp for r in results), tn=sum(r.cm.tn for r in results),
-                          fp=sum(r.cm.fp for r in results), fn=sum(r.cm.fn for r in results))
+    total, passed, agg = _summary(results)
     summary = {"total": total, "executed": total, "passed": passed, "failed": total - passed,
                "pass_pct": (passed * 100 / total) if total else None,
                "tp": agg.tp, "tn": agg.tn, "fp": agg.fp, "fn": agg.fn,

@@ -71,9 +71,14 @@ def test_blank_lines_are_skipped() -> None:
     ('{"name": ""}', 1, "non-empty name"),
     ('{"name": "t", "description": 7}', 1, "description must be a string"),
     ('{"name": "t", "config": []}', 1, "config must be an object"),
+    ('{"name": "t", "expected": 5}', 1, "expected must be a list"),
     ('{"name": "t", "expected": [{"kind": "meteor"}]}', 1, "unknown alert kind"),
     ('{"name": "t", "expected": [{"kind": "crash", "start_ms": 5}]}', 1, "integer start_ms"),
     ('{"name": "t", "expected": [{"kind": "crash", "start_ms": "5", "end_ms": "9"}]}',
+     1, "integer start_ms"),
+    ('{"name": "t", "expected": [{"kind": "crash", "start_ms": true, "end_ms": 5}]}',
+     1, "integer start_ms"),
+    ('{"name": "t", "expected": [{"kind": "crash", "start_ms": 0, "end_ms": false}]}',
      1, "integer start_ms"),
     ('{"name": "t", "expected": [{"kind": "crash", "start_ms": 9, "end_ms": 5}]}',
      1, "bad window"),
