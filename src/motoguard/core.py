@@ -9,7 +9,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import re
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from enum import Enum, IntEnum
 from pathlib import Path
 
@@ -364,22 +364,26 @@ class ControllerConfig:
 
 DEFAULT_CONFIG = ControllerConfig()
 
-_INT_FIELDS = {"mag_persist_samples", "mag_calib_samples", "crash_hold_ms",
-               "beacon_period_ms", "preride_window_ms", "sms_cooldown_ms"}
-_PHONE_FIELDS = {"owner_number", "police_number"}
-_FLOAT_FIELDS = {f.name for f in fields(ControllerConfig)} - _INT_FIELDS - _PHONE_FIELDS
+# One kind per field, read from the declaration above: int and float fields
+# are numeric limits, and every str field is a phone number.
+_FIELD_KINDS: dict[str, type] = {f.name: type(f.default) for f in fields(ControllerConfig)}
+_KIND_TEXT = {int: "an integer", float: "a number", str: "a string"}
+
+
+def _fields_of(kind: type) -> list[str]:
+    return sorted(name for name, k in _FIELD_KINDS.items() if k is kind)
 
 
 def validate_config(cfg: ControllerConfig) -> list[tuple[str, str]]:
     """Return every violated constraint as (field, reason); empty means valid."""
     bad: list[tuple[str, str]] = []
-    for name in sorted(_FLOAT_FIELDS):
+    for name in _fields_of(float):
         v = getattr(cfg, name)
         if not _finite(v):
             bad.append((name, "must be a finite number"))
         elif v <= 0:
             bad.append((name, "must be > 0"))
-    for name in sorted(_INT_FIELDS):
+    for name in _fields_of(int):
         v = getattr(cfg, name)
         if not isinstance(v, int) or isinstance(v, bool):
             bad.append((name, "must be an integer"))
@@ -392,7 +396,7 @@ def validate_config(cfg: ControllerConfig) -> list[tuple[str, str]]:
         bad.append(("ethanol_lockout_ppm", "exceeds sensor range 500 ppm"))
     if _finite(cfg.crash_tilt_deg) and cfg.crash_tilt_deg > 180.0:
         bad.append(("crash_tilt_deg", "must be <= 180"))
-    for name in sorted(_PHONE_FIELDS):
+    for name in _fields_of(str):
         v = getattr(cfg, name)
         if not isinstance(v, str) or PHONE_PATTERN.match(v) is None:
             bad.append((name, "must match +?[0-9]{7,15}"))
@@ -408,30 +412,21 @@ def require_valid_config(cfg: ControllerConfig) -> ControllerConfig:
 
 def apply_overrides(cfg: ControllerConfig, overrides: dict) -> ControllerConfig:
     """Overlay a key-value mapping onto cfg; unknown keys are a hard error."""
-    known = {f.name for f in fields(ControllerConfig)}
     coerced: dict = {}
     for key, value in overrides.items():
-        if key not in known:
+        kind = _FIELD_KINDS.get(key)
+        if kind is None:
             raise ValidationError([(key, "unknown config key")])
-        if key in _PHONE_FIELDS:
-            if not isinstance(value, str):
-                raise ValidationError([(key, "must be a string")])
-            coerced[key] = value
-        elif key in _INT_FIELDS:
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValidationError([(key, "must be an integer")])
-            coerced[key] = value
-        else:
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValidationError([(key, "must be a number")])
-            coerced[key] = float(value)
+        allowed = (int, float) if kind is float else kind
+        if isinstance(value, bool) or not isinstance(value, allowed):
+            raise ValidationError([(key, f"must be {_KIND_TEXT[kind]}")])
+        coerced[key] = kind(value)
     return dataclasses.replace(cfg, **coerced)
 
 
 def parse_config_text(text: str) -> dict:
     """Parse flat key=value lines ('#' starts a comment) into an override map."""
     overrides: dict = {}
-    known = {f.name for f in fields(ControllerConfig)}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -441,20 +436,13 @@ def parse_config_text(text: str) -> dict:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in known:
+        kind = _FIELD_KINDS.get(key)
+        if kind is None:
             raise ConfigError(line_no, f"unknown key {key!r}")
-        if key in _PHONE_FIELDS:
-            overrides[key] = value
-        elif key in _INT_FIELDS:
-            try:
-                overrides[key] = int(value)
-            except ValueError:
-                raise ConfigError(line_no, f"{key} must be an integer, got {value!r}") from None
-        else:
-            try:
-                overrides[key] = float(value)
-            except ValueError:
-                raise ConfigError(line_no, f"{key} must be a number, got {value!r}") from None
+        try:
+            overrides[key] = kind(value)
+        except ValueError:
+            raise ConfigError(line_no, f"{key} must be {_KIND_TEXT[kind]}, got {value!r}") from None
     return overrides
 
 
