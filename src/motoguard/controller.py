@@ -131,7 +131,7 @@ class ControllerState:
     overspeed_active: bool = False
     overtake_unsafe: bool = False
     preride_start_ms: int | None = None
-    preride_readings: tuple[GasReading, ...] = ()
+    preride_peak: GasReading | None = None
     router: RouterState = field(default_factory=RouterState)
 
 
@@ -163,7 +163,7 @@ def step(cfg: ControllerConfig, state: ControllerState, t_ms: int,
         return alert
 
     def theft_sync() -> None:
-        # re-evaluate arming against the cached fix when ignition/auth change
+        # evaluate arming against the latest fix on a new fix or an ignition/auth change
         if work.last_fix is None or work.mode not in (Mode.PARKED, Mode.THEFT_SUSPECTED):
             return
         work.theft, triggers = theft_step(work.theft, work.last_fix, work.ignition_on,
@@ -203,7 +203,7 @@ def step(cfg: ControllerConfig, state: ControllerState, t_ms: int,
                 if work.mode is Mode.PARKED and work.authorized:
                     work.mode = Mode.PRE_RIDE
                     work.preride_start_ms = t_ms
-                    work.preride_readings = ()
+                    work.preride_peak = None
                 elif work.mode in (Mode.PARKED, Mode.THEFT_SUSPECTED) and not work.authorized:
                     commands.append(ActuatorCommand(t_ms, SolenoidLock(engaged=True)))
                     emit(Trigger(AlertKind.THEFT, "THEFT unauthorized ignition attempt"))
@@ -212,15 +212,20 @@ def step(cfg: ControllerConfig, state: ControllerState, t_ms: int,
                 if work.mode in (Mode.PRE_RIDE, Mode.RIDING):
                     work.mode = Mode.PARKED
                     work.preride_start_ms = None
-                    work.preride_readings = ()
+                    work.preride_peak = None
                 theft_sync()
 
         elif isinstance(p, GasReading):
             if work.mode is Mode.PRE_RIDE:
-                work.preride_readings = work.preride_readings + (p,)
+                # the checks only read per-gas peaks, so a running peak is
+                # all the window needs to keep
+                peak = p if work.preride_peak is None else work.preride_peak
+                work.preride_peak = GasReading(max(peak.ethanol_ppm, p.ethanol_ppm),
+                                               max(peak.co_ppm, p.co_ppm),
+                                               max(peak.lpg_ppm, p.lpg_ppm))
                 if t_ms - work.preride_start_ms >= cfg.preride_window_ms:
-                    breath = breath_check(work.preride_readings, cfg)
-                    leak = gas_leak_check(work.preride_readings, cfg)
+                    breath = breath_check((work.preride_peak,), cfg)
+                    leak = gas_leak_check((work.preride_peak,), cfg)
                     if breath.passed and leak.safe:
                         work.mode = Mode.RIDING
                         commands.append(ActuatorCommand(t_ms, IgnitionInhibit(on=False)))
@@ -241,7 +246,7 @@ def step(cfg: ControllerConfig, state: ControllerState, t_ms: int,
                                          f"GAS LEAK lpg={leak.peak_lpg_ppm:.1f}ppm "
                                          f"limit={cfg.lpg_leak_ppm:.1f}ppm"))
                     work.preride_start_ms = None
-                    work.preride_readings = ()
+                    work.preride_peak = None
 
         elif isinstance(p, LidarRange):
             if work.mode is Mode.RIDING:
@@ -281,13 +286,8 @@ def step(cfg: ControllerConfig, state: ControllerState, t_ms: int,
                         work.overspeed_active, p.speed_kph, cfg)
                     if trig is not None:
                         emit(trig)
-                elif work.mode in (Mode.PARKED, Mode.THEFT_SUSPECTED):
-                    work.theft, triggers = theft_step(work.theft, p, work.ignition_on,
-                                                      work.authorized, t_ms, cfg)
-                    for trig in triggers:
-                        emit(trig)
-                        if trig.kind is AlertKind.THEFT and work.mode is Mode.PARKED:
-                            work.mode = Mode.THEFT_SUSPECTED
+                else:
+                    theft_sync()
 
         elif isinstance(p, SupplyVoltage):
             if p.volts < cfg.undervoltage_v:

@@ -67,7 +67,7 @@ def test_unauthorized_ignition_locks_down(cfg: ControllerConfig) -> None:
 def test_pre_ride_pass_reaches_riding(cfg: ControllerConfig) -> None:
     state = to_riding(cfg)
     assert state.preride_start_ms is None
-    assert state.preride_readings == ()
+    assert state.preride_peak is None
 
 
 def test_pre_ride_breath_failure_locks_out(cfg: ControllerConfig) -> None:
@@ -99,7 +99,7 @@ def test_pre_ride_waits_out_the_sampling_window(cfg: ControllerConfig) -> None:
                        [ev(0, Auth(True)), ev(0, Ignition(True))])
     state, _, _ = step(cfg, state, 1999, [ev(1999, CLEAN)])
     assert state.mode is Mode.PRE_RIDE
-    assert len(state.preride_readings) == 1
+    assert state.preride_peak == CLEAN
     state, _, commands = step(cfg, state, 2000, [ev(2000, CLEAN)])
     assert state.mode is Mode.RIDING
     assert actions(commands) == [IgnitionInhibit(on=False)]
