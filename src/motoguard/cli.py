@@ -22,37 +22,42 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 
 
+class _Exit(Exception):
+    """An error already reported on stderr; main returns its exit code."""
+
+    def __init__(self, code: int):
+        super().__init__(code)
+        self.code = code
+
+
+def _guarded(source: str, path, fn, *args):
+    """Return fn(*args); report any config, input or contract error and raise _Exit."""
+    try:
+        return fn(*args)
+    except FileNotFoundError:
+        message, code = f"{source} file not found: {path}", EXIT_IO
+    except (OSError, UnicodeDecodeError) as exc:
+        message, code = f"cannot read {path}: {exc}", EXIT_IO
+    except (ConfigError, ValidationError) as exc:
+        message, code = f"bad config: {exc}", EXIT_USAGE
+    except (SchemaError, UnsortedEvents) as exc:
+        message, code = f"{path}: {exc}", EXIT_IO
+    except ContractViolation as exc:
+        message, code = str(exc), EXIT_IO
+    print(f"error: {message}", file=sys.stderr)
+    raise _Exit(code)
+
+
 def _load_base_config(path: str | None):
     if path is None:
         return DEFAULT_CONFIG
-    return load_config_file(path)
+    return _guarded("config", path, load_config_file, path)
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    try:
-        base = _load_base_config(args.config)
-    except FileNotFoundError:
-        print(f"error: config file not found: {args.config}", file=sys.stderr)
-        return EXIT_IO
-    except (ConfigError, ValidationError) as exc:
-        print(f"error: bad config: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        scenario = load_scenario(args.scenario)
-    except FileNotFoundError:
-        print(f"error: scenario file not found: {args.scenario}", file=sys.stderr)
-        return EXIT_IO
-    except (SchemaError, UnsortedEvents) as exc:
-        print(f"error: {args.scenario}: {exc}", file=sys.stderr)
-        return EXIT_IO
-    try:
-        log = run(scenario, base)
-    except ValidationError as exc:
-        print(f"error: bad config: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ContractViolation as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    base = _load_base_config(args.config)
+    scenario = _guarded("scenario", args.scenario, load_scenario, args.scenario)
+    log = _guarded("scenario", args.scenario, run, scenario, base)
     text = log_to_jsonl(log)
     if args.out is None:
         sys.stdout.write(text)
@@ -66,14 +71,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    try:
-        base = _load_base_config(args.config)
-    except FileNotFoundError:
-        print(f"error: config file not found: {args.config}", file=sys.stderr)
-        return EXIT_IO
-    except (ConfigError, ValidationError) as exc:
-        print(f"error: bad config: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    base = _load_base_config(args.config)
     directory = Path(args.scenario_dir)
     if not directory.is_dir():
         print(f"error: not a directory: {directory}", file=sys.stderr)
@@ -82,21 +80,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if not paths:
         print(f"error: no scenario files in {directory}", file=sys.stderr)
         return EXIT_USAGE
-    scenarios = []
-    for path in paths:
-        try:
-            scenarios.append(load_scenario(path))
-        except (SchemaError, UnsortedEvents) as exc:
-            print(f"error: {path}: {exc}", file=sys.stderr)
-            return EXIT_IO
-    try:
-        results = evaluate_scenarios(scenarios, base)
-    except ValidationError as exc:
-        print(f"error: bad config: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ContractViolation as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    scenarios = [_guarded("scenario", path, load_scenario, path) for path in paths]
+    results = _guarded("scenario", directory, evaluate_scenarios, scenarios, base)
     text = render_report(results)
     sys.stdout.write(text)
     if args.report is not None:
@@ -169,7 +154,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _Exit as exc:
+        return exc.code
 
 
 def entry() -> None:

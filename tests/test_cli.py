@@ -20,6 +20,16 @@ def write_failing_scenario(directory: Path) -> Path:
     return path
 
 
+def write_unreadable(directory: Path, kind: str) -> Path:
+    """A path that exists but cannot be read as UTF-8 text."""
+    path = directory / "unreadable.jsonl"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b'{"name": "caf\xe9"}\n')
+    return path
+
+
 # --- simulate --------------------------------------------------------------
 
 def test_simulate_writes_log_to_stdout(corpus_dir: Path, capsys) -> None:
@@ -70,6 +80,17 @@ def test_simulate_missing_config_file_is_io_error(corpus_dir: Path, tmp_path: Pa
     code = main(["simulate", "--scenario", str(corpus_dir / "quiet_parked.jsonl"),
                  "--config", str(tmp_path / "none.cfg")])
     assert code == 3
+
+
+@pytest.mark.parametrize("kind", ["directory", "not_utf8"])
+@pytest.mark.parametrize("flag", ["--scenario", "--config"])
+def test_simulate_unreadable_input_is_io_error(flag: str, kind: str, corpus_dir: Path,
+                                               tmp_path: Path, capsys) -> None:
+    bad = write_unreadable(tmp_path, kind)
+    argv = ["simulate", "--scenario", str(corpus_dir / "quiet_parked.jsonl")]
+    code = main(argv + [flag, str(bad)])          # a repeated flag keeps its last value
+    assert code == 3
+    assert f"cannot read {bad}" in capsys.readouterr().err
 
 
 def test_simulate_honors_config_overrides(corpus_dir: Path, tmp_path: Path, capsys) -> None:
@@ -131,6 +152,14 @@ def test_eval_broken_scenario_is_io_error(tmp_path: Path, capsys) -> None:
     code = main(["eval", "--scenario-dir", str(tmp_path)])
     assert code == 3
     assert "broken.jsonl" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["directory", "not_utf8"])
+def test_eval_unreadable_scenario_is_io_error(kind: str, tmp_path: Path, capsys) -> None:
+    bad = write_unreadable(tmp_path, kind)
+    code = main(["eval", "--scenario-dir", str(tmp_path)])
+    assert code == 3
+    assert f"cannot read {bad}" in capsys.readouterr().err
 
 
 # --- nmea ------------------------------------------------------------------
