@@ -8,8 +8,7 @@ only in PreRide, and the anti-theft logic only while Parked or TheftSuspected.
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .core import (Alert, ActuatorCommand, AlertKind, Auth, Buzzer, ContractViolation,
@@ -57,7 +56,7 @@ def _last_emit_ms(rs: RouterState, kind: AlertKind) -> int | None:
 
 def _with_emit(rs: RouterState, kind: AlertKind, t_ms: int) -> RouterState:
     kept = tuple((k, t) for k, t in rs.last_emit if k is not kind)
-    return replace(rs, last_emit=kept + ((kind, t_ms),))
+    return RouterState(kept + ((kind, t_ms),), rs.pending_sms, rs.dropped_count)
 
 
 def _enqueue(rs: RouterState, msg: PendingSms) -> RouterState:
@@ -69,7 +68,7 @@ def _enqueue(rs: RouterState, msg: PendingSms) -> RouterState:
         victim = min(range(len(queue)), key=lambda i: (queue[i].severity, i))
         queue = queue[:victim] + queue[victim + 1:]
         dropped += 1
-    return replace(rs, pending_sms=queue, dropped_count=dropped)
+    return RouterState(rs.last_emit, queue, dropped)
 
 
 def route(rs: RouterState, trigger: Trigger, t_ms: int,
@@ -97,6 +96,8 @@ def drain_sms(rs: RouterState, client: ModemClient) -> tuple[RouterState, int, l
     On failure the message stays at the head for the next drain; one re-init
     is attempted so a recovered modem picks up where it left off.
     """
+    if not rs.pending_sms:
+        return rs, 0, []
     pending = list(rs.pending_sms)
     sent = 0
     failures: list[str] = []
@@ -113,7 +114,7 @@ def drain_sms(rs: RouterState, client: ModemClient) -> tuple[RouterState, int, l
             break
         pending.pop(0)
         sent += 1
-    return replace(rs, pending_sms=tuple(pending)), sent, failures
+    return RouterState(rs.last_emit, tuple(pending), rs.dropped_count), sent, failures
 
 
 @dataclass
@@ -150,7 +151,10 @@ def step(cfg: ControllerConfig, state: ControllerState, t_ms: int,
         if ev.t_ms != t_ms:
             raise ContractViolation(f"event stamped {ev.t_ms} passed to step at t={t_ms}")
 
-    work = dataclasses.replace(state)
+    # a shallow copy keeps step pure: every field is either immutable or
+    # reassigned below, never mutated in place
+    work = object.__new__(ControllerState)
+    work.__dict__.update(state.__dict__)
     alerts: list[Alert] = []
     commands: list[ActuatorCommand] = []
 

@@ -106,9 +106,14 @@ def severity_of(kind: AlertKind) -> Severity:
     return _SEVERITY_TABLE[kind]
 
 
-def _require(cond: bool, msg: str) -> None:
+def _require(cond: bool, msg: str, *args: object) -> None:
+    """Raise ContractViolation(msg.format(*args)) unless cond holds.
+
+    The message is formatted only on failure, so the checks cost no repr()
+    on the success path.
+    """
     if not cond:
-        raise ContractViolation(msg)
+        raise ContractViolation(msg.format(*args) if args else msg)
 
 
 def _finite(x: float) -> bool:
@@ -122,9 +127,9 @@ class GeoPoint:
 
     def __post_init__(self):
         _require(_finite(self.lat_deg) and -90.0 <= self.lat_deg <= 90.0,
-                 f"lat_deg out of range: {self.lat_deg!r}")
+                 "lat_deg out of range: {!r}", self.lat_deg)
         _require(_finite(self.lon_deg) and -180.0 <= self.lon_deg <= 180.0,
-                 f"lon_deg out of range: {self.lon_deg!r}")
+                 "lon_deg out of range: {!r}", self.lon_deg)
 
 
 @dataclass(frozen=True)
@@ -133,7 +138,7 @@ class LidarRange:
 
     def __post_init__(self):
         _require(_finite(self.range_m) and self.range_m >= 0.0,
-                 f"range_m must be >= 0: {self.range_m!r}")
+                 "range_m must be >= 0: {!r}", self.range_m)
 
 
 @dataclass(frozen=True)
@@ -143,7 +148,8 @@ class MagField:
     b_ut: float
 
     def __post_init__(self):
-        _require(_finite(self.b_ut) and self.b_ut >= 0.0, f"b_ut must be >= 0: {self.b_ut!r}")
+        _require(_finite(self.b_ut) and self.b_ut >= 0.0,
+                 "b_ut must be >= 0: {!r}", self.b_ut)
 
 
 @dataclass(frozen=True)
@@ -163,7 +169,7 @@ class GasReading:
     def __post_init__(self):
         for name in ("ethanol_ppm", "co_ppm", "lpg_ppm"):
             v = getattr(self, name)
-            _require(_finite(v) and v >= 0.0, f"{name} must be >= 0: {v!r}")
+            _require(_finite(v) and v >= 0.0, "{} must be >= 0: {!r}", name, v)
 
 
 @dataclass(frozen=True)
@@ -172,7 +178,7 @@ class Tilt:
 
     def __post_init__(self):
         _require(_finite(self.angle_deg) and 0.0 <= self.angle_deg <= 180.0,
-                 f"angle_deg out of range: {self.angle_deg!r}")
+                 "angle_deg out of range: {!r}", self.angle_deg)
 
 
 @dataclass(frozen=True)
@@ -184,7 +190,7 @@ class GpsFix:
     def __post_init__(self):
         _require(isinstance(self.point, GeoPoint), "point must be a GeoPoint")
         _require(_finite(self.speed_kph) and self.speed_kph >= 0.0,
-                 f"speed_kph must be >= 0: {self.speed_kph!r}")
+                 "speed_kph must be >= 0: {!r}", self.speed_kph)
         _require(isinstance(self.valid, bool), "valid must be a bool")
 
 
@@ -209,7 +215,8 @@ class SupplyVoltage:
     volts: float
 
     def __post_init__(self):
-        _require(_finite(self.volts) and self.volts >= 0.0, f"volts must be >= 0: {self.volts!r}")
+        _require(_finite(self.volts) and self.volts >= 0.0,
+                 "volts must be >= 0: {!r}", self.volts)
 
 
 Payload = (LidarRange | MagField | PirMotion | GasReading | Tilt | GpsFix
@@ -223,7 +230,7 @@ class SensorEvent:
 
     def __post_init__(self):
         _require(isinstance(self.t_ms, int) and not isinstance(self.t_ms, bool)
-                 and self.t_ms >= 0, f"t_ms must be a non-negative int: {self.t_ms!r}")
+                 and self.t_ms >= 0, "t_ms must be a non-negative int: {!r}", self.t_ms)
 
 
 @dataclass(frozen=True)
@@ -265,7 +272,7 @@ class SmsSend:
     body: str
 
     def __post_init__(self):
-        _require(PHONE_PATTERN.match(self.to) is not None, f"bad phone number: {self.to!r}")
+        _require(PHONE_PATTERN.match(self.to) is not None, "bad phone number: {!r}", self.to)
         # normalizing here, rather than validating, keeps every construction
         # path inside the length budget
         object.__setattr__(self, "body", truncate_sms(self.body))
@@ -313,28 +320,37 @@ def event_to_record(ev: SensorEvent) -> dict:
     return rec
 
 
+def _gps_from_fields(lat_deg: float, lon_deg: float, speed_kph: float, valid: bool) -> GpsFix:
+    return GpsFix(GeoPoint(lat_deg, lon_deg), speed_kph, valid)
+
+
+def _decoder(cls: type) -> tuple:
+    """(constructor, record fields in constructor order, exact record key set)."""
+    if cls is GpsFix:
+        build, names = _gps_from_fields, ("lat_deg", "lon_deg", "speed_kph", "valid")
+    else:
+        build, names = cls, tuple(f.name for f in fields(cls))
+    return build, names, frozenset(names) | {"t_ms", "sensor"}
+
+
+_DECODERS = {tag: _decoder(cls) for tag, cls in _SENSOR_TAGS.items()}
+
+
 def event_from_record(rec: dict) -> SensorEvent:
     """Inverse of event_to_record; raises ContractViolation on bad shapes."""
     _require(isinstance(rec, dict), "record must be an object")
-    extra = dict(rec)
-    t_ms = extra.pop("t_ms", None)
-    tag = extra.pop("sensor", None)
-    _require(tag in _SENSOR_TAGS, f"unknown sensor tag: {tag!r}")
-    cls = _SENSOR_TAGS[tag]
-    if cls is GpsFix:
-        wanted = ["lat_deg", "lon_deg", "speed_kph", "valid"]
-    else:
-        wanted = [f.name for f in fields(cls)]
-    missing = [name for name in wanted if name not in extra]
-    _require(not missing, f"missing fields: {', '.join(missing)}")
-    unexpected = sorted(set(extra) - set(wanted))
-    _require(not unexpected, f"unexpected fields: {', '.join(unexpected)}")
-    if cls is GpsFix:
-        payload: Payload = GpsFix(point=GeoPoint(extra["lat_deg"], extra["lon_deg"]),
-                                  speed_kph=extra["speed_kph"], valid=extra["valid"])
-    else:
-        payload = cls(**extra)
-    return SensorEvent(t_ms=t_ms, payload=payload)
+    tag = rec.get("sensor")
+    # the str check keeps an unhashable tag (a JSON list) out of the lookup
+    decoder = _DECODERS.get(tag) if isinstance(tag, str) else None
+    _require(decoder is not None, "unknown sensor tag: {!r}", tag)
+    build, names, keys = decoder
+    if rec.keys() != keys:
+        missing = [name for name in names if name not in rec]
+        _require(not missing, "missing fields: {}", ", ".join(missing))
+        unexpected = sorted(rec.keys() - keys)
+        _require(not unexpected, "unexpected fields: {}", ", ".join(unexpected))
+    payload = build(*[rec[name] for name in names])
+    return SensorEvent(rec.get("t_ms"), payload)
 
 
 # --- configuration ---------------------------------------------------------

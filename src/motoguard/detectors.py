@@ -88,6 +88,8 @@ def mag_step(state: MagState, b_ut: float,
         return MagState(calib, baseline, 0), None
     deviation = abs(b_ut - state.baseline_ut)
     if deviation <= cfg.mag_deviation_ut:
+        if state.consecutive_deviant == 0:
+            return state, None
         return replace(state, consecutive_deviant=0), None
     trigger = None
     if state.consecutive_deviant == cfg.mag_persist_samples - 1:

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import attrgetter
 from pathlib import Path
 
 from .controller import ControllerState, Mode, drain_sms, step
@@ -119,18 +121,25 @@ def _label_from_obj(obj: dict, line_no: int) -> ExpectedLabel:
         raise SchemaError(line_no, str(exc)) from None
 
 
+# json.loads rejects a leading byte-order mark before decoding; the decoder
+# bound below does not, so its failure is reported with json.loads's text
+_BOM_TEXT = "Unexpected UTF-8 BOM (decode using utf-8-sig)"
+
+
 def loads_scenario(text: str) -> Scenario:
     lines = text.splitlines()
     header = None
     header_line = 0
     events: list[SensorEvent] = []
+    decode = json.JSONDecoder().decode
     for line_no, raw in enumerate(lines, start=1):
         if not raw.strip():
             continue
         try:
-            obj = json.loads(raw)
+            obj = decode(raw)
         except json.JSONDecodeError as exc:
-            raise SchemaError(line_no, f"invalid JSON: {exc.msg}") from None
+            reason = _BOM_TEXT if raw.startswith("\ufeff") else exc.msg
+            raise SchemaError(line_no, f"invalid JSON: {reason}") from None
         if header is None:
             header = obj
             header_line = line_no
@@ -208,18 +217,11 @@ def run(sc: Scenario, cfg: ControllerConfig = DEFAULT_CONFIG) -> EventLog:
     client.modem_init()
     state = ControllerState()
     log = EventLog([ModeChange(0, Mode.PARKED)])
-    index = 0
-    events = sc.events
-    while index < len(events):
-        t_ms = events[index].t_ms
-        group = []
-        while index < len(events) and events[index].t_ms == t_ms:
-            group.append(events[index])
-            index += 1
+    for t_ms, group in groupby(sc.events, key=attrgetter("t_ms")):
         clock.advance_to(t_ms)
         before = state.mode
         try:
-            state, alerts, commands = step(merged, state, t_ms, group)
+            state, alerts, commands = step(merged, state, t_ms, list(group))
         except ContractViolation as exc:
             raise ContractViolation(f"{sc.name}: at t={t_ms}: {exc}") from exc
         log.records.extend(alerts)
@@ -286,19 +288,26 @@ def _match(log: EventLog, expected: list[ExpectedLabel]
     positives = [lab for lab in expected if not lab.negative]
     strays: list[Alert] = []
     matched: set[int] = set()
-    by_kind: dict[AlertKind, list[tuple[int, ExpectedLabel]]] = {}
+    # per kind, the windows still unmatched as (start, end, index), sorted
+    unmatched: dict[AlertKind, list[tuple[int, int, int]]] = {}
     for idx, lab in enumerate(positives):
-        by_kind.setdefault(lab.kind, []).append((idx, lab))
-    for windows in by_kind.values():
-        windows.sort(key=lambda pair: (pair[1].start_ms, pair[1].end_ms, pair[0]))
+        unmatched.setdefault(lab.kind, []).append((lab.start_ms, lab.end_ms, idx))
+    for windows in unmatched.values():
+        windows.sort()
     for alert in alerts:
-        hit = next((idx for idx, lab in by_kind.get(alert.kind, [])
-                    if idx not in matched and lab.start_ms <= alert.t_ms <= lab.end_ms),
-                   None)
+        t_ms = alert.t_ms
+        windows = unmatched.get(alert.kind, [])
+        hit = None
+        for pos, (start, end, _) in enumerate(windows):
+            if start > t_ms:
+                break  # every later window opens later still
+            if t_ms <= end:
+                hit = pos
+                break
         if hit is None:
             strays.append(alert)
         else:
-            matched.add(hit)
+            matched.add(windows.pop(hit)[2])
     missed = [lab for idx, lab in enumerate(positives) if idx not in matched]
     seen_kinds = {a.kind for a in alerts}
     tn = sum(1 for lab in expected if lab.negative and lab.kind not in seen_kinds)

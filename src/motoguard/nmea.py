@@ -72,10 +72,13 @@ def checksum(body: str) -> str:
 
     The body must be printable ASCII and may not itself contain '$' or '*'.
     """
-    for ch in body:
-        code = ord(ch)
-        if code < 0x20 or code > 0x7E or ch in "$*":
-            raise ParseError(f"invalid body character: {ch!r}")
+    # printable ASCII is exactly 0x20..0x7E; the per-character scan only runs
+    # to name the first offending character
+    if not (body.isascii() and body.isprintable()) or "$" in body or "*" in body:
+        for ch in body:
+            code = ord(ch)
+            if code < 0x20 or code > 0x7E or ch in "$*":
+                raise ParseError(f"invalid body character: {ch!r}")
     return format(reduce(xor, body.encode("ascii"), 0), "02X")
 
 

@@ -84,3 +84,29 @@ def mag_trigger_indices(samples: list[float], cfg: ControllerConfig) -> list[int
 def breath_fails(ethanol_ppms: list[float], cfg: ControllerConfig) -> bool:
     """Expected outcome of the pre-ride breath rule: fail on the worst sample."""
     return any(ppm >= cfg.ethanol_lockout_ppm for ppm in ethanol_ppms)
+
+
+def greedy_match(alerts: list, expected: list) -> tuple[tuple[int, int, int, int], list, list]:
+    """Expected ((tp, tn, fp, fn), strays, missed) of the windowed label matcher.
+
+    The quadratic reference: for each alert in input order, scan every
+    positive window of its kind in (start, end, input position) order and
+    take the first unmatched one that contains the alert.
+    """
+    positives = [lab for lab in expected if not lab.negative]
+    order = sorted(range(len(positives)),
+                   key=lambda i: (positives[i].start_ms, positives[i].end_ms, i))
+    matched: set[int] = set()
+    strays = []
+    for alert in alerts:
+        hit = next((i for i in order
+                    if i not in matched and positives[i].kind is alert.kind
+                    and positives[i].start_ms <= alert.t_ms <= positives[i].end_ms), None)
+        if hit is None:
+            strays.append(alert)
+        else:
+            matched.add(hit)
+    missed = [lab for i, lab in enumerate(positives) if i not in matched]
+    seen = {a.kind for a in alerts}
+    tn = sum(1 for lab in expected if lab.negative and lab.kind not in seen)
+    return (len(matched), tn, len(strays), len(missed)), strays, missed

@@ -65,6 +65,17 @@ def test_simulate_bad_schema_is_io_error(tmp_path: Path, capsys) -> None:
     assert "line 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["simulate", "eval"])
+def test_non_string_sensor_tag_is_schema_error(command: str, tmp_path: Path, capsys) -> None:
+    bad = tmp_path / "list_tag.jsonl"
+    bad.write_text('{"name": "x"}\n{"t_ms": 1, "sensor": ["lidar"], "range_m": 1.0}\n',
+                   encoding="utf-8")
+    target = {"simulate": ["--scenario", str(bad)], "eval": ["--scenario-dir", str(tmp_path)]}
+    code = main([command, *target[command]])
+    assert code == 3
+    assert capsys.readouterr().err == f"error: {bad}: line 2: unknown sensor tag: ['lidar']\n"
+
+
 def test_simulate_bad_config_file_is_usage_error(corpus_dir: Path, tmp_path: Path,
                                                  capsys) -> None:
     cfg = tmp_path / "bad.cfg"

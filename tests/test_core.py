@@ -96,6 +96,78 @@ def test_event_record_rejects_unknown_tag_and_fields() -> None:
         event_from_record({"t_ms": 0, "sensor": "lidar", "range_m": 1.0, "bogus": 2})
 
 
+def rec(sensor, **fields) -> dict:
+    return {"t_ms": 0, "sensor": sensor, **fields}
+
+
+GPS = {"lat_deg": 14.5, "lon_deg": 121.0, "speed_kph": 30.0, "valid": True}
+
+
+@pytest.mark.parametrize("record,message", [
+    ([], "record must be an object"),
+    ("lidar", "record must be an object"),
+    (rec("sonar", range_m=1.0), "unknown sensor tag: 'sonar'"),
+    ({"t_ms": 0, "range_m": 1.0}, "unknown sensor tag: None"),
+    (rec(["lidar"], range_m=1.0), "unknown sensor tag: ['lidar']"),
+    (rec(7), "unknown sensor tag: 7"),
+    (rec("gps"), "missing fields: lat_deg, lon_deg, speed_kph, valid"),
+    (rec("gps", valid=True, lat_deg=1.0), "missing fields: lon_deg, speed_kph"),
+    (rec("gas", co_ppm=1.0, zeta=1), "missing fields: ethanol_ppm, lpg_ppm"),
+    (rec("lidar", range_m=1.0, zeta=1, alpha=2, point=3), "unexpected fields: alpha, point, zeta"),
+    (rec("gps", **GPS, point=[1, 2]), "unexpected fields: point"),
+    ({"sensor": "lidar", "range_m": 1.0}, "t_ms must be a non-negative int: None"),
+    (dict(rec("pir", detected=True), t_ms=-1), "t_ms must be a non-negative int: -1"),
+    (dict(rec("pir", detected=True), t_ms=True), "t_ms must be a non-negative int: True"),
+    (dict(rec("pir", detected=True), t_ms=1.5), "t_ms must be a non-negative int: 1.5"),
+    (dict(rec("lidar", range_m=-1.0), t_ms=-1), "range_m must be >= 0: -1.0"),
+    (rec("lidar", range_m=float("inf")), "range_m must be >= 0: inf"),
+    (rec("lidar", range_m=float("nan")), "range_m must be >= 0: nan"),
+    (rec("lidar", range_m={"a": 1}), "range_m must be >= 0: {'a': 1}"),
+    (rec("lidar", range_m=True), "range_m must be >= 0: True"),
+    (rec("mag", b_ut=-0.5), "b_ut must be >= 0: -0.5"),
+    (rec("mag", b_ut="40"), "b_ut must be >= 0: '40'"),
+    (rec("pir", detected=1), "detected must be a bool"),
+    (rec("gas", ethanol_ppm=0.0, co_ppm=float("nan"), lpg_ppm=-1.0), "co_ppm must be >= 0: nan"),
+    (rec("gas", ethanol_ppm=True, co_ppm=0.0, lpg_ppm=0.0), "ethanol_ppm must be >= 0: True"),
+    (rec("gas", ethanol_ppm=0.0, co_ppm=0.0, lpg_ppm=float("-inf")),
+     "lpg_ppm must be >= 0: -inf"),
+    (rec("tilt", angle_deg=180.5), "angle_deg out of range: 180.5"),
+    (rec("tilt", angle_deg=None), "angle_deg out of range: None"),
+    (rec("gps", **dict(GPS, lat_deg=91.0, lon_deg=181.0)), "lat_deg out of range: 91.0"),
+    (rec("gps", **dict(GPS, lon_deg=float("inf"))), "lon_deg out of range: inf"),
+    (rec("gps", **dict(GPS, speed_kph=-3)), "speed_kph must be >= 0: -3"),
+    (rec("gps", **dict(GPS, valid="yes")), "valid must be a bool"),
+    (rec("ignition", on=None), "on must be a bool"),
+    (rec("auth", authorized=0), "authorized must be a bool"),
+    (rec("supply", volts={"a": 1}), "volts must be >= 0: {'a': 1}"),
+    (rec("supply", volts=float("nan")), "volts must be >= 0: nan"),
+    # a string value tells repr() from str() in every formatted message
+    (dict(rec("pir", detected=True), t_ms="3"), "t_ms must be a non-negative int: '3'"),
+    (rec("lidar", range_m="1"), "range_m must be >= 0: '1'"),
+    (rec("gas", ethanol_ppm=0.0, co_ppm=0.0, lpg_ppm="5"), "lpg_ppm must be >= 0: '5'"),
+    (rec("tilt", angle_deg="90"), "angle_deg out of range: '90'"),
+    (rec("gps", **dict(GPS, lat_deg="1")), "lat_deg out of range: '1'"),
+    (rec("gps", **dict(GPS, lon_deg="2")), "lon_deg out of range: '2'"),
+    (rec("gps", **dict(GPS, speed_kph="3")), "speed_kph must be >= 0: '3'"),
+    (rec("supply", volts="24"), "volts must be >= 0: '24'"),
+])
+def test_event_record_errors_are_exact(record, message: str) -> None:
+    with pytest.raises(ContractViolation) as err:
+        event_from_record(record)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: GpsFix((14.5, 121.0), 30.0, True), "point must be a GeoPoint"),
+    (lambda: SmsSend(to="12ab", body="hi"), "bad phone number: '12ab'"),
+    (lambda: Alert(-1, AlertKind.CRASH, Severity.HIGH, "x"), "t_ms must be >= 0"),
+])
+def test_constructor_errors_are_exact(build, message: str) -> None:
+    with pytest.raises(ContractViolation) as err:
+        build()
+    assert str(err.value) == message
+
+
 @given(st.floats(min_value=-90.0, max_value=90.0, allow_nan=False),
        st.floats(min_value=-180.0, max_value=180.0, allow_nan=False),
        st.floats(min_value=0.0, max_value=300.0, allow_nan=False),

@@ -11,10 +11,11 @@ from motoguard.core import (AlertKind, Auth, GasReading, GpsFix, GeoPoint, Ignit
 from motoguard.controller import Mode
 from motoguard.harness import (Alert, CaseResult, ConfusionMatrix, EventLog,
                                ExpectedLabel, ModeChange, Scenario, SchemaError,
-                               UndefinedMetric, UnsortedEvents, accuracy, dumps_scenario,
-                               error_rate, evaluate_scenarios, load_scenario,
+                               UndefinedMetric, UnsortedEvents, _match, accuracy,
+                               dumps_scenario, error_rate, evaluate_scenarios, load_scenario,
                                loads_scenario, log_to_jsonl, match_alerts, render_report,
                                report_json, run, save_scenario)
+from oracles import greedy_match
 
 HEADER = '{"name": "t"}'
 
@@ -89,6 +90,10 @@ def test_blank_lines_are_skipped() -> None:
     ('{"name": "t", "expected": [{"kind": "crash", "start_ms": 0, "end_ms": 5}, '
      '{"kind": "crash", "negative": true}]}', 1, "both expected and declared negative"),
     (HEADER + '\n{"t_ms": 1, "sensor": "sonar"}', 2, "unknown sensor tag"),
+    (HEADER + '\n{"t_ms": 1, "sensor": ["lidar"], "range_m": 1.0}', 2,
+     "unknown sensor tag: ['lidar']"),
+    (HEADER + '\n{"t_ms": 1, "sensor": {"a": 1}}', 2, "unknown sensor tag: {'a': 1}"),
+    ('\ufeff' + HEADER, 1, "invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig)"),
     (HEADER + '\n{"t_ms": 1, "sensor": "pir"}', 2, "missing fields: detected"),
     (HEADER + '\n{"t_ms": 1, "sensor": "pir", "detected": true, "x": 1}', 2,
      "unexpected fields: x"),
@@ -201,6 +206,33 @@ def test_kind_must_match_the_window() -> None:
     labels = [ExpectedLabel(AlertKind.CRASH, 0, 10_000)]
     cm = match_alerts(EventLog([alert(1000, AlertKind.THEFT)]), labels)
     assert (cm.tp, cm.fp, cm.fn) == (0, 1, 1)
+
+
+MATCH_KINDS = [AlertKind.CRASH, AlertKind.THEFT, AlertKind.OVERSPEED]
+
+
+@st.composite
+def label_lists(draw) -> list[ExpectedLabel]:
+    """Positive windows (zero-width and overlapping included) and negative
+    labels over a few kinds, with some labels repeated, in any order."""
+    kinds = st.sampled_from(MATCH_KINDS)
+    windows = st.builds(lambda kind, start, width: ExpectedLabel(kind, start, start + width),
+                        kinds, st.integers(0, 50), st.sampled_from([0, 0, 1, 3, 10, 40]))
+    labels = draw(st.lists(st.one_of(windows, st.builds(ExpectedLabel, kinds)), max_size=10))
+    repeats = draw(st.lists(st.sampled_from(labels), max_size=3)) if labels else []
+    return draw(st.permutations(labels + repeats))
+
+
+@given(st.lists(st.tuples(st.integers(0, 60), st.sampled_from(MATCH_KINDS)), max_size=15),
+       label_lists())
+def test_match_agrees_with_the_quadratic_oracle(alert_specs, labels) -> None:
+    # alert times are drawn unsorted on purpose: the matcher must not rely on order
+    alerts = [alert(t, kind) for t, kind in alert_specs]
+    cm, strays, missed = _match(EventLog(list(alerts)), labels)
+    want_counts, want_strays, want_missed = greedy_match(alerts, labels)
+    assert (cm.tp, cm.tn, cm.fp, cm.fn) == want_counts
+    assert strays == want_strays
+    assert missed == want_missed
 
 
 def test_accuracy_and_error() -> None:

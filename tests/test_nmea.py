@@ -24,10 +24,21 @@ def test_checksum_output_shape() -> None:
     assert checksum("GPRMC") == checksum("GPRMC").upper()
 
 
-@pytest.mark.parametrize("body", ["abc\x07", "deg\xe9", "a$b", "a*b", "tab\there"[:4] + "\t"])
-def test_checksum_rejects_non_printable_and_delimiters(body: str) -> None:
-    with pytest.raises(ParseError):
+@pytest.mark.parametrize("body,bad", [pytest.param(body, bad, id=body) for body, bad in [
+    ("abc\x07", "'\\x07'"),
+    ("deg\xe9", "'é'"),
+    ("a$b", "'$'"),
+    ("a*b", "'*'"),
+    ("tab\there"[:4] + "\t", "'\\t'"),
+    ("del\x7f", "'\\x7f'"),
+    ("\x00a*", "'\\x00'"),
+    ("GPRMC,123519,A,4807.038,N,01131.000,E,022.4,084.4,230394,003.1,W\x80", "'\\x80'"),
+]])
+def test_checksum_rejects_non_printable_and_delimiters(body: str, bad: str) -> None:
+    # the message names the first offending character, even when it comes last
+    with pytest.raises(ParseError) as err:
         checksum(body)
+    assert str(err.value) == f"invalid body character: {bad}"
 
 
 def test_parse_worked_example() -> None:
