@@ -11,6 +11,7 @@ import math
 import re
 from dataclasses import dataclass, fields
 from enum import Enum, IntEnum
+from operator import itemgetter
 from pathlib import Path
 
 SMS_MAX_CHARS = 160
@@ -106,18 +107,16 @@ def severity_of(kind: AlertKind) -> Severity:
     return _SEVERITY_TABLE[kind]
 
 
-def _require(cond: bool, msg: str, *args: object) -> None:
-    """Raise ContractViolation(msg.format(*args)) unless cond holds.
-
-    The message is formatted only on failure, so the checks cost no repr()
-    on the success path.
-    """
-    if not cond:
-        raise ContractViolation(msg.format(*args) if args else msg)
-
-
 def _finite(x: float) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+    """A non-bool int or float that is neither nan nor infinite."""
+    if type(x) is float:
+        return x - x == 0.0  # nan and +-inf give nan
+    if not isinstance(x, (int, float)) or isinstance(x, bool):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an int too large for a float
+        return False
 
 
 @dataclass(frozen=True)
@@ -126,10 +125,10 @@ class GeoPoint:
     lon_deg: float
 
     def __post_init__(self):
-        _require(_finite(self.lat_deg) and -90.0 <= self.lat_deg <= 90.0,
-                 "lat_deg out of range: {!r}", self.lat_deg)
-        _require(_finite(self.lon_deg) and -180.0 <= self.lon_deg <= 180.0,
-                 "lon_deg out of range: {!r}", self.lon_deg)
+        if not (_finite(self.lat_deg) and -90.0 <= self.lat_deg <= 90.0):
+            raise ContractViolation(f"lat_deg out of range: {self.lat_deg!r}")
+        if not (_finite(self.lon_deg) and -180.0 <= self.lon_deg <= 180.0):
+            raise ContractViolation(f"lon_deg out of range: {self.lon_deg!r}")
 
 
 @dataclass(frozen=True)
@@ -137,8 +136,8 @@ class LidarRange:
     range_m: float
 
     def __post_init__(self):
-        _require(_finite(self.range_m) and self.range_m >= 0.0,
-                 "range_m must be >= 0: {!r}", self.range_m)
+        if not (_finite(self.range_m) and self.range_m >= 0.0):
+            raise ContractViolation(f"range_m must be >= 0: {self.range_m!r}")
 
 
 @dataclass(frozen=True)
@@ -148,8 +147,8 @@ class MagField:
     b_ut: float
 
     def __post_init__(self):
-        _require(_finite(self.b_ut) and self.b_ut >= 0.0,
-                 "b_ut must be >= 0: {!r}", self.b_ut)
+        if not (_finite(self.b_ut) and self.b_ut >= 0.0):
+            raise ContractViolation(f"b_ut must be >= 0: {self.b_ut!r}")
 
 
 @dataclass(frozen=True)
@@ -157,7 +156,8 @@ class PirMotion:
     detected: bool
 
     def __post_init__(self):
-        _require(isinstance(self.detected, bool), "detected must be a bool")
+        if not isinstance(self.detected, bool):
+            raise ContractViolation("detected must be a bool")
 
 
 @dataclass(frozen=True)
@@ -169,7 +169,8 @@ class GasReading:
     def __post_init__(self):
         for name in ("ethanol_ppm", "co_ppm", "lpg_ppm"):
             v = getattr(self, name)
-            _require(_finite(v) and v >= 0.0, "{} must be >= 0: {!r}", name, v)
+            if not (_finite(v) and v >= 0.0):
+                raise ContractViolation(f"{name} must be >= 0: {v!r}")
 
 
 @dataclass(frozen=True)
@@ -177,8 +178,8 @@ class Tilt:
     angle_deg: float
 
     def __post_init__(self):
-        _require(_finite(self.angle_deg) and 0.0 <= self.angle_deg <= 180.0,
-                 "angle_deg out of range: {!r}", self.angle_deg)
+        if not (_finite(self.angle_deg) and 0.0 <= self.angle_deg <= 180.0):
+            raise ContractViolation(f"angle_deg out of range: {self.angle_deg!r}")
 
 
 @dataclass(frozen=True)
@@ -188,10 +189,12 @@ class GpsFix:
     valid: bool
 
     def __post_init__(self):
-        _require(isinstance(self.point, GeoPoint), "point must be a GeoPoint")
-        _require(_finite(self.speed_kph) and self.speed_kph >= 0.0,
-                 "speed_kph must be >= 0: {!r}", self.speed_kph)
-        _require(isinstance(self.valid, bool), "valid must be a bool")
+        if not isinstance(self.point, GeoPoint):
+            raise ContractViolation("point must be a GeoPoint")
+        if not (_finite(self.speed_kph) and self.speed_kph >= 0.0):
+            raise ContractViolation(f"speed_kph must be >= 0: {self.speed_kph!r}")
+        if not isinstance(self.valid, bool):
+            raise ContractViolation("valid must be a bool")
 
 
 @dataclass(frozen=True)
@@ -199,7 +202,8 @@ class Ignition:
     on: bool
 
     def __post_init__(self):
-        _require(isinstance(self.on, bool), "on must be a bool")
+        if not isinstance(self.on, bool):
+            raise ContractViolation("on must be a bool")
 
 
 @dataclass(frozen=True)
@@ -207,7 +211,8 @@ class Auth:
     authorized: bool
 
     def __post_init__(self):
-        _require(isinstance(self.authorized, bool), "authorized must be a bool")
+        if not isinstance(self.authorized, bool):
+            raise ContractViolation("authorized must be a bool")
 
 
 @dataclass(frozen=True)
@@ -215,8 +220,8 @@ class SupplyVoltage:
     volts: float
 
     def __post_init__(self):
-        _require(_finite(self.volts) and self.volts >= 0.0,
-                 "volts must be >= 0: {!r}", self.volts)
+        if not (_finite(self.volts) and self.volts >= 0.0):
+            raise ContractViolation(f"volts must be >= 0: {self.volts!r}")
 
 
 Payload = (LidarRange | MagField | PirMotion | GasReading | Tilt | GpsFix
@@ -229,8 +234,9 @@ class SensorEvent:
     payload: Payload
 
     def __post_init__(self):
-        _require(isinstance(self.t_ms, int) and not isinstance(self.t_ms, bool)
-                 and self.t_ms >= 0, "t_ms must be a non-negative int: {!r}", self.t_ms)
+        t_ms = self.t_ms
+        if not (isinstance(t_ms, int) and not isinstance(t_ms, bool) and t_ms >= 0):
+            raise ContractViolation(f"t_ms must be a non-negative int: {t_ms!r}")
 
 
 @dataclass(frozen=True)
@@ -241,7 +247,8 @@ class Alert:
     message: str
 
     def __post_init__(self):
-        _require(isinstance(self.t_ms, int) and self.t_ms >= 0, "t_ms must be >= 0")
+        if not (isinstance(self.t_ms, int) and self.t_ms >= 0):
+            raise ContractViolation("t_ms must be >= 0")
 
 
 def truncate_sms(body: str) -> str:
@@ -272,7 +279,8 @@ class SmsSend:
     body: str
 
     def __post_init__(self):
-        _require(PHONE_PATTERN.match(self.to) is not None, "bad phone number: {!r}", self.to)
+        if PHONE_PATTERN.match(self.to) is None:
+            raise ContractViolation(f"bad phone number: {self.to!r}")
         # normalizing here, rather than validating, keeps every construction
         # path inside the length budget
         object.__setattr__(self, "body", truncate_sms(self.body))
@@ -287,7 +295,8 @@ class ActuatorCommand:
     action: Action
 
     def __post_init__(self):
-        _require(isinstance(self.t_ms, int) and self.t_ms >= 0, "t_ms must be >= 0")
+        if not (isinstance(self.t_ms, int) and self.t_ms >= 0):
+            raise ContractViolation("t_ms must be >= 0")
 
 
 # --- sensor event serialization -------------------------------------------
@@ -325,12 +334,13 @@ def _gps_from_fields(lat_deg: float, lon_deg: float, speed_kph: float, valid: bo
 
 
 def _decoder(cls: type) -> tuple:
-    """(constructor, record fields in constructor order, exact record key set)."""
+    """(constructor, record fields in constructor order, exact record key set,
+    getter of the field values: a tuple for several fields, else the one value)."""
     if cls is GpsFix:
         build, names = _gps_from_fields, ("lat_deg", "lon_deg", "speed_kph", "valid")
     else:
         build, names = cls, tuple(f.name for f in fields(cls))
-    return build, names, frozenset(names) | {"t_ms", "sensor"}
+    return build, names, frozenset(names) | {"t_ms", "sensor"}, itemgetter(*names)
 
 
 _DECODERS = {tag: _decoder(cls) for tag, cls in _SENSOR_TAGS.items()}
@@ -338,18 +348,22 @@ _DECODERS = {tag: _decoder(cls) for tag, cls in _SENSOR_TAGS.items()}
 
 def event_from_record(rec: dict) -> SensorEvent:
     """Inverse of event_to_record; raises ContractViolation on bad shapes."""
-    _require(isinstance(rec, dict), "record must be an object")
+    if not isinstance(rec, dict):
+        raise ContractViolation("record must be an object")
     tag = rec.get("sensor")
     # the str check keeps an unhashable tag (a JSON list) out of the lookup
     decoder = _DECODERS.get(tag) if isinstance(tag, str) else None
-    _require(decoder is not None, "unknown sensor tag: {!r}", tag)
-    build, names, keys = decoder
+    if decoder is None:
+        raise ContractViolation(f"unknown sensor tag: {tag!r}")
+    build, names, keys, values = decoder
     if rec.keys() != keys:
         missing = [name for name in names if name not in rec]
-        _require(not missing, "missing fields: {}", ", ".join(missing))
+        if missing:
+            raise ContractViolation(f"missing fields: {', '.join(missing)}")
         unexpected = sorted(rec.keys() - keys)
-        _require(not unexpected, "unexpected fields: {}", ", ".join(unexpected))
-    payload = build(*[rec[name] for name in names])
+        if unexpected:
+            raise ContractViolation(f"unexpected fields: {', '.join(unexpected)}")
+    payload = build(*values(rec)) if len(names) > 1 else build(values(rec))
     return SensorEvent(rec.get("t_ms"), payload)
 
 
@@ -436,7 +450,10 @@ def apply_overrides(cfg: ControllerConfig, overrides: dict) -> ControllerConfig:
         allowed = (int, float) if kind is float else kind
         if isinstance(value, bool) or not isinstance(value, allowed):
             raise ValidationError([(key, f"must be {_KIND_TEXT[kind]}")])
-        coerced[key] = kind(value)
+        try:
+            coerced[key] = kind(value)
+        except OverflowError:  # an int too large for a float
+            raise ValidationError([(key, "must be a finite number")]) from None
     return dataclasses.replace(cfg, **coerced)
 
 

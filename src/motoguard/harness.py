@@ -122,8 +122,20 @@ def _label_from_obj(obj: dict, line_no: int) -> ExpectedLabel:
 
 
 # json.loads rejects a leading byte-order mark before decoding; the decoder
-# bound below does not, so its failure is reported with json.loads's text
+# below does not, so its failure is reported with json.loads's text
 _BOM_TEXT = "Unexpected UTF-8 BOM (decode using utf-8-sig)"
+_DECODER = json.JSONDecoder()
+
+
+def _decode_line(raw: str, line_no: int) -> object:
+    """json.loads(raw), with every failure as a SchemaError on line_no."""
+    try:
+        return _DECODER.decode(raw)
+    except json.JSONDecodeError as exc:
+        reason = _BOM_TEXT if raw.startswith("\ufeff") else exc.msg
+    except (ValueError, RecursionError) as exc:  # int digit limit, deep nesting
+        reason = str(exc)
+    raise SchemaError(line_no, f"invalid JSON: {reason}")
 
 
 def loads_scenario(text: str) -> Scenario:
@@ -131,15 +143,18 @@ def loads_scenario(text: str) -> Scenario:
     header = None
     header_line = 0
     events: list[SensorEvent] = []
-    decode = json.JSONDecoder().decode
+    scan = _DECODER.raw_decode
     for line_no, raw in enumerate(lines, start=1):
-        if not raw.strip():
-            continue
+        # raw_decode takes a value that starts the line; a line it fails on
+        # or does not consume whole is blank or goes through the full decode
         try:
-            obj = decode(raw)
-        except json.JSONDecodeError as exc:
-            reason = _BOM_TEXT if raw.startswith("\ufeff") else exc.msg
-            raise SchemaError(line_no, f"invalid JSON: {reason}") from None
+            obj, end = scan(raw)
+        except (ValueError, RecursionError):
+            end = -1
+        if end != len(raw):
+            if not raw.strip():
+                continue
+            obj = _decode_line(raw, line_no)
         if header is None:
             header = obj
             header_line = line_no
@@ -294,20 +309,35 @@ def _match(log: EventLog, expected: list[ExpectedLabel]
         unmatched.setdefault(lab.kind, []).append((lab.start_ms, lab.end_ms, idx))
     for windows in unmatched.values():
         windows.sort()
-    for alert in alerts:
+    # reach[i]: the earliest time of alert i and every later alert of its kind
+    reach = [0] * len(alerts)
+    earliest: dict[AlertKind, int] = {}
+    for pos in range(len(alerts) - 1, -1, -1):
+        kind, t_ms = alerts[pos].kind, alerts[pos].t_ms
+        reach[pos] = earliest[kind] = min(t_ms, earliest.get(kind, t_ms))
+    for alert, reach_ms in zip(alerts, reach):
         t_ms = alert.t_ms
         windows = unmatched.get(alert.kind, [])
+        # the windows that open by t_ms are rescanned only while some
+        # remaining alert of the kind can still land in them
+        kept: list[tuple[int, int, int]] = []
+        scanned = 0
         hit = None
-        for pos, (start, end, _) in enumerate(windows):
+        for window in windows:
+            start, end, idx = window
             if start > t_ms:
                 break  # every later window opens later still
+            scanned += 1
             if t_ms <= end:
-                hit = pos
+                hit = idx
                 break
+            if end >= reach_ms:
+                kept.append(window)
+        windows[:scanned] = kept
         if hit is None:
             strays.append(alert)
         else:
-            matched.add(windows.pop(hit)[2])
+            matched.add(hit)
     missed = [lab for idx, lab in enumerate(positives) if idx not in matched]
     seen_kinds = {a.kind for a in alerts}
     tn = sum(1 for lab in expected if lab.negative and lab.kind not in seen_kinds)

@@ -1,13 +1,18 @@
-"""Brute-force reference implementations for the stateful detector rules.
+"""Brute-force reference implementations the tests compare the package with.
 
-Each oracle recomputes the expected trigger positions from the whole trace
-at once, with no incremental state, so a disagreement points at the
-package's state machines rather than at a shared bug.
+Each detector oracle recomputes the expected trigger positions from the
+whole trace at once, with no incremental state, so a disagreement points at
+the package's state machines rather than at a shared bug. The matcher and
+decoding oracles are the plain, slower forms of the package's fast paths.
 """
 
 from __future__ import annotations
 
-from motoguard.core import ControllerConfig
+import json
+import math
+
+from motoguard.core import ContractViolation, ControllerConfig, event_from_record
+from motoguard.harness import SchemaError
 
 
 def crash_trigger_times(samples: list[tuple[int, float, float]],
@@ -110,3 +115,38 @@ def greedy_match(alerts: list, expected: list) -> tuple[tuple[int, int, int, int
     seen = {a.kind for a in alerts}
     tn = sum(1 for lab in expected if lab.negative and lab.kind not in seen)
     return (len(matched), tn, len(strays), len(missed)), strays, missed
+
+
+def finite_reference(x) -> bool:
+    """The original ``core._finite``: a non-bool int or float that is neither
+    nan nor infinite. ``math.isfinite`` raises OverflowError on an int too
+    large for a float."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+
+def json_lines_reference(text: str) -> tuple[object, list]:
+    """Expected (header object, events) of a scenario text, by json.loads per line.
+
+    Raises SchemaError(line, reason) for the first line that is not JSON or
+    whose record is not an event, with the reason loads_scenario gives.
+    Header validation is left out: callers give a valid header.
+    """
+    header = None
+    events = []
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        if not raw.strip():
+            continue
+        try:
+            obj = json.loads(raw)
+        except json.JSONDecodeError as exc:
+            raise SchemaError(line_no, f"invalid JSON: {exc.msg}") from None
+        except (ValueError, RecursionError) as exc:
+            raise SchemaError(line_no, f"invalid JSON: {exc}") from None
+        if header is None:
+            header = obj
+            continue
+        try:
+            events.append(event_from_record(obj))
+        except ContractViolation as exc:
+            raise SchemaError(line_no, str(exc)) from None
+    return header, events

@@ -1,10 +1,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import motoguard
 from motoguard.cli import main
 
 GOOD_RMC = "$GPRMC,123519,A,4807.038,N,01131.000,E,022.4,084.4,230394,003.1,W*6A"
@@ -74,6 +78,28 @@ def test_non_string_sensor_tag_is_schema_error(command: str, tmp_path: Path, cap
     code = main([command, *target[command]])
     assert code == 3
     assert capsys.readouterr().err == f"error: {bad}: line 2: unknown sensor tag: ['lidar']\n"
+
+
+HUGE = "1" + "0" * 400       # an int too large for a float
+
+
+@pytest.mark.parametrize("lines,code,message", [
+    (['{"name": "x"}', '{"t_ms": 1, "sensor": "lidar", "range_m": 1' + "0" * 4400 + "}"],
+     3, "line 2: invalid JSON: Exceeds the limit (4300 digits) for integer string conversion"),
+    (['{"name": "x"}', "[" * 100_000], 3, "line 2: invalid JSON: maximum recursion depth exceeded"),
+    (['{"name": "x"}', '{"t_ms": 1, "sensor": "lidar", "range_m": ' + HUGE + "}"],
+     3, f"line 2: range_m must be >= 0: {HUGE}\n"),
+    (['{"name": "x", "config": {"ttc_warn_s": ' + HUGE + "}}"],
+     2, "error: bad config: ttc_warn_s: must be a finite number\n"),
+], ids=["number_over_digit_limit", "deep_nesting", "huge_int_field", "huge_int_config"])
+def test_oversize_numbers_and_nesting_are_reported(lines: list[str], code: int, message: str,
+                                                   tmp_path: Path, capsys) -> None:
+    bad = tmp_path / "oversize.jsonl"
+    bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main(["simulate", "--scenario", str(bad)]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert message in err
 
 
 def test_simulate_bad_config_file_is_usage_error(corpus_dir: Path, tmp_path: Path,
@@ -181,6 +207,16 @@ def test_nmea_line_ok(capsys) -> None:
     assert code == 0
     assert out.startswith("OK lat=48.117300 lon=11.516667 speed_kph=41.4848 ")
     assert "status=A" in out and "utc=123519" in out
+
+
+def test_module_entry_point_runs_the_cli() -> None:
+    package_parent = str(Path(motoguard.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_parent, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "motoguard.cli", "nmea", "--line", GOOD_RMC],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.startswith("OK lat=48.117300 lon=11.516667 ")
 
 
 def test_nmea_line_rejected(capsys) -> None:

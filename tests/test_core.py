@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from enum import IntEnum
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,7 +11,9 @@ from motoguard.core import (Alert, AlertKind, Auth, Buzzer, ConfigError, Contrac
                             Ignition, LidarRange, MagField, PirMotion, SensorEvent, Severity,
                             SmsSend, SupplyVoltage, Tilt, ValidationError, VirtualClock,
                             apply_overrides, event_from_record, event_to_record,
-                            parse_config_text, severity_of, truncate_sms, validate_config)
+                            _finite, parse_config_text, severity_of, truncate_sms,
+                            validate_config)
+from oracles import finite_reference
 
 
 def test_severity_table_matches_design() -> None:
@@ -166,6 +169,34 @@ def test_constructor_errors_are_exact(build, message: str) -> None:
     with pytest.raises(ContractViolation) as err:
         build()
     assert str(err.value) == message
+
+
+class _Float(float):
+    pass
+
+
+class _Level(IntEnum):
+    TWO = 2
+
+
+@pytest.mark.parametrize("value,want", [
+    (0.0, True), (-0.0, True), (1.5, True), (5e-324, True), (-1.7976931348623157e308, True),
+    (float("nan"), False), (float("inf"), False), (float("-inf"), False),
+    (_Float(2.5), True), (_Float("nan"), False), (_Float("inf"), False),
+    (0, True), (-7, True), (10**308, True), (_Level.TWO, True),
+    (True, False), (False, False), (None, False), ("1.0", False), ([1.0], False),
+], ids=repr)
+def test_finite_agrees_with_the_reference(value, want: bool) -> None:
+    assert _finite(value) is want
+    assert finite_reference(value) is want
+
+
+def test_finite_is_false_for_an_int_too_large_for_a_float() -> None:
+    huge = 10**400
+    with pytest.raises(OverflowError):
+        finite_reference(huge)
+    assert _finite(huge) is False
+    assert _finite(-huge) is False
 
 
 @given(st.floats(min_value=-90.0, max_value=90.0, allow_nan=False),

@@ -4,10 +4,10 @@ import json
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from motoguard.core import (AlertKind, Auth, GasReading, GpsFix, GeoPoint, Ignition,
-                            SensorEvent, SmsSend, ValidationError, severity_of)
+                            PirMotion, SensorEvent, SmsSend, ValidationError, severity_of)
 from motoguard.controller import Mode
 from motoguard.harness import (Alert, CaseResult, ConfusionMatrix, EventLog,
                                ExpectedLabel, ModeChange, Scenario, SchemaError,
@@ -15,7 +15,7 @@ from motoguard.harness import (Alert, CaseResult, ConfusionMatrix, EventLog,
                                dumps_scenario, error_rate, evaluate_scenarios, load_scenario,
                                loads_scenario, log_to_jsonl, match_alerts, render_report,
                                report_json, run, save_scenario)
-from oracles import greedy_match
+from oracles import greedy_match, json_lines_reference
 
 HEADER = '{"name": "t"}'
 
@@ -98,12 +98,80 @@ def test_blank_lines_are_skipped() -> None:
     (HEADER + '\n{"t_ms": 1, "sensor": "pir", "detected": true, "x": 1}', 2,
      "unexpected fields: x"),
     (HEADER + '\n{"t_ms": 1, "sensor": "pir", "detected": true}\nnope', 3, "invalid JSON"),
+    pytest.param(HEADER + '\n{"t_ms": 1, "sensor": "lidar", "range_m": 1' + "0" * 4400 + "}",
+                 2, "invalid JSON: Exceeds the limit (4300 digits) for integer string conversion",
+                 id="number_over_digit_limit"),
+    pytest.param(HEADER + "\n" + "[" * 100_000, 2,
+                 "invalid JSON: maximum recursion depth exceeded", id="deep_nesting"),
+    pytest.param(HEADER + '\n{"t_ms": 1, "sensor": "lidar", "range_m": 1' + "0" * 400 + "}",
+                 2, "range_m must be >= 0: 1" + "0" * 400, id="int_too_large_for_a_float"),
 ])
 def test_schema_errors_carry_line_numbers(text: str, line_no: int, fragment: str) -> None:
     with pytest.raises(SchemaError) as err:
         loads_scenario(text)
     assert err.value.line_no == line_no
     assert fragment in err.value.reason
+
+
+PIR = '{"t_ms": 5, "sensor": "pir", "detected": true}'
+
+
+@pytest.mark.parametrize("text,line_no,reason", [
+    (HEADER + "\n  " + PIR, None, None),
+    (HEADER + "\n" + PIR + " \t", None, None),
+    (" \t" + HEADER + "  \n" + PIR, None, None),
+    (HEADER + "\n\t\n" + PIR, None, None),
+    (HEADER + '\n{"a": 1} x', 2, "invalid JSON: Extra data"),
+    (HEADER + "\n{} {}", 2, "invalid JSON: Extra data"),
+    (HEADER + "\n" + PIR + " 7", 2, "invalid JSON: Extra data"),
+    (HEADER + "\n\ufeff" + PIR, 2,
+     "invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig)"),
+    (HEADER + "\n" + PIR + "\n{", 3,
+     "invalid JSON: Expecting property name enclosed in double quotes"),
+])
+def test_json_line_outcomes_are_exact(text: str, line_no: int | None,
+                                      reason: str | None) -> None:
+    # line_no None: the text is accepted, with the one pir event
+    if line_no is None:
+        assert loads_scenario(text).events == [ev(5, PirMotion(True))]
+        return
+    with pytest.raises(SchemaError) as err:
+        loads_scenario(text)
+    assert (err.value.line_no, err.value.reason) == (line_no, reason)
+
+
+EVENT_LINES = [PIR, '{"t_ms": 5, "sensor": "lidar", "range_m": 3.5}',
+               '{"t_ms": 5, "sensor": "lidar", "range_m": -1}',
+               '{"t_ms": 5, "sensor": "pir"}', '{"sensor": "sonar"}', "[]", "7"]
+
+
+@st.composite
+def scenario_lines(draw) -> str:
+    """One line: an event record (good or bad) or JSON-ish noise, cut short,
+    padded with whitespace, prefixed with a byte-order mark or followed by
+    extra data."""
+    line = draw(st.one_of(
+        st.sampled_from(EVENT_LINES),
+        st.text(st.sampled_from('{}[]",:0123456789.-eEtruflsn \t\ufeff'), max_size=12)))
+    if draw(st.booleans()):
+        line = line[:draw(st.integers(0, len(line)))]
+    pad = st.text(st.sampled_from(" \t"), max_size=2)
+    line = draw(pad) + line + draw(pad)
+    line = draw(st.sampled_from(["", "", "", "\ufeff"])) + line
+    return line + draw(st.sampled_from(["", "", "", " x", " {}", "]", "1"]))
+
+
+@given(st.lists(scenario_lines(), max_size=8), st.sampled_from([HEADER, " " + HEADER + "\t"]))
+def test_loads_scenario_agrees_with_json_loads_per_line(lines, header) -> None:
+    text = "\n".join([header] + lines)
+    try:
+        _, want = json_lines_reference(text)
+    except SchemaError as exc:
+        with pytest.raises(SchemaError) as err:
+            loads_scenario(text)
+        assert (err.value.line_no, err.value.reason) == (exc.line_no, exc.reason)
+    else:
+        assert loads_scenario(text).events == want
 
 
 def test_unsorted_events_name_the_offender() -> None:
@@ -223,6 +291,13 @@ def label_lists(draw) -> list[ExpectedLabel]:
     return draw(st.permutations(labels + repeats))
 
 
+# n windows that close unmatched, then n stray alerts of the same kind: the
+# shape that made the matcher rescan every dead window for every alert
+@example([(100 + i, AlertKind.CRASH) for i in range(200)],
+         [ExpectedLabel(AlertKind.CRASH, i, i) for i in range(200)])
+@example([(100 + i % 7, AlertKind.CRASH) for i in range(50)],
+         [ExpectedLabel(AlertKind.CRASH, i, i + 3) for i in range(50)]
+         + [ExpectedLabel(AlertKind.CRASH, 103, 103)])
 @given(st.lists(st.tuples(st.integers(0, 60), st.sampled_from(MATCH_KINDS)), max_size=15),
        label_lists())
 def test_match_agrees_with_the_quadratic_oracle(alert_specs, labels) -> None:
