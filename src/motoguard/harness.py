@@ -304,11 +304,12 @@ def _match(log: EventLog, expected: list[ExpectedLabel]
     strays: list[Alert] = []
     matched: set[int] = set()
     # per kind, the windows still unmatched as (start, end, index), sorted
+    # latest first so that the scan takes them off the end of the list
     unmatched: dict[AlertKind, list[tuple[int, int, int]]] = {}
     for idx, lab in enumerate(positives):
         unmatched.setdefault(lab.kind, []).append((lab.start_ms, lab.end_ms, idx))
     for windows in unmatched.values():
-        windows.sort()
+        windows.sort(reverse=True)
     # reach[i]: the earliest time of alert i and every later alert of its kind
     reach = [0] * len(alerts)
     earliest: dict[AlertKind, int] = {}
@@ -318,22 +319,19 @@ def _match(log: EventLog, expected: list[ExpectedLabel]
     for alert, reach_ms in zip(alerts, reach):
         t_ms = alert.t_ms
         windows = unmatched.get(alert.kind, [])
-        # the windows that open by t_ms are rescanned only while some
+        # the windows that open by t_ms are put back only while some
         # remaining alert of the kind can still land in them
         kept: list[tuple[int, int, int]] = []
-        scanned = 0
         hit = None
-        for window in windows:
-            start, end, idx = window
-            if start > t_ms:
-                break  # every later window opens later still
-            scanned += 1
+        while windows and windows[-1][0] <= t_ms:  # later windows open later still
+            window = windows.pop()
+            _, end, idx = window
             if t_ms <= end:
                 hit = idx
                 break
             if end >= reach_ms:
                 kept.append(window)
-        windows[:scanned] = kept
+        windows.extend(reversed(kept))
         if hit is None:
             strays.append(alert)
         else:

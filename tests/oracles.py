@@ -124,12 +124,13 @@ def finite_reference(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
 
 
-def json_lines_reference(text: str) -> tuple[object, list]:
-    """Expected (header object, events) of a scenario text, by json.loads per line.
+def json_lines_reference(text: str) -> list:
+    """Expected events of a scenario text, by json.loads per line.
 
     Raises SchemaError(line, reason) for the first line that is not JSON or
     whose record is not an event, with the reason loads_scenario gives.
-    Header validation is left out: callers give a valid header.
+    The first JSON line is the header; it is not checked, so callers give a
+    valid one.
     """
     header = None
     events = []
@@ -149,4 +150,4 @@ def json_lines_reference(text: str) -> tuple[object, list]:
             events.append(event_from_record(obj))
         except ContractViolation as exc:
             raise SchemaError(line_no, str(exc)) from None
-    return header, events
+    return events

@@ -179,13 +179,19 @@ class _Level(IntEnum):
     TWO = 2
 
 
-@pytest.mark.parametrize("value,want", [
-    (0.0, True), (-0.0, True), (1.5, True), (5e-324, True), (-1.7976931348623157e308, True),
-    (float("nan"), False), (float("inf"), False), (float("-inf"), False),
-    (_Float(2.5), True), (_Float("nan"), False), (_Float("inf"), False),
-    (0, True), (-7, True), (10**308, True), (_Level.TWO, True),
-    (True, False), (False, False), (None, False), ("1.0", False), ([1.0], False),
-], ids=repr)
+FINITE_CASES = {
+    "zero": (0.0, True), "negative_zero": (-0.0, True), "float": (1.5, True),
+    "subnormal": (5e-324, True), "most_negative_float": (-1.7976931348623157e308, True),
+    "nan": (float("nan"), False), "inf": (float("inf"), False),
+    "negative_inf": (float("-inf"), False), "float_subclass": (_Float(2.5), True),
+    "float_subclass_nan": (_Float("nan"), False), "float_subclass_inf": (_Float("inf"), False),
+    "int": (0, True), "negative_int": (-7, True), "int_1e308": (10**308, True),
+    "int_enum": (_Level.TWO, True), "true": (True, False), "false": (False, False),
+    "none": (None, False), "str": ("1.0", False), "list": ([1.0], False),
+}
+
+
+@pytest.mark.parametrize("value,want", FINITE_CASES.values(), ids=FINITE_CASES.keys())
 def test_finite_agrees_with_the_reference(value, want: bool) -> None:
     assert _finite(value) is want
     assert finite_reference(value) is want
