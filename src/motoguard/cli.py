@@ -7,6 +7,7 @@ Exit codes: 0 success (eval: all cases passed), 1 failures present,
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from pathlib import Path
 
@@ -48,6 +49,15 @@ def _guarded(source: str, path, fn, *args):
     raise _Exit(code)
 
 
+def _write(path, text: str) -> None:
+    """Write text to path as UTF-8; report a failure naming path and raise _Exit."""
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc}", file=sys.stderr)
+        raise _Exit(EXIT_IO)
+
+
 def _load_base_config(path: str | None):
     if path is None:
         return DEFAULT_CONFIG
@@ -62,11 +72,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.out is None:
         sys.stdout.write(text)
     else:
-        try:
-            Path(args.out).write_text(text, encoding="utf-8")
-        except OSError as exc:
-            print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-            return EXIT_IO
+        _write(args.out, text)
     return EXIT_OK
 
 
@@ -85,15 +91,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
     text = render_report(results)
     sys.stdout.write(text)
     if args.report is not None:
-        report_path = Path(args.report)
-        try:
-            report_path.write_text(text, encoding="utf-8")
-            import json as _json
-            report_path.with_suffix(".json").write_text(
-                _json.dumps(report_json(results), indent=2) + "\n", encoding="utf-8")
-        except OSError as exc:
-            print(f"error: cannot write {args.report}: {exc}", file=sys.stderr)
-            return EXIT_IO
+        _write(args.report, text)
+        _write(Path(args.report).with_suffix(".json"),
+               json.dumps(report_json(results), indent=2) + "\n")
     return EXIT_OK if all(r.passed for r in results) else EXIT_FAILURES
 
 

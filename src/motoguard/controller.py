@@ -14,12 +14,12 @@ from enum import Enum
 from .core import (Alert, ActuatorCommand, AlertKind, Auth, Buzzer, ContractViolation,
                    ControllerConfig, GasReading, GpsFix, Ignition, IgnitionInhibit,
                    LidarRange, MagField, PirMotion, Severity, SensorEvent, SmsSend,
-                   SolenoidLock, SupplyVoltage, Tilt, severity_of, truncate_sms)
+                   SolenoidLock, SupplyVoltage, Tilt, severity_of)
 from .detectors import (CollisionState, CrashState, MagState, TheftState, Trigger,
                         breath_check, collision_step, crash_step, gas_leak_check,
                         hazard_step, mag_step, overspeed_step, overtake_assist,
                         theft_step)
-from .gsm import ModemClient, ModemError
+from .gsm import ModemClient, ModemError, ModemPhase
 
 SMS_QUEUE_MAX = 32
 
@@ -84,37 +84,32 @@ def route(rs: RouterState, trigger: Trigger, t_ms: int,
         commands.append(ActuatorCommand(t_ms, Buzzer(on=True)))
     if sev is Severity.HIGH or trigger.kind is AlertKind.BEACON:
         to = cfg.police_number if trigger.kind is AlertKind.CRASH else cfg.owner_number
-        body = truncate_sms(trigger.message)
-        commands.append(ActuatorCommand(t_ms, SmsSend(to=to, body=body)))
-        rs = _enqueue(rs, PendingSms(t_ms, to, body, sev))
+        sms = SmsSend(to=to, body=trigger.message)
+        commands.append(ActuatorCommand(t_ms, sms))
+        rs = _enqueue(rs, PendingSms(t_ms, sms.to, sms.body, sev))
     return _with_emit(rs, trigger.kind, t_ms), alert, commands
 
 
 def drain_sms(rs: RouterState, client: ModemClient) -> tuple[RouterState, int, list[str]]:
     """Send queued messages FIFO until empty or the modem fails.
 
-    On failure the message stays at the head for the next drain; one re-init
-    is attempted so a recovered modem picks up where it left off.
+    A client that is not READY is initialized first. A failed init or send
+    ends the drain with one failure and leaves the head message queued, so
+    the next drain retries it.
     """
     if not rs.pending_sms:
         return rs, 0, []
-    pending = list(rs.pending_sms)
     sent = 0
     failures: list[str] = []
-    while pending:
-        msg = pending[0]
-        try:
+    try:
+        if client.phase is not ModemPhase.READY:
+            client.modem_init()
+        for msg in rs.pending_sms:
             client.send_sms(msg.to, msg.body)
-        except ModemError as exc:
-            failures.append(str(exc))
-            try:
-                client.modem_init()
-            except ModemError as again:
-                failures.append(str(again))
-            break
-        pending.pop(0)
-        sent += 1
-    return RouterState(rs.last_emit, tuple(pending), rs.dropped_count), sent, failures
+            sent += 1
+    except ModemError as exc:
+        failures.append(str(exc))
+    return RouterState(rs.last_emit, rs.pending_sms[sent:], rs.dropped_count), sent, failures
 
 
 @dataclass

@@ -142,19 +142,11 @@ class FakeModem:
         return cmd
 
 
-def transcript(modem: FakeModem) -> list[bytes]:
-    """The exact frames the client wrote, one list entry per write."""
-    return list(modem.transcript)
-
-
 class ModemClient:
     """Drives the AT init sequence and single-part text-mode sends."""
 
-    def __init__(self, channel, *, timeout_ms: int = DEFAULT_TIMEOUT_MS,
-                 init_retries: int = INIT_RETRIES):
+    def __init__(self, channel):
         self.channel = channel
-        self.timeout_ms = timeout_ms
-        self.init_retries = init_retries
         self.phase = ModemPhase.UNINITIALIZED
         self.last_error: str | None = None
 
@@ -184,7 +176,7 @@ class ModemClient:
         try:
             self.channel.write(f'AT+CMGS="{to}"'.encode("ascii") + b"\r")
             try:
-                self.channel.read_until(b"> ", self.timeout_ms)
+                self.channel.read_until(b"> ", DEFAULT_TIMEOUT_MS)
             except ChannelTimeout:
                 raise PromptTimeout() from None
             self.channel.write(body.encode("ascii") + CTRL_Z)
@@ -199,22 +191,20 @@ class ModemClient:
     # --- internals ---------------------------------------------------------
 
     def _command_with_retries(self, cmd: str) -> None:
-        last: ModemError | None = None
-        for _ in range(self.init_retries + 1):
+        for attempt in range(INIT_RETRIES + 1):
             self.channel.write(cmd.encode("ascii") + b"\r")
             try:
                 self._await_final(cmd, error_as=ErrorResponse(cmd))
                 return
-            except CommandTimeout as exc:
-                last = exc  # timeouts are retried; ERROR is definitive
-        assert last is not None
-        raise last
+            except CommandTimeout:  # timeouts are retried; ERROR is definitive
+                if attempt == INIT_RETRIES:
+                    raise
 
     def _await_final(self, cmd: str, *, error_as: ModemError) -> list[str]:
         lines: list[str] = []
         while True:
             try:
-                chunk = self.channel.read_until(b"\r\n", self.timeout_ms)
+                chunk = self.channel.read_until(b"\r\n", DEFAULT_TIMEOUT_MS)
             except ChannelTimeout:
                 raise CommandTimeout(cmd) from None
             text = chunk.decode("ascii", errors="replace").strip()
@@ -244,6 +234,6 @@ class ModemClient:
         # leave the channel at a CR/LF boundary so a later re-init can work
         for _ in range(32):
             try:
-                self.channel.read_until(b"\r\n", self.timeout_ms)
+                self.channel.read_until(b"\r\n", DEFAULT_TIMEOUT_MS)
             except (ChannelTimeout, ChannelClosed):
                 return

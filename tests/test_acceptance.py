@@ -16,9 +16,8 @@ from pathlib import Path
 
 from motoguard.cli import main
 from motoguard.core import ControllerConfig, GeoPoint, GpsFix, SmsSend
-from motoguard.detectors import (CollisionState, CrashState, MagState, TheftState,
-                                 breath_check, crash_step, haversine_m, mag_step,
-                                 overspeed_step, theft_step)
+from motoguard.detectors import (CrashState, MagState, TheftState, breath_check, crash_step,
+                                 haversine_m, mag_step, overspeed_step, theft_step)
 from motoguard.core import AlertKind, GasReading
 from motoguard.gsm import (ChannelClosed, ChannelTimeout, CommandTimeout, ErrorResponse,
                            FakeModem, InvalidNumber, ModemClient, ModemError,

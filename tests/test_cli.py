@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -52,6 +53,14 @@ def test_simulate_writes_log_to_file(corpus_dir: Path, tmp_path: Path, capsys) -
     assert code == 0
     assert capsys.readouterr().out == ""
     assert out_path.read_text(encoding="utf-8").startswith('{"t_ms": 0, "type": "mode"')
+
+
+def test_simulate_unwritable_out_is_io_error(corpus_dir: Path, tmp_path: Path,
+                                             capsys) -> None:
+    code = main(["simulate", "--scenario", str(corpus_dir / "quiet_parked.jsonl"),
+                 "--out", str(tmp_path)])
+    assert code == 3
+    assert capsys.readouterr().err.startswith(f"error: cannot write {tmp_path}: ")
 
 
 def test_simulate_missing_scenario_is_io_error(tmp_path: Path, capsys) -> None:
@@ -171,6 +180,23 @@ def test_eval_reports_failures_with_exit_1(corpus_dir: Path, tmp_path: Path, cap
     assert "zz_ghost_crash" in out
     assert "missed crash alert" in out
     assert "Severity 1" in out
+
+
+@pytest.mark.parametrize("blocked", ["report.txt", "report.json"])
+def test_eval_unwritable_report_names_the_file(blocked: str, corpus_dir: Path,
+                                               tmp_path: Path, capsys) -> None:
+    cases = tmp_path / "cases"
+    cases.mkdir()
+    shutil.copy(corpus_dir / "quiet_parked.jsonl", cases)
+    (tmp_path / blocked).mkdir()
+    report = tmp_path / "report.txt"
+    code = main(["eval", "--scenario-dir", str(cases), "--report", str(report)])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert err.startswith(f"error: cannot write {tmp_path / blocked}: ")
+    assert err.count("\n") == 1
+    if blocked == "report.json":
+        assert report.read_text(encoding="utf-8") == out
 
 
 def test_eval_empty_directory_is_usage_error(tmp_path: Path, capsys) -> None:

@@ -3,16 +3,18 @@ from __future__ import annotations
 import copy
 
 import pytest
+from hypothesis import settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from motoguard.core import (ActuatorCommand, AlertKind, Auth, Buzzer, ContractViolation,
                             ControllerConfig, GasReading, GeoPoint, GpsFix, Ignition,
-                            IgnitionInhibit, LidarRange, MagField, PirMotion, SensorEvent,
+                            IgnitionInhibit, LidarRange, PirMotion, SensorEvent,
                             Severity, SmsSend, SolenoidLock, SupplyVoltage, Tilt,
                             VirtualClock)
-from motoguard.controller import (ControllerState, Mode, PendingSms, RouterState,
-                                  drain_sms, route, step)
+from motoguard.controller import (SMS_QUEUE_MAX, ControllerState, Mode, PendingSms,
+                                  RouterState, drain_sms, route, step)
 from motoguard.detectors import Trigger
-from motoguard.gsm import FakeModem, ModemClient
+from motoguard.gsm import FakeModem, ModemClient, ModemPhase
 
 CLEAN = GasReading(ethanol_ppm=0.0, co_ppm=0.0, lpg_ppm=0.0)
 HERE = GeoPoint(14.5995, 120.9842)
@@ -401,12 +403,32 @@ def test_drain_failure_keeps_the_head_and_reinits(cfg: ControllerConfig) -> None
     assert sent == 1
     assert [p.body for p in rs.pending_sms] == ["two", "three"]
     assert len(failures) == 1
-    assert modem.transcript[-3:] == [b"AT\r", b"ATE0\r", b"AT+CMGF=1\r"]  # the re-init
-    # the modem healed during re-init, so the next drain finishes the job
+    # the modem healed, so the next drain re-inits and finishes the job
     modem.good_sends = 99
+    frames = len(modem.transcript)
     rs, sent, failures = drain_sms(rs, client)
+    assert modem.transcript[frames:frames + 3] == [b"AT\r", b"ATE0\r", b"AT+CMGF=1\r"]
     assert (sent, failures) == (2, [])
     assert rs.pending_sms == ()
+
+
+def test_drain_survives_a_modem_that_stays_down(cfg: ControllerConfig) -> None:
+    modem = FakeModem(VirtualClock())
+    client = ModemClient(modem)
+    client.modem_init()
+    modem.fail_commands = {"SEND", "AT"}
+    rs, sent, failures = drain_sms(queued("help"), client)
+    assert (sent, failures) == (0, ["modem rejected message body"])
+    assert [p.body for p in rs.pending_sms] == ["help"]
+    # the client is FAILED now; the next drain re-inits it and fails again
+    rs, sent, failures = drain_sms(rs, client)
+    assert (sent, failures) == (0, ["ERROR response to 'AT'"])
+    assert [p.body for p in rs.pending_sms] == ["help"]
+    modem.fail_commands.clear()
+    rs, sent, failures = drain_sms(rs, client)
+    assert (sent, failures) == (1, [])
+    assert rs.pending_sms == ()
+    assert client.phase is ModemPhase.READY
 
 
 def test_drain_on_empty_queue_is_a_no_op(cfg: ControllerConfig) -> None:
@@ -415,3 +437,73 @@ def test_drain_on_empty_queue_is_a_no_op(cfg: ControllerConfig) -> None:
     rs, sent, failures = drain_sms(RouterState(), client)
     assert (sent, failures) == (0, [])
     assert rs.pending_sms == ()
+
+
+SMS_KINDS = (AlertKind.CRASH, AlertKind.COLLISION, AlertKind.THEFT, AlertKind.BEACON)
+MODEM_COMMANDS = ("AT", "ATE0", "AT+CMGF=1", "AT+CMGS", "SEND")
+
+
+class RouterMachine(RuleBasedStateMachine):
+    """Routes SMS triggers and drains them over a modem that fails at random."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.cfg = ControllerConfig(sms_cooldown_ms=1)
+        self.modem = FakeModem(VirtualClock())
+        self.client = ModemClient(self.modem)
+        self.client.modem_init()
+        self.rs = RouterState()
+        self.t_ms = 0
+        self.last_emit: dict[AlertKind, int] = {}
+        self.routed = 0
+        self.sent = 0
+
+    @rule(kind=st.sampled_from(SMS_KINDS), dt=st.integers(0, 2),
+          message=st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=200))
+    def route_trigger(self, kind: AlertKind, dt: int, message: str) -> None:
+        self.t_ms += dt
+        cooling = self.last_emit.get(kind) == self.t_ms
+        self.rs, alert, commands = route(self.rs, Trigger(kind, message), self.t_ms, self.cfg)
+        if cooling:
+            assert alert is None and commands == []
+            return
+        self.last_emit[kind] = self.t_ms
+        sms = [a for a in actions(commands) if isinstance(a, SmsSend)]
+        to = self.cfg.police_number if kind is AlertKind.CRASH else self.cfg.owner_number
+        assert [m.to for m in sms] == [to]
+        self.routed += 1
+
+    @rule(silent=st.sets(st.sampled_from(MODEM_COMMANDS)),
+          fail=st.sets(st.sampled_from(MODEM_COMMANDS)))
+    def set_faults(self, silent: set[str], fail: set[str]) -> None:
+        self.modem.silent_commands = silent
+        self.modem.fail_commands = fail
+
+    def _drain(self) -> list[str]:
+        self.rs, sent, failures = drain_sms(self.rs, self.client)
+        self.sent += sent
+        return failures
+
+    @rule()
+    def drain(self) -> None:
+        self._drain()
+
+    @rule()
+    def heal_then_drain(self) -> None:
+        self.modem.silent_commands = set()
+        self.modem.fail_commands = set()
+        assert self._drain() == []
+        assert self.rs.pending_sms == ()
+
+    @invariant()
+    def queue_is_bounded(self) -> None:
+        assert len(self.rs.pending_sms) <= SMS_QUEUE_MAX
+
+    @invariant()
+    def every_routed_sms_is_accounted_for(self) -> None:
+        assert self.sent + self.rs.dropped_count + len(self.rs.pending_sms) == self.routed
+
+
+TestRouterMachine = RouterMachine.TestCase
+TestRouterMachine.settings = settings(max_examples=100, stateful_step_count=30,
+                                      deadline=None)

@@ -5,7 +5,7 @@ import pytest
 from motoguard.core import ContractViolation, VirtualClock
 from motoguard.gsm import (ChannelClosed, CommandTimeout, ErrorResponse, FakeModem,
                            InvalidNumber, ModemClient, ModemPhase, PromptTimeout,
-                           SendRejected, transcript)
+                           SendRejected)
 
 OWNER = "+639171234567"
 
@@ -44,14 +44,14 @@ def test_init_golden_transcript() -> None:
     _, modem, client = fresh()
     client.modem_init()
     assert client.phase is ModemPhase.READY
-    assert transcript(modem) == [b"AT\r", b"ATE0\r", b"AT+CMGF=1\r"]
+    assert modem.transcript == [b"AT\r", b"ATE0\r", b"AT+CMGF=1\r"]
 
 
 def test_send_golden_transcript_and_refs() -> None:
     _, modem, client = fresh()
     client.modem_init()
     assert client.send_sms(OWNER, "hello") == 1
-    assert transcript(modem)[-2:] == [b'AT+CMGS="+639171234567"\r', b"hello\x1a"]
+    assert modem.transcript[-2:] == [b'AT+CMGS="+639171234567"\r', b"hello\x1a"]
     assert client.send_sms(OWNER, "again") == 2
     assert client.phase is ModemPhase.READY
 
@@ -72,7 +72,7 @@ def test_silent_modem_times_out_after_retries() -> None:
         client.modem_init()
     assert err.value.command == "AT"
     assert client.phase is ModemPhase.FAILED
-    assert transcript(modem) == [b"AT\r"] * 3  # first try plus two retries
+    assert modem.transcript == [b"AT\r"] * 3  # first try plus two retries
     # three command waits plus one drain read, each charged a full timeout
     assert clock.now_ms() == 4000
 
@@ -97,7 +97,7 @@ def test_error_response_is_definitive() -> None:
         client.modem_init()
     assert err.value.command == "ATE0"
     assert client.phase is ModemPhase.FAILED
-    assert transcript(modem) == [b"AT\r", b"ATE0\r"]  # no retry on ERROR
+    assert modem.transcript == [b"AT\r", b"ATE0\r"]  # no retry on ERROR
     assert client.last_error is not None
 
 
@@ -133,10 +133,10 @@ def test_final_ok_without_reference_is_rejected() -> None:
 def test_invalid_number_rejected_before_any_io(number: str) -> None:
     _, modem, client = fresh()
     client.modem_init()
-    frames_before = list(transcript(modem))
+    frames_before = list(modem.transcript)
     with pytest.raises(InvalidNumber):
         client.send_sms(number, "hello")
-    assert transcript(modem) == frames_before
+    assert modem.transcript == frames_before
     assert client.phase is ModemPhase.READY  # validation failures are not channel faults
 
 
@@ -191,6 +191,6 @@ def test_transcripts_are_deterministic() -> None:
         client.modem_init()
         client.send_sms(OWNER, "hello")
         client.send_sms("+447700900123", "second")
-        return transcript(modem)
+        return modem.transcript
 
     assert run() == run()
