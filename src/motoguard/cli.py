@@ -14,8 +14,8 @@ from pathlib import Path
 from . import nmea
 from .core import (ContractViolation, ConfigError, DEFAULT_CONFIG, ValidationError,
                    load_config_file)
-from .harness import (SchemaError, UnsortedEvents, evaluate_scenarios, load_scenario,
-                      log_to_jsonl, render_report, report_json, run)
+from .harness import (SchemaError, evaluate_scenarios, load_scenario, log_to_jsonl,
+                      render_report, report_json, run)
 
 EXIT_OK = 0
 EXIT_FAILURES = 1
@@ -41,7 +41,7 @@ def _guarded(source: str, path, fn, *args):
         message, code = f"cannot read {path}: {exc}", EXIT_IO
     except (ConfigError, ValidationError) as exc:
         message, code = f"bad config: {exc}", EXIT_USAGE
-    except (SchemaError, UnsortedEvents) as exc:
+    except SchemaError as exc:
         message, code = f"{path}: {exc}", EXIT_IO
     except ContractViolation as exc:
         message, code = str(exc), EXIT_IO
@@ -113,11 +113,7 @@ def _print_parsed(line: str) -> bool:
 def cmd_nmea(args: argparse.Namespace) -> int:
     if args.line is not None:
         return EXIT_OK if _print_parsed(args.line) else EXIT_FAILURES
-    try:
-        text = Path(args.file).read_text(encoding="utf-8", errors="replace")
-    except OSError as exc:
-        print(f"error: cannot read {args.file}: {exc}", file=sys.stderr)
-        return EXIT_IO
+    text = _guarded("nmea", args.file, Path(args.file).read_text, "utf-8", "replace")
     ok = True
     for raw in text.splitlines():
         if not raw.strip():

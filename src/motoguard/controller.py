@@ -42,21 +42,11 @@ class PendingSms:
 
 @dataclass(frozen=True)
 class RouterState:
-    last_emit: tuple[tuple[AlertKind, int], ...] = ()
+    # route replaces this map on each emit and never mutates it, so a
+    # RouterState can be shared between controller states
+    last_emit: dict[AlertKind, int] = field(default_factory=dict)
     pending_sms: tuple[PendingSms, ...] = ()
     dropped_count: int = 0
-
-
-def _last_emit_ms(rs: RouterState, kind: AlertKind) -> int | None:
-    for k, t in rs.last_emit:
-        if k is kind:
-            return t
-    return None
-
-
-def _with_emit(rs: RouterState, kind: AlertKind, t_ms: int) -> RouterState:
-    kept = tuple((k, t) for k, t in rs.last_emit if k is not kind)
-    return RouterState(kept + ((kind, t_ms),), rs.pending_sms, rs.dropped_count)
 
 
 def _enqueue(rs: RouterState, msg: PendingSms) -> RouterState:
@@ -74,7 +64,7 @@ def _enqueue(rs: RouterState, msg: PendingSms) -> RouterState:
 def route(rs: RouterState, trigger: Trigger, t_ms: int,
           cfg: ControllerConfig) -> tuple[RouterState, Alert | None, list[ActuatorCommand]]:
     """Apply the per-kind cooldown, then fan a trigger out to alert/buzzer/SMS."""
-    last = _last_emit_ms(rs, trigger.kind)
+    last = rs.last_emit.get(trigger.kind)
     if last is not None and t_ms - last < cfg.sms_cooldown_ms:
         return rs, None, []
     sev = severity_of(trigger.kind)
@@ -87,7 +77,8 @@ def route(rs: RouterState, trigger: Trigger, t_ms: int,
         sms = SmsSend(to=to, body=trigger.message)
         commands.append(ActuatorCommand(t_ms, sms))
         rs = _enqueue(rs, PendingSms(t_ms, sms.to, sms.body, sev))
-    return _with_emit(rs, trigger.kind, t_ms), alert, commands
+    last_emit = {**rs.last_emit, trigger.kind: t_ms}
+    return RouterState(last_emit, rs.pending_sms, rs.dropped_count), alert, commands
 
 
 def drain_sms(rs: RouterState, client: ModemClient) -> tuple[RouterState, int, list[str]]:
@@ -119,7 +110,6 @@ class ControllerState:
     authorized: bool = False
     ignition_on: bool = False
     last_fix: GpsFix | None = None
-    last_speed_kph: float = 0.0
     collision: CollisionState = field(default_factory=CollisionState)
     mag: MagState = field(default_factory=MagState)
     crash: CrashState = field(default_factory=CrashState)
@@ -129,6 +119,10 @@ class ControllerState:
     preride_start_ms: int | None = None
     preride_peak: GasReading | None = None
     router: RouterState = field(default_factory=RouterState)
+
+
+def _speed_kph(fix: GpsFix | None) -> float:
+    return 0.0 if fix is None else fix.speed_kph
 
 
 def _crash_sms_text(fix: GpsFix | None, t_ms: int) -> str:
@@ -173,8 +167,7 @@ def step(cfg: ControllerConfig, state: ControllerState, t_ms: int,
                 work.mode = Mode.THEFT_SUSPECTED
 
     def overtake_eval() -> None:
-        side = (work.mag.baseline_ut is not None
-                and work.mag.consecutive_deviant >= cfg.mag_persist_samples)
+        side = work.mag.consecutive_deviant >= cfg.mag_persist_samples
         rear = work.collision.last_ttc_s
         unsafe = overtake_assist(rear, side, cfg)
         if unsafe and not work.overtake_unsafe:
@@ -264,14 +257,14 @@ def step(cfg: ControllerConfig, state: ControllerState, t_ms: int,
 
         elif isinstance(p, PirMotion):
             if work.mode is Mode.RIDING:
-                trig = hazard_step(p.detected, work.last_speed_kph, cfg)
+                trig = hazard_step(p.detected, _speed_kph(work.last_fix), cfg)
                 if trig is not None:
                     emit(trig)
 
         elif isinstance(p, Tilt):
             if work.mode is Mode.RIDING:
                 work.crash, trig = crash_step(work.crash, p.angle_deg,
-                                              work.last_speed_kph, t_ms, cfg)
+                                              _speed_kph(work.last_fix), t_ms, cfg)
                 if trig is not None:
                     emit(Trigger(AlertKind.CRASH, _crash_sms_text(work.last_fix, t_ms)))
                     work.mode = Mode.CRASH_SUSPECTED
@@ -279,7 +272,6 @@ def step(cfg: ControllerConfig, state: ControllerState, t_ms: int,
         elif isinstance(p, GpsFix):
             if p.valid:
                 work.last_fix = p
-                work.last_speed_kph = p.speed_kph
                 if work.mode is Mode.RIDING:
                     work.overspeed_active, trig = overspeed_step(
                         work.overspeed_active, p.speed_kph, cfg)

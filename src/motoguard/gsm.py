@@ -60,7 +60,6 @@ class InvalidNumber(ModemError):
 class ModemPhase(Enum):
     UNINITIALIZED = "uninitialized"
     READY = "ready"
-    BUSY = "busy"
     FAILED = "failed"
 
 
@@ -152,7 +151,6 @@ class ModemClient:
 
     def modem_init(self) -> None:
         """Run AT / ATE0 / AT+CMGF=1, retrying each on timeout."""
-        self.phase = ModemPhase.BUSY
         try:
             for cmd in INIT_SEQUENCE:
                 self._command_with_retries(cmd)
@@ -172,7 +170,6 @@ class ModemClient:
             raise ContractViolation(f"body exceeds {SMS_MAX_CHARS} characters")
         if not body.isascii():
             raise ContractViolation("body must be ASCII")
-        self.phase = ModemPhase.BUSY
         try:
             self.channel.write(f'AT+CMGS="{to}"'.encode("ascii") + b"\r")
             try:

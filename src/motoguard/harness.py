@@ -17,7 +17,7 @@ from pathlib import Path
 from .controller import ControllerState, Mode, drain_sms, step
 from .core import (Alert, ActuatorCommand, AlertKind, Buzzer, ContractViolation,
                    ControllerConfig, DEFAULT_CONFIG, IgnitionInhibit, SensorEvent,
-                   Severity, SmsSend, SolenoidLock, VirtualClock,
+                   Severity, SmsSend, SolenoidLock, ValidationError, VirtualClock,
                    apply_overrides, event_from_record, event_to_record,
                    require_valid_config, severity_of)
 from .gsm import FakeModem, ModemClient
@@ -28,12 +28,6 @@ class SchemaError(ValueError):
         self.line_no = line_no
         self.reason = reason
         super().__init__(f"line {line_no}: {reason}")
-
-
-class UnsortedEvents(ValueError):
-    def __init__(self, index: int):
-        self.index = index
-        super().__init__(f"event {index} is earlier than its predecessor")
 
 
 class UndefinedMetric(ArithmeticError):
@@ -121,30 +115,52 @@ def _label_from_obj(obj: dict, line_no: int) -> ExpectedLabel:
         raise SchemaError(line_no, str(exc)) from None
 
 
-# json.loads rejects a leading byte-order mark before decoding; the decoder
-# below does not, so its failure is reported with json.loads's text
-_BOM_TEXT = "Unexpected UTF-8 BOM (decode using utf-8-sig)"
-_DECODER = json.JSONDecoder()
+def _scenario_from_header(header: object, line_no: int) -> Scenario:
+    """The Scenario a header record declares, with no events yet."""
+    if not isinstance(header, dict):
+        raise SchemaError(line_no, "header must be an object")
+    unknown = sorted(set(header) - _HEADER_KEYS)
+    if unknown:
+        raise SchemaError(line_no, f"unknown header fields: {', '.join(unknown)}")
+    name = header.get("name")
+    if not isinstance(name, str) or not name:
+        raise SchemaError(line_no, "header needs a non-empty name")
+    description = header.get("description", "")
+    if not isinstance(description, str):
+        raise SchemaError(line_no, "description must be a string")
+    config = header.get("config", {})
+    if not isinstance(config, dict):
+        raise SchemaError(line_no, "config must be an object")
+    labels = header.get("expected", [])
+    if not isinstance(labels, list):
+        raise SchemaError(line_no, "expected must be a list")
+    expected = [_label_from_obj(obj, line_no) for obj in labels]
+    kinds_pos = {lab.kind for lab in expected if not lab.negative}
+    kinds_neg = {lab.kind for lab in expected if lab.negative}
+    clash = kinds_pos & kinds_neg
+    if clash:
+        raise SchemaError(line_no,
+                          f"kind both expected and declared negative: {sorted(k.value for k in clash)}")
+    return Scenario(name=name, description=description, config=config, expected=expected)
 
 
 def _decode_line(raw: str, line_no: int) -> object:
     """json.loads(raw), with every failure as a SchemaError on line_no."""
     try:
-        return _DECODER.decode(raw)
+        return json.loads(raw)
     except json.JSONDecodeError as exc:
-        reason = _BOM_TEXT if raw.startswith("\ufeff") else exc.msg
+        reason = exc.msg
     except (ValueError, RecursionError) as exc:  # int digit limit, deep nesting
         reason = str(exc)
     raise SchemaError(line_no, f"invalid JSON: {reason}")
 
 
 def loads_scenario(text: str) -> Scenario:
-    lines = text.splitlines()
-    header = None
-    header_line = 0
-    events: list[SensorEvent] = []
-    scan = _DECODER.raw_decode
-    for line_no, raw in enumerate(lines, start=1):
+    """Parse a scenario file; the first bad line in file order is the one reported."""
+    sc = None
+    prev_ms = 0
+    scan = json.JSONDecoder().raw_decode
+    for line_no, raw in enumerate(text.splitlines(), start=1):
         # raw_decode takes a value that starts the line; a line it fails on
         # or does not consume whole is blank or goes through the full decode
         try:
@@ -155,45 +171,22 @@ def loads_scenario(text: str) -> Scenario:
             if not raw.strip():
                 continue
             obj = _decode_line(raw, line_no)
-        if header is None:
-            header = obj
-            header_line = line_no
+        if sc is None:
+            sc = _scenario_from_header(obj, line_no)
+            events = sc.events
             continue
         try:
-            events.append(event_from_record(obj))
+            event = event_from_record(obj)
         except ContractViolation as exc:
             raise SchemaError(line_no, str(exc)) from None
-    if header is None:
+        if event.t_ms < prev_ms:
+            raise SchemaError(line_no, f"t_ms {event.t_ms} is earlier than "
+                                       f"the event before it ({prev_ms})")
+        prev_ms = event.t_ms
+        events.append(event)
+    if sc is None:
         raise SchemaError(1, "missing header record")
-    if not isinstance(header, dict):
-        raise SchemaError(header_line, "header must be an object")
-    unknown = sorted(set(header) - _HEADER_KEYS)
-    if unknown:
-        raise SchemaError(header_line, f"unknown header fields: {', '.join(unknown)}")
-    name = header.get("name")
-    if not isinstance(name, str) or not name:
-        raise SchemaError(header_line, "header needs a non-empty name")
-    description = header.get("description", "")
-    if not isinstance(description, str):
-        raise SchemaError(header_line, "description must be a string")
-    config = header.get("config", {})
-    if not isinstance(config, dict):
-        raise SchemaError(header_line, "config must be an object")
-    labels = header.get("expected", [])
-    if not isinstance(labels, list):
-        raise SchemaError(header_line, "expected must be a list")
-    expected = [_label_from_obj(obj, header_line) for obj in labels]
-    kinds_pos = {lab.kind for lab in expected if not lab.negative}
-    kinds_neg = {lab.kind for lab in expected if lab.negative}
-    clash = kinds_pos & kinds_neg
-    if clash:
-        raise SchemaError(header_line,
-                          f"kind both expected and declared negative: {sorted(k.value for k in clash)}")
-    for index in range(1, len(events)):
-        if events[index].t_ms < events[index - 1].t_ms:
-            raise UnsortedEvents(index)
-    return Scenario(name=name, description=description, config=config,
-                    events=events, expected=expected)
+    return sc
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -225,7 +218,12 @@ def save_scenario(sc: Scenario, path: str | Path) -> None:
 
 def run(sc: Scenario, cfg: ControllerConfig = DEFAULT_CONFIG) -> EventLog:
     """Replay a scenario against a fresh controller and compliant fake modem."""
-    merged = require_valid_config(apply_overrides(cfg, sc.config))
+    try:
+        merged = require_valid_config(apply_overrides(cfg, sc.config))
+    except ValidationError as exc:
+        # a bad key the header sets is the scenario's fault; any other is cfg's
+        raise ValidationError([(f"{sc.name}: {name}" if name in sc.config else name, reason)
+                               for name, reason in exc.violations]) from exc
     clock = VirtualClock()
     modem = FakeModem(clock)
     client = ModemClient(modem)
@@ -258,16 +256,8 @@ def _record_to_obj(rec: LogRecord) -> dict:
         return {"t_ms": rec.t_ms, "type": "alert", "kind": rec.kind.value,
                 "severity": rec.severity.label, "message": rec.message}
     if isinstance(rec, ActuatorCommand):
-        obj = {"t_ms": rec.t_ms, "type": "command",
-               "action": _ACTION_TAGS[type(rec.action)]}
-        if isinstance(rec.action, SmsSend):
-            obj["to"] = rec.action.to
-            obj["body"] = rec.action.body
-        elif isinstance(rec.action, SolenoidLock):
-            obj["engaged"] = rec.action.engaged
-        else:
-            obj["on"] = rec.action.on
-        return obj
+        return {"t_ms": rec.t_ms, "type": "command",
+                "action": _ACTION_TAGS[type(rec.action)], **vars(rec.action)}
     return {"t_ms": rec.t_ms, "type": "mode", "mode": rec.mode.value}
 
 

@@ -78,6 +78,16 @@ def test_simulate_bad_schema_is_io_error(tmp_path: Path, capsys) -> None:
     assert "line 2" in capsys.readouterr().err
 
 
+def test_simulate_unsorted_events_name_the_line(tmp_path: Path, capsys) -> None:
+    bad = tmp_path / "unsorted.jsonl"
+    bad.write_text('{"name": "x"}\n{"t_ms": 100, "sensor": "pir", "detected": true}\n'
+                   '{"t_ms": 50, "sensor": "pir", "detected": true}\n', encoding="utf-8")
+    code = main(["simulate", "--scenario", str(bad)])
+    assert code == 3
+    assert capsys.readouterr().err == (
+        f"error: {bad}: line 3: t_ms 50 is earlier than the event before it (100)\n")
+
+
 @pytest.mark.parametrize("command", ["simulate", "eval"])
 def test_non_string_sensor_tag_is_schema_error(command: str, tmp_path: Path, capsys) -> None:
     bad = tmp_path / "list_tag.jsonl"
@@ -99,7 +109,7 @@ HUGE = "1" + "0" * 400       # an int too large for a float
     (['{"name": "x"}', '{"t_ms": 1, "sensor": "lidar", "range_m": ' + HUGE + "}"],
      3, f"line 2: range_m must be >= 0: {HUGE}\n"),
     (['{"name": "x", "config": {"ttc_warn_s": ' + HUGE + "}}"],
-     2, "error: bad config: ttc_warn_s: must be a finite number\n"),
+     2, "error: bad config: x: ttc_warn_s: must be a finite number\n"),
 ], ids=["number_over_digit_limit", "deep_nesting", "huge_int_field", "huge_int_config"])
 def test_oversize_numbers_and_nesting_are_reported(lines: list[str], code: int, message: str,
                                                    tmp_path: Path, capsys) -> None:
@@ -217,6 +227,30 @@ def test_eval_broken_scenario_is_io_error(tmp_path: Path, capsys) -> None:
     assert "broken.jsonl" in capsys.readouterr().err
 
 
+def test_eval_bad_header_config_names_the_scenario(corpus_dir: Path, tmp_path: Path,
+                                                   capsys) -> None:
+    work = tmp_path / "corpus"
+    shutil.copytree(corpus_dir, work)
+    path = work / "crash_fall.jsonl"
+    header, rest = path.read_text(encoding="utf-8").split("\n", 1)
+    obj = json.loads(header)
+    obj.setdefault("config", {})["ttc_warn_s"] = "x"
+    path.write_text(json.dumps(obj) + "\n" + rest, encoding="utf-8")
+    code = main(["eval", "--scenario-dir", str(work)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: bad config: crash_fall: ttc_warn_s: must be a number\n")
+
+
+def test_eval_bad_config_file_names_no_scenario(corpus_dir: Path, tmp_path: Path,
+                                               capsys) -> None:
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("speed_limit_kph = -10\n", encoding="utf-8")
+    code = main(["eval", "--scenario-dir", str(corpus_dir), "--config", str(cfg)])
+    assert code == 2
+    assert capsys.readouterr().err == "error: bad config: speed_limit_kph: must be > 0\n"
+
+
 @pytest.mark.parametrize("kind", ["directory", "not_utf8"])
 def test_eval_unreadable_scenario_is_io_error(kind: str, tmp_path: Path, capsys) -> None:
     bad = write_unreadable(tmp_path, kind)
@@ -270,6 +304,24 @@ def test_nmea_file_all_good(tmp_path: Path, capsys) -> None:
 
 def test_nmea_unreadable_file(tmp_path: Path, capsys) -> None:
     assert main(["nmea", "--file", str(tmp_path / "ghost.nmea")]) == 3
+
+
+def test_nmea_file_errors_read_like_the_other_subcommands(tmp_path: Path, capsys) -> None:
+    missing = tmp_path / "ghost.nmea"
+    assert main(["nmea", "--file", str(missing)]) == 3
+    assert capsys.readouterr().err == f"error: nmea file not found: {missing}\n"
+    assert main(["nmea", "--file", str(tmp_path)]) == 3
+    assert capsys.readouterr().err.startswith(f"error: cannot read {tmp_path}: ")
+
+
+def test_nmea_corrupt_byte_rejects_only_its_sentence(tmp_path: Path, capsys) -> None:
+    source = tmp_path / "corrupt.nmea"
+    source.write_bytes(GOOD_RMC.encode("ascii") + b"\n$GPRMC,\xff*00\n"
+                       + GOOD_RMC.encode("ascii") + b"\n")
+    code = main(["nmea", "--file", str(source)])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert [line.split()[0] for line in lines] == ["OK", "REJECTED", "OK"]
 
 
 # --- argparse plumbing -----------------------------------------------------

@@ -230,6 +230,14 @@ def test_pir_uses_last_gps_speed(cfg: ControllerConfig) -> None:
     assert alerts[0].message == "ROAD HAZARD motion at 45.0kph"
 
 
+def test_invalid_fix_keeps_the_last_valid_speed(cfg: ControllerConfig) -> None:
+    state = to_riding(cfg)
+    state, _, _ = step(cfg, state, 3000, [ev(3000, fix(speed=45.0))])
+    state, _, _ = step(cfg, state, 4000, [ev(4000, fix(speed=0.0, valid=False))])
+    state, alerts, _ = step(cfg, state, 5000, [ev(5000, PirMotion(True))])
+    assert [a.message for a in alerts] == ["ROAD HAZARD motion at 45.0kph"]
+
+
 def test_overspeed_fires_only_while_riding(cfg: ControllerConfig) -> None:
     state = to_riding(cfg)
     state, alerts, _ = step(cfg, state, 3000, [ev(3000, fix(speed=95.0))])
@@ -264,6 +272,12 @@ def test_step_leaves_the_input_state_untouched(cfg: ControllerConfig) -> None:
     state = ControllerState()
     snapshot = copy.deepcopy(state)
     step(cfg, state, 0, [ev(0, Auth(True)), ev(0, Ignition(True))])
+    assert state == snapshot
+    # a HIGH alert writes the router's cooldown map and SMS queue
+    state, _, _ = step(cfg, ControllerState(), 0, [ev(0, Ignition(True))])
+    snapshot = copy.deepcopy(state)
+    _, alerts, _ = step(cfg, state, 40_000, [ev(40_000, Ignition(True))])
+    assert [a.severity for a in alerts] == [Severity.HIGH]
     assert state == snapshot
 
 

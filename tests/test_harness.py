@@ -11,7 +11,7 @@ from motoguard.core import (AlertKind, Auth, GasReading, GpsFix, GeoPoint, Ignit
 from motoguard.controller import Mode
 from motoguard.harness import (Alert, CaseResult, ConfusionMatrix, EventLog,
                                ExpectedLabel, ModeChange, Scenario, SchemaError,
-                               UndefinedMetric, UnsortedEvents, _match, accuracy,
+                               UndefinedMetric, _match, accuracy,
                                dumps_scenario, error_rate, evaluate_scenarios, load_scenario,
                                loads_scenario, log_to_jsonl, match_alerts, render_report,
                                report_json, run, save_scenario)
@@ -62,6 +62,9 @@ def test_blank_lines_are_skipped() -> None:
     assert len(sc.events) == 1
 
 
+PIR_AT = '{{"t_ms": {}, "sensor": "pir", "detected": true}}'
+
+
 @pytest.mark.parametrize("text,line_no,fragment", [
     ("", 1, "missing header record"),
     ("   \n  \n", 1, "missing header record"),
@@ -105,6 +108,13 @@ def test_blank_lines_are_skipped() -> None:
                  "invalid JSON: maximum recursion depth exceeded", id="deep_nesting"),
     pytest.param(HEADER + '\n{"t_ms": 1, "sensor": "lidar", "range_m": 1' + "0" * 400 + "}",
                  2, "range_m must be >= 0: 1" + "0" * 400, id="int_too_large_for_a_float"),
+    pytest.param('{"name": "t", "director": "x"}\n{"t_ms": 1, "sensor": "sonar"}', 1,
+                 "unknown header fields: director", id="bad_header_before_bad_event"),
+    pytest.param(HEADER + "\n" + PIR_AT.format(100) + "\n" + PIR_AT.format(50), 3,
+                 "t_ms 50 is earlier than the event before it (100)", id="event_out_of_order"),
+    pytest.param(HEADER + "\n" + PIR_AT.format(100) + "\n" + PIR_AT.format(50) + "\n{", 3,
+                 "t_ms 50 is earlier than the event before it (100)",
+                 id="out_of_order_before_bad_json"),
 ])
 def test_schema_errors_carry_line_numbers(text: str, line_no: int, fragment: str) -> None:
     with pytest.raises(SchemaError) as err:
@@ -182,9 +192,9 @@ def test_unsorted_events_name_the_offender() -> None:
     text = (HEADER
             + '\n{"t_ms": 100, "sensor": "pir", "detected": true}'
             + '\n{"t_ms": 50, "sensor": "pir", "detected": false}')
-    with pytest.raises(UnsortedEvents) as err:
+    with pytest.raises(SchemaError) as err:
         loads_scenario(text)
-    assert err.value.index == 1
+    assert err.value.line_no == 3
 
 
 # --- replay ----------------------------------------------------------------
