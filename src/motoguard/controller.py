@@ -14,11 +14,10 @@ from enum import Enum
 from .core import (Alert, ActuatorCommand, AlertKind, Auth, Buzzer, ContractViolation,
                    ControllerConfig, GasReading, GpsFix, Ignition, IgnitionInhibit,
                    LidarRange, MagField, PirMotion, Severity, SensorEvent, SmsSend,
-                   SolenoidLock, SupplyVoltage, Tilt, severity_of)
+                   SolenoidLock, SupplyVoltage, Tilt, check_t_ms, severity_of)
 from .detectors import (CollisionState, CrashState, MagState, TheftState, Trigger,
-                        breath_check, collision_step, crash_step, gas_leak_check,
-                        hazard_step, mag_step, overspeed_step, overtake_assist,
-                        theft_step)
+                        collision_step, crash_step, hazard_step, mag_step, overspeed_step,
+                        overtake_assist, preride_faults, theft_step)
 from .gsm import ModemClient, ModemError, ModemPhase
 
 SMS_QUEUE_MAX = 32
@@ -34,7 +33,6 @@ class Mode(str, Enum):
 
 @dataclass(frozen=True)
 class PendingSms:
-    t_ms: int
     to: str
     body: str
     severity: Severity
@@ -76,7 +74,7 @@ def route(rs: RouterState, trigger: Trigger, t_ms: int,
         to = cfg.police_number if trigger.kind is AlertKind.CRASH else cfg.owner_number
         sms = SmsSend(to=to, body=trigger.message)
         commands.append(ActuatorCommand(t_ms, sms))
-        rs = _enqueue(rs, PendingSms(t_ms, sms.to, sms.body, sev))
+        rs = _enqueue(rs, PendingSms(sms.to, sms.body, sev))
     last_emit = {**rs.last_emit, trigger.kind: t_ms}
     return RouterState(last_emit, rs.pending_sms, rs.dropped_count), alert, commands
 
@@ -134,6 +132,7 @@ def _crash_sms_text(fix: GpsFix | None, t_ms: int) -> str:
 def step(cfg: ControllerConfig, state: ControllerState, t_ms: int,
          events: list[SensorEvent]) -> tuple[ControllerState, list[Alert], list[ActuatorCommand]]:
     """Process all events stamped t_ms and return the follow-on state/outputs."""
+    check_t_ms(t_ms)
     if state.last_t_ms is not None and t_ms < state.last_t_ms:
         raise ContractViolation(f"step at t={t_ms} after t={state.last_t_ms}")
     for ev in events:
@@ -209,34 +208,24 @@ def step(cfg: ControllerConfig, state: ControllerState, t_ms: int,
 
         elif isinstance(p, GasReading):
             if work.mode is Mode.PRE_RIDE:
-                # the checks only read per-gas peaks, so a running peak is
+                # the verdict only reads per-gas peaks, so a running peak is
                 # all the window needs to keep
                 peak = p if work.preride_peak is None else work.preride_peak
                 work.preride_peak = GasReading(max(peak.ethanol_ppm, p.ethanol_ppm),
                                                max(peak.co_ppm, p.co_ppm),
                                                max(peak.lpg_ppm, p.lpg_ppm))
                 if t_ms - work.preride_start_ms >= cfg.preride_window_ms:
-                    breath = breath_check((work.preride_peak,), cfg)
-                    leak = gas_leak_check((work.preride_peak,), cfg)
-                    if breath.passed and leak.safe:
-                        work.mode = Mode.RIDING
-                        commands.append(ActuatorCommand(t_ms, IgnitionInhibit(on=False)))
+                    faults = preride_faults(work.preride_peak, cfg)
+                    work.mode = Mode.PARKED if faults else Mode.RIDING
+                    commands.append(ActuatorCommand(t_ms, IgnitionInhibit(on=bool(faults))))
+                    for fault in faults:
+                        emit(fault)
+                    if not faults:
                         # new ride: per-ride detector state must not leak across rides
                         work.collision = CollisionState()
                         work.crash = CrashState()
                         work.overspeed_active = False
                         work.overtake_unsafe = False
-                    else:
-                        work.mode = Mode.PARKED
-                        commands.append(ActuatorCommand(t_ms, IgnitionInhibit(on=True)))
-                        if not breath.passed:
-                            emit(Trigger(AlertKind.ALCOHOL_LOCKOUT,
-                                         f"ALCOHOL LOCKOUT peak={breath.peak_ethanol_ppm:.1f}ppm "
-                                         f"limit={cfg.ethanol_lockout_ppm:.1f}ppm"))
-                        if not leak.safe:
-                            emit(Trigger(AlertKind.GAS_LEAK,
-                                         f"GAS LEAK lpg={leak.peak_lpg_ppm:.1f}ppm "
-                                         f"limit={cfg.lpg_leak_ppm:.1f}ppm"))
                     work.preride_start_ms = None
                     work.preride_peak = None
 
@@ -263,9 +252,9 @@ def step(cfg: ControllerConfig, state: ControllerState, t_ms: int,
 
         elif isinstance(p, Tilt):
             if work.mode is Mode.RIDING:
-                work.crash, trig = crash_step(work.crash, p.angle_deg,
-                                              _speed_kph(work.last_fix), t_ms, cfg)
-                if trig is not None:
+                work.crash, fired = crash_step(work.crash, p.angle_deg,
+                                               _speed_kph(work.last_fix), t_ms, cfg)
+                if fired:
                     emit(Trigger(AlertKind.CRASH, _crash_sms_text(work.last_fix, t_ms)))
                     work.mode = Mode.CRASH_SUSPECTED
 

@@ -15,7 +15,7 @@ from operator import itemgetter
 from pathlib import Path
 
 SMS_MAX_CHARS = 160
-PHONE_PATTERN = re.compile(r"^\+?[0-9]{7,15}$")
+PHONE_PATTERN = re.compile(r"\+?[0-9]{7,15}")  # use with fullmatch
 
 # MiCS-5524 detection ranges: ethanol is only readable between 10 and 500 ppm,
 # LPG-class gases only from about 1000 ppm upward.
@@ -228,15 +228,19 @@ Payload = (LidarRange | MagField | PirMotion | GasReading | Tilt | GpsFix
            | Ignition | Auth | SupplyVoltage)
 
 
+def check_t_ms(t_ms: int) -> None:
+    """Reject a virtual-clock time that is not a non-negative int (a bool is not one)."""
+    if not (isinstance(t_ms, int) and not isinstance(t_ms, bool) and t_ms >= 0):
+        raise ContractViolation(f"t_ms must be a non-negative int: {t_ms!r}")
+
+
 @dataclass(frozen=True)
 class SensorEvent:
     t_ms: int
     payload: Payload
 
     def __post_init__(self):
-        t_ms = self.t_ms
-        if not (isinstance(t_ms, int) and not isinstance(t_ms, bool) and t_ms >= 0):
-            raise ContractViolation(f"t_ms must be a non-negative int: {t_ms!r}")
+        check_t_ms(self.t_ms)
 
 
 @dataclass(frozen=True)
@@ -247,8 +251,7 @@ class Alert:
     message: str
 
     def __post_init__(self):
-        if not (isinstance(self.t_ms, int) and self.t_ms >= 0):
-            raise ContractViolation("t_ms must be >= 0")
+        check_t_ms(self.t_ms)
 
 
 def truncate_sms(body: str) -> str:
@@ -279,7 +282,7 @@ class SmsSend:
     body: str
 
     def __post_init__(self):
-        if PHONE_PATTERN.match(self.to) is None:
+        if PHONE_PATTERN.fullmatch(self.to) is None:
             raise ContractViolation(f"bad phone number: {self.to!r}")
         # normalizing here, rather than validating, keeps every construction
         # path inside the length budget
@@ -295,8 +298,7 @@ class ActuatorCommand:
     action: Action
 
     def __post_init__(self):
-        if not (isinstance(self.t_ms, int) and self.t_ms >= 0):
-            raise ContractViolation("t_ms must be >= 0")
+        check_t_ms(self.t_ms)
 
 
 # --- sensor event serialization -------------------------------------------
@@ -428,7 +430,7 @@ def validate_config(cfg: ControllerConfig) -> list[tuple[str, str]]:
         bad.append(("crash_tilt_deg", "must be <= 180"))
     for name in _fields_of(str):
         v = getattr(cfg, name)
-        if not isinstance(v, str) or PHONE_PATTERN.match(v) is None:
+        if not isinstance(v, str) or PHONE_PATTERN.fullmatch(v) is None:
             bad.append((name, "must match +?[0-9]{7,15}"))
     return bad
 

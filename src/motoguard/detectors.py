@@ -1,4 +1,9 @@
-"""Pure detector logic: every function maps (state, sample) to (state, trigger).
+"""Pure detector logic: each function maps (state, sample) to (state, finding).
+
+A finding is a Trigger that carries its alert text, except for the crash
+latch, which returns a bare ``fired`` flag: the crash text names the last GPS
+fix, which only the controller holds. ``preride_faults`` turns a pre-ride
+window's per-gas peak into its faults, an empty list meaning the rider may go.
 
 Nothing here touches hardware or a clock; the controller owns sequencing and
 mode gating. Keeping the detectors pure is what makes replay byte-stable and
@@ -110,36 +115,23 @@ def hazard_step(detected: bool, speed_kph: float,
     return None
 
 
-# --- pre-ride gas checks ---------------------------------------------------
+# --- pre-ride gas check ---------------------------------------------------
 
-@dataclass(frozen=True)
-class BreathResult:
-    passed: bool
-    peak_ethanol_ppm: float
+def preride_faults(peak: GasReading, cfg: ControllerConfig) -> list[Trigger]:
+    """Faults in a pre-ride window's per-gas peak; an empty list means ride.
 
-
-@dataclass(frozen=True)
-class LeakResult:
-    safe: bool
-    peak_lpg_ppm: float
-
-
-def breath_check(readings: list[GasReading] | tuple[GasReading, ...],
-                 cfg: ControllerConfig) -> BreathResult:
-    """Fail when the highest ethanol reading reaches the lockout threshold."""
-    if not readings:
-        raise ContractViolation("breath check needs at least one reading")
-    peak = max(r.ethanol_ppm for r in readings)
-    return BreathResult(passed=peak < cfg.ethanol_lockout_ppm, peak_ethanol_ppm=peak)
-
-
-def gas_leak_check(readings: list[GasReading] | tuple[GasReading, ...],
-                   cfg: ControllerConfig) -> LeakResult:
-    """Leak when any LPG-class reading reaches the leak threshold."""
-    if not readings:
-        raise ContractViolation("gas leak check needs at least one reading")
-    peak = max(r.lpg_ppm for r in readings)
-    return LeakResult(safe=peak < cfg.lpg_leak_ppm, peak_lpg_ppm=peak)
+    Both thresholds are inclusive: a peak at the limit fails.
+    """
+    faults = []
+    if peak.ethanol_ppm >= cfg.ethanol_lockout_ppm:
+        faults.append(Trigger(AlertKind.ALCOHOL_LOCKOUT,
+                              f"ALCOHOL LOCKOUT peak={peak.ethanol_ppm:.1f}ppm "
+                              f"limit={cfg.ethanol_lockout_ppm:.1f}ppm"))
+    if peak.lpg_ppm >= cfg.lpg_leak_ppm:
+        faults.append(Trigger(AlertKind.GAS_LEAK,
+                              f"GAS LEAK lpg={peak.lpg_ppm:.1f}ppm "
+                              f"limit={cfg.lpg_leak_ppm:.1f}ppm"))
+    return faults
 
 
 # --- overspeed with hysteresis --------------------------------------------
@@ -171,22 +163,17 @@ class CrashState:
 
 
 def crash_step(state: CrashState, tilt_deg: float, speed_kph: float, t_ms: int,
-               cfg: ControllerConfig) -> tuple[CrashState, Trigger | None]:
+               cfg: ControllerConfig) -> tuple[CrashState, bool]:
     """Latch on sustained extreme tilt at near-zero speed.
 
-    Any sample outside either gate clears the latch; the trigger fires once
-    per latched episode, when the hold time is first reached.
+    Any sample outside either gate clears the latch; ``fired`` is True once
+    per latched episode, on the sample that first reaches the hold time.
     """
     if not (tilt_deg >= cfg.crash_tilt_deg and speed_kph <= cfg.crash_speed_max_kph):
-        return CrashState(), None
+        return CrashState(), False
     since = state.over_tilt_since_ms if state.over_tilt_since_ms is not None else t_ms
-    trigger = None
-    fired = state.fired
-    if not fired and t_ms - since >= cfg.crash_hold_ms:
-        fired = True
-        trigger = Trigger(AlertKind.CRASH,
-                          f"CRASH tilt={tilt_deg:.1f}deg speed={speed_kph:.1f}kph")
-    return CrashState(since, fired), trigger
+    fired = not state.fired and t_ms - since >= cfg.crash_hold_ms
+    return CrashState(since, state.fired or fired), fired
 
 
 # --- overtake assist -------------------------------------------------------

@@ -164,7 +164,7 @@ class ModemClient:
         """Send one message, returning the modem's message reference."""
         if self.phase is not ModemPhase.READY:
             raise ContractViolation(f"send_sms requires READY, modem is {self.phase.value}")
-        if PHONE_PATTERN.match(to) is None:
+        if PHONE_PATTERN.fullmatch(to) is None:
             raise InvalidNumber(to)  # rejected before any bytes hit the channel
         if len(body) > SMS_MAX_CHARS:
             raise ContractViolation(f"body exceeds {SMS_MAX_CHARS} characters")
@@ -182,7 +182,6 @@ class ModemClient:
         except ModemError as exc:
             self._fail(exc)
             raise
-        self.phase = ModemPhase.READY
         return ref
 
     # --- internals ---------------------------------------------------------

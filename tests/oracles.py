@@ -91,6 +91,11 @@ def breath_fails(ethanol_ppms: list[float], cfg: ControllerConfig) -> bool:
     return any(ppm >= cfg.ethanol_lockout_ppm for ppm in ethanol_ppms)
 
 
+def leak_fails(lpg_ppms: list[float], cfg: ControllerConfig) -> bool:
+    """Expected outcome of the pre-ride leak rule: fail on the worst sample."""
+    return any(ppm >= cfg.lpg_leak_ppm for ppm in lpg_ppms)
+
+
 def greedy_match(alerts: list, expected: list) -> tuple[tuple[int, int, int, int], list, list]:
     """Expected ((tp, tn, fp, fn), strays, missed) of the windowed label matcher.
 

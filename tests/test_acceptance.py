@@ -15,17 +15,18 @@ from dataclasses import replace
 from pathlib import Path
 
 from motoguard.cli import main
-from motoguard.core import ControllerConfig, GeoPoint, GpsFix, SmsSend
-from motoguard.detectors import (CrashState, MagState, TheftState, breath_check, crash_step,
-                                 haversine_m, mag_step, overspeed_step, theft_step)
-from motoguard.core import AlertKind, GasReading
+from motoguard.controller import ControllerState, Mode, step
+from motoguard.core import (AlertKind, Auth, ControllerConfig, GasReading, GeoPoint, GpsFix,
+                            Ignition, SensorEvent, SmsSend)
+from motoguard.detectors import (CrashState, MagState, TheftState, crash_step, haversine_m,
+                                 mag_step, overspeed_step, theft_step)
 from motoguard.gsm import (ChannelClosed, ChannelTimeout, CommandTimeout, ErrorResponse,
                            FakeModem, InvalidNumber, ModemClient, ModemError,
                            PromptTimeout, SendRejected)
 from motoguard.harness import (ConfusionMatrix, accuracy, error_rate, load_scenario,
                                log_to_jsonl, run)
 from motoguard.nmea import ParseError, RmcData, parse_rmc
-from oracles import (breath_fails, crash_trigger_times, mag_trigger_indices,
+from oracles import (breath_fails, crash_trigger_times, leak_fails, mag_trigger_indices,
                      overspeed_trigger_indices)
 from rmcgen import build_rmc
 
@@ -254,18 +255,31 @@ def test_detectors_agree_with_brute_force_oracles() -> None:
                             rng.choice((0.0, 3.0, 10.0))))
         state, got = CrashState(), []
         for t_ms, tilt, speed in samples:
-            state, trig = crash_step(state, tilt, speed, t_ms, short_hold)
-            if trig is not None:
+            state, fired = crash_step(state, tilt, speed, t_ms, short_hold)
+            if fired:
                 got.append(t_ms)
         if got != crash_trigger_times(samples, short_hold):
             problems.append(f"crash trial {trial}")
             break
 
+    # the pre-ride verdict reads the controller's running peak, so drive step
+    # through a whole window: readings 300 ms apart, the last one closing it
+    armed, _, _ = step(CFG, ControllerState(), 0,
+                       [SensorEvent(0, Auth(True)), SensorEvent(0, Ignition(True))])
     for trial in range(1000):
-        ppms = [rng.uniform(0.0, 300.0) for _ in range(rng.randint(1, 6))]
-        readings = [GasReading(ethanol_ppm=p, co_ppm=0.0, lpg_ppm=0.0) for p in ppms]
-        if breath_check(readings, CFG).passed != (not breath_fails(ppms, CFG)):
-            problems.append(f"breath trial {trial}")
+        n = rng.randint(1, 6)
+        ethanol = [rng.uniform(0.0, 300.0) for _ in range(n)]
+        lpg = [rng.uniform(0.0, 2000.0) for _ in range(n)]
+        state, kinds = armed, []
+        for idx, (eth_ppm, lpg_ppm) in enumerate(zip(ethanol, lpg)):
+            t_ms = CFG.preride_window_ms if idx == n - 1 else idx * 300
+            state, alerts, _ = step(CFG, state, t_ms,
+                                    [SensorEvent(t_ms, GasReading(eth_ppm, 0.0, lpg_ppm))])
+            kinds += [a.kind for a in alerts]
+        want = [kind for kind, fails in ((AlertKind.ALCOHOL_LOCKOUT, breath_fails(ethanol, CFG)),
+                                         (AlertKind.GAS_LEAK, leak_fails(lpg, CFG))) if fails]
+        if kinds != want or (state.mode is Mode.RIDING) != (not want):
+            problems.append(f"pre-ride trial {trial}")
             break
 
     if time.perf_counter() - start >= 10.0:

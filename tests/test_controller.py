@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import copy
+import random
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import settings, strategies as st
@@ -268,6 +271,14 @@ def test_step_rejects_mis_stamped_events(cfg: ControllerConfig) -> None:
         step(cfg, ControllerState(), 100, [ev(99, CLEAN)])
 
 
+def test_step_checks_its_own_time(cfg: ControllerConfig) -> None:
+    with pytest.raises(ContractViolation, match="t_ms must be a non-negative int: -5"):
+        step(cfg, ControllerState(), -5, [])
+    # True == 1, so the event stamp check alone lets a bool clock through
+    with pytest.raises(ContractViolation, match="t_ms must be a non-negative int: True"):
+        step(cfg, ControllerState(), True, [ev(1, SupplyVoltage(5.0))])
+
+
 def test_step_leaves_the_input_state_untouched(cfg: ControllerConfig) -> None:
     state = ControllerState()
     snapshot = copy.deepcopy(state)
@@ -304,6 +315,48 @@ def test_replay_of_a_prefix_matches(cfg: ControllerConfig) -> None:
         state, outputs = run(n)
         assert outputs == full_out[:n]
     assert full_state.mode is Mode.RIDING
+
+
+# --- mode edges ------------------------------------------------------------
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+FAR = GeoPoint(14.6095, 120.9842)  # about 1.1 km north of HERE
+RANDOM_PAYLOADS = (
+    lambda rng: Auth(rng.random() < 0.5),
+    lambda rng: Ignition(rng.random() < 0.6),
+    lambda rng: GasReading(rng.choice((0.0, 0.0, 0.0, 200.0)), 0.0,
+                           rng.choice((0.0, 0.0, 0.0, 1500.0))),
+    lambda rng: Tilt(rng.choice((10.0, 85.0, 85.0, 85.0))),
+    lambda rng: GpsFix(rng.choice((HERE, FAR)), rng.choice((0.0, 30.0)), rng.random() < 0.9),
+    lambda rng: LidarRange(rng.uniform(0.0, 50.0)),
+)
+
+
+def readme_mode_edges() -> set[tuple[Mode, Mode]]:
+    """The (from, to) rows of the README's Modes table."""
+    section = README.read_text(encoding="utf-8").split("\n## Modes\n", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(\w+)` \| `(\w+)` \|", section, re.MULTILINE)
+    return {(Mode(a), Mode(b)) for a, b in rows}
+
+
+def test_every_mode_change_is_a_readme_edge() -> None:
+    edges = readme_mode_edges()
+    assert len(edges) == 8
+    # short windows and holds let a random stream reach every edge
+    cfg = ControllerConfig(preride_window_ms=300, crash_hold_ms=300)
+    rng = random.Random(1105)
+    seen: set[tuple[Mode, Mode]] = set()
+    for _ in range(20):
+        state, t_ms = ControllerState(), 0
+        for _ in range(300):
+            # one event per call, so no change can hide inside a step
+            t_ms += rng.choice((0, 50, 100, 200))
+            before = state.mode
+            state, _, _ = step(cfg, state, t_ms, [ev(t_ms, rng.choice(RANDOM_PAYLOADS)(rng))])
+            if state.mode is not before:
+                assert (before, state.mode) in edges, f"{before.value} -> {state.mode.value}"
+                seen.add((before, state.mode))
+    assert seen == edges  # the table lists no edge that step never takes
 
 
 # --- alert router ----------------------------------------------------------
@@ -352,7 +405,7 @@ def test_long_bodies_are_truncated_for_sms(cfg: ControllerConfig) -> None:
 
 
 def full_queue(severity: Severity, n: int = 32) -> tuple[PendingSms, ...]:
-    return tuple(PendingSms(t_ms=i, to="+639171234567", body=f"m{i}", severity=severity)
+    return tuple(PendingSms(to="+639171234567", body=f"m{i}", severity=severity)
                  for i in range(n))
 
 
@@ -394,8 +447,8 @@ class BrittleModem(FakeModem):
 
 def queued(*bodies: str) -> RouterState:
     return RouterState(pending_sms=tuple(
-        PendingSms(t_ms=i, to="+639171234567", body=b, severity=Severity.HIGH)
-        for i, b in enumerate(bodies)))
+        PendingSms(to="+639171234567", body=b, severity=Severity.HIGH)
+        for b in bodies))
 
 
 def test_drain_sends_fifo(cfg: ControllerConfig) -> None:

@@ -6,13 +6,13 @@ from enum import IntEnum
 import pytest
 from hypothesis import given, strategies as st
 
-from motoguard.core import (Alert, AlertKind, Auth, Buzzer, ConfigError, ContractViolation,
-                            ControllerConfig, DEFAULT_CONFIG, GasReading, GeoPoint, GpsFix,
-                            Ignition, LidarRange, MagField, PirMotion, SensorEvent, Severity,
-                            SmsSend, SupplyVoltage, Tilt, ValidationError, VirtualClock,
-                            apply_overrides, event_from_record, event_to_record,
-                            _finite, parse_config_text, severity_of, truncate_sms,
-                            validate_config)
+from motoguard.core import (ActuatorCommand, Alert, AlertKind, Auth, Buzzer, ConfigError,
+                            ContractViolation, ControllerConfig, DEFAULT_CONFIG, GasReading,
+                            GeoPoint, GpsFix, Ignition, LidarRange, MagField, PirMotion,
+                            SensorEvent, Severity, SmsSend, SupplyVoltage, Tilt,
+                            ValidationError, VirtualClock, apply_overrides, event_from_record,
+                            event_to_record, _finite, parse_config_text, severity_of,
+                            truncate_sms, validate_config)
 from oracles import finite_reference
 
 
@@ -53,6 +53,8 @@ def test_sms_send_normalizes_body_and_validates_number() -> None:
     with pytest.raises(ContractViolation):
         SmsSend(to="123456", body="too few digits")
     SmsSend(to="1234567", body="seven digits ok")
+    with pytest.raises(ContractViolation):
+        SmsSend(to="+639171234567\n", body="a trailing newline is not a digit")
 
 
 @pytest.mark.parametrize("bad", [
@@ -67,6 +69,8 @@ def test_sms_send_normalizes_body_and_validates_number() -> None:
     lambda: SupplyVoltage(-0.1),
     lambda: GpsFix(GeoPoint(0.0, 0.0), -3.0, True),
     lambda: SensorEvent(-1, Ignition(True)),
+    lambda: Alert(True, AlertKind.CRASH, Severity.HIGH, "x"),
+    lambda: ActuatorCommand(True, Buzzer(on=True)),
 ])
 def test_constructors_reject_out_of_range(bad) -> None:
     with pytest.raises(ContractViolation):
@@ -163,7 +167,8 @@ def test_event_record_errors_are_exact(record, message: str) -> None:
 @pytest.mark.parametrize("build,message", [
     (lambda: GpsFix((14.5, 121.0), 30.0, True), "point must be a GeoPoint"),
     (lambda: SmsSend(to="12ab", body="hi"), "bad phone number: '12ab'"),
-    (lambda: Alert(-1, AlertKind.CRASH, Severity.HIGH, "x"), "t_ms must be >= 0"),
+    (lambda: Alert(-1, AlertKind.CRASH, Severity.HIGH, "x"),
+     "t_ms must be a non-negative int: -1"),
 ])
 def test_constructor_errors_are_exact(build, message: str) -> None:
     with pytest.raises(ContractViolation) as err:
@@ -235,6 +240,8 @@ def test_validate_config_edge_values() -> None:
     assert validate_config(ControllerConfig(beacon_period_ms=60_000)) == []
     assert ("crash_tilt_deg", "must be <= 180") in validate_config(
         ControllerConfig(crash_tilt_deg=190.0))
+    assert validate_config(ControllerConfig(owner_number="+639171234567\n")) == [
+        ("owner_number", "must match +?[0-9]{7,15}")]
 
 
 def test_parse_config_text() -> None:

@@ -6,13 +6,14 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, strategies as st
 
-from motoguard.core import (AlertKind, ContractViolation, ControllerConfig, GasReading,
-                            GeoPoint, GpsFix)
-from motoguard.detectors import (CollisionState, CrashState, MagState, TheftState,
-                                 breath_check, collision_step, crash_step,
-                                 gas_leak_check, haversine_m, hazard_step, mag_step,
-                                 overspeed_step, overtake_assist, theft_step, ttc)
-from oracles import (breath_fails, crash_trigger_times, mag_trigger_indices,
+from motoguard.controller import ControllerState, Mode, step
+from motoguard.core import (AlertKind, Auth, ContractViolation, ControllerConfig, GasReading,
+                            GeoPoint, GpsFix, Ignition, SensorEvent)
+from motoguard.detectors import (CollisionState, CrashState, MagState, TheftState, Trigger,
+                                 collision_step, crash_step, haversine_m, hazard_step,
+                                 mag_step, overspeed_step, overtake_assist, preride_faults,
+                                 theft_step, ttc)
+from oracles import (breath_fails, crash_trigger_times, leak_fails, mag_trigger_indices,
                      overspeed_trigger_indices)
 
 
@@ -151,30 +152,39 @@ def test_hazard_message(cfg: ControllerConfig) -> None:
     assert trig.message == "ROAD HAZARD motion at 42.0kph"
 
 
-# --- pre-ride gas checks ---------------------------------------------------
+# --- pre-ride gas check ----------------------------------------------------
 
 def gas(ethanol: float = 0.0, lpg: float = 0.0) -> GasReading:
     return GasReading(ethanol_ppm=ethanol, co_ppm=0.0, lpg_ppm=lpg)
 
 
 def test_breath_threshold_is_inclusive(cfg: ControllerConfig) -> None:
-    assert breath_check([gas(ethanol=149.9)], cfg).passed
-    assert not breath_check([gas(ethanol=150.0)], cfg).passed
-    result = breath_check([gas(ethanol=10.0), gas(ethanol=200.0), gas(ethanol=5.0)], cfg)
-    assert not result.passed
-    assert result.peak_ethanol_ppm == 200.0
+    assert preride_faults(gas(ethanol=149.9), cfg) == []
+    assert preride_faults(gas(ethanol=150.0), cfg) == [
+        Trigger(AlertKind.ALCOHOL_LOCKOUT, "ALCOHOL LOCKOUT peak=150.0ppm limit=150.0ppm")]
 
 
 def test_gas_leak_threshold_is_inclusive(cfg: ControllerConfig) -> None:
-    assert gas_leak_check([gas(lpg=999.9)], cfg).safe
-    assert not gas_leak_check([gas(lpg=1000.0)], cfg).safe
+    assert preride_faults(gas(lpg=999.9), cfg) == []
+    assert preride_faults(gas(lpg=1000.0), cfg) == [
+        Trigger(AlertKind.GAS_LEAK, "GAS LEAK lpg=1000.0ppm limit=1000.0ppm")]
 
 
-def test_gas_checks_need_readings(cfg: ControllerConfig) -> None:
-    with pytest.raises(ContractViolation):
-        breath_check([], cfg)
-    with pytest.raises(ContractViolation):
-        gas_leak_check([], cfg)
+def preride_outcome(readings: list[GasReading],
+                    cfg: ControllerConfig) -> tuple[Mode, list[AlertKind]]:
+    """Mode and alert kinds after step folds readings into one pre-ride window.
+
+    The readings are spread over the window and the last one closes it.
+    """
+    state, _, _ = step(cfg, ControllerState(), 0,
+                       [SensorEvent(0, Auth(True)), SensorEvent(0, Ignition(True))])
+    kinds: list[AlertKind] = []
+    gap = cfg.preride_window_ms // len(readings)
+    for idx, reading in enumerate(readings):
+        t_ms = cfg.preride_window_ms if idx == len(readings) - 1 else idx * gap
+        state, alerts, _ = step(cfg, state, t_ms, [SensorEvent(t_ms, reading)])
+        kinds += [a.kind for a in alerts]
+    return state.mode, kinds
 
 
 # --- overspeed hysteresis --------------------------------------------------
@@ -215,8 +225,8 @@ def run_crash(samples: list[tuple[int, float, float]],
     state = CrashState()
     hits = []
     for t_ms, tilt, speed in samples:
-        state, trig = crash_step(state, tilt, speed, t_ms, cfg)
-        if trig is not None:
+        state, fired = crash_step(state, tilt, speed, t_ms, cfg)
+        if fired:
             hits.append(t_ms)
     return hits
 
@@ -246,15 +256,6 @@ def test_crash_two_episodes_fire_twice(cfg: ControllerConfig) -> None:
     up = [(4000, 10.0, 0.0)]
     again = [(t, 90.0, 0.0) for t in (5000, 6500, 8000)]
     assert run_crash(down + up + again, cfg) == [3000, 8000]
-
-
-def test_crash_message(cfg: ControllerConfig) -> None:
-    state = CrashState()
-    trig = None
-    for t in (0, 3000):
-        state, trig = crash_step(state, 75.0, 2.0, t, cfg)
-    assert trig is not None
-    assert trig.message == "CRASH tilt=75.0deg speed=2.0kph"
 
 
 # --- overtake assist -------------------------------------------------------
@@ -404,6 +405,11 @@ def test_crash_matches_oracle_on_random_traces(cfg: ControllerConfig) -> None:
 def test_breath_matches_oracle_on_random_readings(cfg: ControllerConfig) -> None:
     rng = random.Random(1104)
     for _ in range(200):
-        ppms = [rng.uniform(0.0, 300.0) for _ in range(rng.randint(1, 8))]
-        readings = [gas(ethanol=p) for p in ppms]
-        assert breath_check(readings, cfg).passed == (not breath_fails(ppms, cfg))
+        n = rng.randint(1, 8)
+        ethanol = [rng.uniform(0.0, 300.0) for _ in range(n)]
+        lpg = [rng.uniform(0.0, 2000.0) for _ in range(n)]
+        mode, kinds = preride_outcome([gas(e, p) for e, p in zip(ethanol, lpg)], cfg)
+        want = [kind for kind, fails in ((AlertKind.ALCOHOL_LOCKOUT, breath_fails(ethanol, cfg)),
+                                         (AlertKind.GAS_LEAK, leak_fails(lpg, cfg))) if fails]
+        assert kinds == want
+        assert mode is (Mode.PARKED if want else Mode.RIDING)

@@ -129,7 +129,8 @@ def test_final_ok_without_reference_is_rejected() -> None:
         client.send_sms(OWNER, "hello")
 
 
-@pytest.mark.parametrize("number", ["", "12345", "+12345", "0" * 16, "+63abc", "+63 917"])
+@pytest.mark.parametrize("number", ["", "12345", "+12345", "0" * 16, "+63abc", "+63 917",
+                                    "+639171234567\n"])
 def test_invalid_number_rejected_before_any_io(number: str) -> None:
     _, modem, client = fresh()
     client.modem_init()
