@@ -186,6 +186,13 @@ def step(cfg: ControllerConfig, state: ControllerState, t_ms: int,
                 if work.mode in (Mode.CRASH_SUSPECTED, Mode.THEFT_SUSPECTED):
                     work.mode = Mode.PARKED
             else:
+                if work.mode is Mode.PRE_RIDE:
+                    # revoked before the window closed: end it as a failed
+                    # check does. A moving bike in RIDING keeps its ignition.
+                    work.mode = Mode.PARKED
+                    work.preride_start_ms = None
+                    work.preride_peak = None
+                    commands.append(ActuatorCommand(t_ms, IgnitionInhibit(on=True)))
                 theft_sync()
 
         elif isinstance(p, Ignition):

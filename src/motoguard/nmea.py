@@ -2,8 +2,9 @@
 
 Only the recommended-minimum sentence ($GPRMC / $GNRMC) is understood; it
 carries everything the controller consumes (position, speed, validity).
-Checksums are verified before any field is looked at, so a corrupted
-sentence can never half-parse.
+A sentence is accepted only whole: every field well formed and in range,
+and the checksum matching. Anything else raises a ParseError and yields no
+data, so a corrupted sentence can never half-parse.
 """
 
 from __future__ import annotations
@@ -25,6 +26,19 @@ _LAT_RE = re.compile(r"^\d{4}(\.\d+)?$")
 _LON_RE = re.compile(r"^\d{5}(\.\d+)?$")
 _NUM_RE = re.compile(r"^\d+(\.\d+)?$")
 _DATE_RE = re.compile(r"^\d{6}$")
+
+# The whole accepted shape in one pattern, in ASCII digits only: talker,
+# fields 1-9 with the shapes above, hemispheres split from degree and minute
+# groups, optional trailing fields of printable ASCII other than '$' and '*',
+# and an uppercase checksum.
+_RMC_RE = re.compile(
+    r"\$G[PN]RMC"
+    r",([0-9]{6}(?:\.[0-9]+)?),([AV])"
+    r",([0-9]{2})([0-9]{2}(?:\.[0-9]+)?),([NS])"
+    r",([0-9]{3})([0-9]{2}(?:\.[0-9]+)?),([EW])"
+    r",([0-9]+(?:\.[0-9]+)?),([0-9]+(?:\.[0-9]+)?),([0-9]{6})"
+    r"(?:,[\x20-\x23\x25-\x29\x2b-\x7e]*)?"
+    r"\*([0-9A-F]{2})")
 
 
 class ParseError(ValueError):
@@ -79,6 +93,11 @@ def checksum(body: str) -> str:
             code = ord(ch)
             if code < 0x20 or code > 0x7E or ch in "$*":
                 raise ParseError(f"invalid body character: {ch!r}")
+    return _xor_hex(body)
+
+
+def _xor_hex(body: str) -> str:
+    # the caller guarantees an ASCII body
     return format(reduce(xor, body.encode("ascii"), 0), "02X")
 
 
@@ -113,6 +132,25 @@ def _coord(text: str, hemi: str, *, is_lat: bool) -> float:
 def parse_rmc(line: str) -> RmcData:
     """Parse one RMC sentence; any rejection raises a ParseError subclass."""
     sentence = line.rstrip("\r\n")
+    if len(sentence) <= MAX_SENTENCE_CHARS and (match := _RMC_RE.fullmatch(sentence)):
+        (utc_time, status, lat_deg, lat_min, ns, lon_deg, lon_min, ew,
+         speed, course, date, found) = match.groups()
+        lat_minutes = float(lat_min)
+        lon_minutes = float(lon_min)
+        lat = int(lat_deg) + lat_minutes / 60.0
+        lon = int(lon_deg) + lon_minutes / 60.0
+        course_deg = float(course)
+        if (lat_minutes < 60.0 and lon_minutes < 60.0 and lat <= 90.0 and lon <= 180.0
+                and course_deg < 360.0 and _xor_hex(sentence[1:-3]) == found):
+            point = GeoPoint(-lat if ns == "S" else lat, -lon if ew == "W" else lon)
+            return RmcData(utc_time=utc_time, status=status, point=point,
+                           speed_knots=float(speed), course_deg=course_deg, date=date)
+    # the field walk is the one source of rejection reasons
+    return _parse_fields(sentence)
+
+
+def _parse_fields(sentence: str) -> RmcData:
+    """Walk a stripped sentence field by field; raise the first ParseError it hits."""
     if len(sentence) > MAX_SENTENCE_CHARS:
         raise ParseError(f"sentence exceeds {MAX_SENTENCE_CHARS} characters")
     if not sentence.startswith("$"):

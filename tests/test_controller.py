@@ -110,6 +110,27 @@ def test_pre_ride_waits_out_the_sampling_window(cfg: ControllerConfig) -> None:
     assert actions(commands) == [IgnitionInhibit(on=False)]
 
 
+def test_revoking_auth_during_pre_ride_locks_out(cfg: ControllerConfig) -> None:
+    state, _, _ = step(cfg, ControllerState(), 0,
+                       [ev(0, Auth(True)), ev(0, Ignition(True))])
+    state, alerts, commands = step(cfg, state, 500, [ev(500, Auth(False))])
+    assert state.mode is Mode.PARKED
+    assert (state.preride_start_ms, state.preride_peak) == (None, None)
+    assert alerts == []
+    assert commands == [ActuatorCommand(500, IgnitionInhibit(on=True))]
+    # the window is closed, so a clean reading no longer lets the rider ride
+    state, alerts, commands = step(cfg, state, 2000, [ev(2000, CLEAN)])
+    assert state.mode is Mode.PARKED
+    assert (alerts, commands) == ([], [])
+
+
+def test_revoking_auth_while_riding_keeps_the_ignition(cfg: ControllerConfig) -> None:
+    state, alerts, commands = step(cfg, to_riding(cfg), 3000, [ev(3000, Auth(False))])
+    assert state.mode is Mode.RIDING
+    assert not state.authorized
+    assert (alerts, commands) == ([], [])
+
+
 def test_ignition_off_returns_to_parked(cfg: ControllerConfig) -> None:
     state = to_riding(cfg)
     state, alerts, commands = step(cfg, state, 3000, [ev(3000, Ignition(False))])

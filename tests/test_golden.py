@@ -5,6 +5,7 @@ The files in tests/golden/ were written by the CLI itself:
     motoguard simulate --scenario scenarios/<name>.jsonl --out tests/golden/<name>.log.jsonl
     motoguard eval --scenario-dir scenarios --report tests/golden/corpus_report.txt
     motoguard eval --scenario-dir tests/golden/failing_set --report tests/golden/failing_report.txt
+    motoguard nmea --file tests/golden/nmea_sentences.txt > tests/golden/nmea_report.txt
 
 They pin behaviour across refactors, so they change only with a deliberate,
 versioned bump of the log or report schema, never to make a test pass.
@@ -50,3 +51,10 @@ def test_eval_reports_match_golden(directory: Path, name: str, code: int,
     assert capsys.readouterr().out.encode("utf-8") == text
     assert report.read_bytes() == text
     assert report.with_suffix(".json").read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
+
+
+def test_nmea_file_output_matches_golden(capsys) -> None:
+    # one line per ParseError subclass and per MalformedNumber field, range and
+    # hemisphere failures included, valid A/V/GNRMC lines and a blank line
+    assert main(["nmea", "--file", str(GOLDEN / "nmea_sentences.txt")]) == 1
+    assert capsys.readouterr().out.encode("utf-8") == (GOLDEN / "nmea_report.txt").read_bytes()

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ast
+import warnings
 from pathlib import Path
 
 import pytest
@@ -57,6 +58,24 @@ def test_the_check_sees_annotations_and_skips_future() -> None:
               "from typing import Any, Dict as D, List\n"
               "def f(x: Any) -> D: return os.path.sep\n")
     assert unused_imports(source) == ["line 3: List"]
+
+
+def compile_strict(source: str, filename: str) -> None:
+    """Compile with every warning an error; a cached .pyc would hide them on import."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        compile(source, filename, "exec")
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(REPO_ROOT)))
+def test_compiles_without_warnings(path: Path) -> None:
+    compile_strict(path.read_text(encoding="utf-8"), str(path))
+
+
+def test_the_compile_check_rejects_an_invalid_escape() -> None:
+    # a DeprecationWarning on 3.10-3.11 and a SyntaxWarning on 3.12+, raised as SyntaxError
+    with pytest.raises(SyntaxError, match="invalid escape sequence"):
+        compile_strict('pattern = "^\\d{6}$"\n', "<escape>")
 
 
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: str(p.relative_to(REPO_ROOT)))

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from motoguard import nmea
 from motoguard.core import ContractViolation
 from motoguard.nmea import (ChecksumMismatch, MalformedNumber, MissingField, ParseError,
                             UnsupportedSentence, checksum, knots_to_kph, parse_rmc,
                             to_gps_fix)
+from oracles import parse_rmc_reference
 from rmcgen import build_rmc, xor_checksum
 
 GOOD = "$GPRMC,123519,A,4807.038,N,01131.000,E,022.4,084.4,230394,003.1,W*6A"
@@ -170,3 +172,88 @@ def test_any_checksum_character_change_is_rejected(lat, pos, replacement) -> Non
     mutated = stem + (replacement + check[1] if pos == 0 else check[0] + replacement)
     with pytest.raises(ParseError):
         parse_rmc(mutated)
+
+
+def with_checksum(line: str) -> str:
+    """The line with the text after its last '*' replaced by the body's XOR."""
+    star = line.rfind("*")
+    return line if star == -1 else f"{line[:star]}*{xor_checksum(line[1:star])}"
+
+
+def good_with(old: str, new: str) -> str:
+    return with_checksum(GOOD.replace(old, new, 1))
+
+
+@st.composite
+def rmc_lines(draw) -> str:
+    """A generated RMC sentence, then random replace, insert and delete edits."""
+    line = build_rmc(draw(st.floats(-90.0, 90.0)), draw(st.floats(-180.0, 180.0)),
+                     draw(st.floats(0.0, 999.9)), draw(st.floats(0.0, 360.0)),
+                     status=draw(st.sampled_from("AV")), talker=draw(st.sampled_from(["GP", "GN"])))
+    chars = st.one_of(st.sampled_from("0123456789.,*$NSEWAVGLPR\r\n a\u0663"), st.characters())
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(line)))
+        edit = draw(st.sampled_from(["replace", "insert", "delete"]))
+        if edit == "insert":
+            line = line[:at] + draw(chars) + line[at:]
+        elif edit == "replace":
+            line = line[:at] + draw(chars) + line[at + 1:]
+        else:
+            line = line[:at] + line[at + 1:]
+    if draw(st.integers(0, 9)) < 8:
+        line = with_checksum(line)
+    return line + draw(st.sampled_from(["", "\r\n", "\n", "\n\r"]))
+
+
+def outcome(parse, line: str):
+    try:
+        return repr(parse(line))  # repr tells -0.0 from 0.0
+    except ParseError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400)
+@example(good_with("4807.038", "4859.9999"))
+@example(good_with("4807.038", "4860.0000"))
+@example(good_with("01131.000", "01159.9999"))
+@example(good_with("01131.000", "01160.0000"))
+@example(good_with("4807.038,N", "9000.0000,N"))
+@example(good_with("4807.038,N", "9000.0001,N"))
+@example(good_with("4807.038,N", "0000.0000,S"))
+@example(good_with("01131.000,E", "18000.0000,E"))
+@example(good_with("01131.000,E", "18000.0001,E"))
+@example(good_with("084.4", "359.9"))
+@example(good_with("084.4", "360.0"))
+@example(GOOD[:-2] + "6a")
+@example(good_with("003.1,W", "003.1,W,ABCDEFGHIJK"))   # 80 characters
+@example(good_with("003.1,W", "003.1,W,ABCDEFGHIJKL"))  # 81 characters
+@example(GOOD + "\r\n")
+@example(GOOD + "\n\r")
+@example(good_with("003.1,W", "003.1,$W"))
+@example(GOOD.replace("123519", "12351\u0663")[:-2] + "00")
+@example(good_with("GPRMC", "GLRMC"))
+@example(good_with("230394,", "230394."))
+@example(with_checksum("$GPRMC,123519,A,4807.038,N,01131.000,E,022.4,084.4,230394*"))
+@given(rmc_lines())
+def test_parse_agrees_with_the_field_walk_oracle(line: str) -> None:
+    # the same RmcData, or the same exception type and text
+    assert outcome(parse_rmc, line) == outcome(parse_rmc_reference, line)
+
+
+@pytest.mark.parametrize("line", [
+    GOOD,
+    build_rmc(-33.8568, -151.2153, 5.0, 90.0, status="V", talker="GN"),
+    good_with("4807.038", "4859.9999"),
+    good_with("4807.038,N", "9000.0000,N"),
+    good_with("01131.000,E", "18000.0000,E"),
+    good_with("084.4", "359.9"),
+    good_with("003.1,W", "003.1,W,ABCDEFGHIJK"),
+    GOOD + "\n\r",
+    with_checksum("$GNRMC,123519,V,4807.038,S,01131.000,W,022.4,084.4,230394*"),
+])
+def test_well_formed_sentences_skip_the_field_walk(line: str, monkeypatch) -> None:
+    # the one-pattern accept path takes every well-formed sentence, edges included
+    def walk(sentence: str):
+        raise AssertionError(f"field walk reached for {sentence!r}")
+    monkeypatch.setattr(nmea, "_parse_fields", walk)
+    assert parse_rmc(line) == parse_rmc_reference(line)
