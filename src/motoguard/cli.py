@@ -115,7 +115,7 @@ def cmd_nmea(args: argparse.Namespace) -> int:
         return EXIT_OK if _print_parsed(args.line) else EXIT_FAILURES
     text = _guarded("nmea", args.file, Path(args.file).read_text, "utf-8", "replace")
     ok = True
-    for raw in text.splitlines():
+    for raw in text.split("\n"):  # not splitlines(): a stray \x1c is a bad body character
         if not raw.strip():
             continue
         ok = _print_parsed(raw) and ok

@@ -9,8 +9,11 @@ from __future__ import annotations
 import dataclasses
 import math
 import re
+import sys
+from collections.abc import Callable
 from dataclasses import dataclass, fields
 from enum import Enum, IntEnum
+from functools import partial
 from operator import itemgetter
 from pathlib import Path
 
@@ -347,9 +350,112 @@ def _decoder(cls: type) -> tuple:
 
 _DECODERS = {tag: _decoder(cls) for tag, cls in _SENSOR_TAGS.items()}
 
+# Each record field's contract as the payload constructors check it: (exact
+# type, lowest, highest), both ends inclusive. The float bounds are finite, so
+# lo <= x <= hi also rejects nan and +-inf; every bool lies in False..True.
+_NON_NEGATIVE = (float, 0.0, sys.float_info.max)
+_BOOL = (bool, False, True)
+_FIELD_RULES = {
+    "range_m": _NON_NEGATIVE, "b_ut": _NON_NEGATIVE, "detected": _BOOL,
+    "ethanol_ppm": _NON_NEGATIVE, "co_ppm": _NON_NEGATIVE, "lpg_ppm": _NON_NEGATIVE,
+    "angle_deg": (float, 0.0, 180.0),
+    "lat_deg": (float, -90.0, 90.0), "lon_deg": (float, -180.0, 180.0),
+    "speed_kph": _NON_NEGATIVE, "valid": _BOOL,
+    "on": _BOOL, "authorized": _BOOL, "volts": _NON_NEGATIVE,
+}
+
+# A direct constructor makes each object the way a frozen dataclass __init__
+# does, object.__new__ then object.__setattr__ per field in declaration order,
+# and skips __post_init__. Filling __dict__ whole would be no faster and would
+# cost CPython its shared-key instance dicts.
+_new = object.__new__
+_set = object.__setattr__
+
+
+def _bare(cls: type, *values):
+    """cls(*values) for a frozen dataclass, without __post_init__: only for
+    values that already meet its contract."""
+    obj = _new(cls)
+    for name, value in zip(cls.__match_args__, values):
+        _set(obj, name, value)
+    return obj
+
+
+def _bare_gps_from_fields(lat_deg: float, lon_deg: float, speed_kph: float,
+                          valid: bool) -> GpsFix:
+    point = _new(GeoPoint)
+    _set(point, "lat_deg", lat_deg)
+    _set(point, "lon_deg", lon_deg)
+    fix = _new(GpsFix)
+    _set(fix, "point", point)
+    _set(fix, "speed_kph", speed_kph)
+    _set(fix, "valid", valid)
+    return fix
+
+
+def _direct(build, names: tuple, keys: frozenset, values) -> Callable[[dict], SensorEvent | None]:
+    """The direct constructor of one tag: the event of a dict record whose key
+    set is `keys`, whose t_ms is an exact non-negative int and whose every
+    field meets its _FIELD_RULES entry; None for any other record."""
+    if len(names) == 1:  # all but gas and gps, so nearly every record: no loops
+        (name,) = names
+        kind, lo, hi = _FIELD_RULES[name]
+
+        def direct(rec: dict) -> SensorEvent | None:
+            # a missing key reads None, which no rule accepts, so three keys
+            # that pass are exactly "sensor", "t_ms" and `name`
+            t_ms, value = rec.get("t_ms"), rec.get(name)
+            if not (len(rec) == 3 and type(t_ms) is int and t_ms >= 0
+                    and type(value) is kind and lo <= value <= hi):
+                return None
+            payload = _new(build)
+            _set(payload, name, value)
+            event = _new(SensorEvent)
+            _set(event, "t_ms", t_ms)
+            _set(event, "payload", payload)
+            return event
+        return direct
+
+    rules = tuple(_FIELD_RULES[n] for n in names)
+    make = _bare_gps_from_fields if build is _gps_from_fields else partial(_bare, build)
+
+    def direct(rec: dict) -> SensorEvent | None:
+        if rec.keys() != keys:
+            return None
+        t_ms, field_values = rec["t_ms"], values(rec)
+        if not (type(t_ms) is int and t_ms >= 0):
+            return None
+        for value, (kind, lo, hi) in zip(field_values, rules):
+            if not (type(value) is kind and lo <= value <= hi):
+                return None
+        event = _new(SensorEvent)
+        _set(event, "t_ms", t_ms)
+        _set(event, "payload", make(*field_values))
+        return event
+    return direct
+
+
+_DIRECT = {tag: _direct(*decoder) for tag, decoder in _DECODERS.items()}
+
 
 def event_from_record(rec: dict) -> SensorEvent:
-    """Inverse of event_to_record; raises ContractViolation on bad shapes."""
+    """Inverse of event_to_record; raises ContractViolation on bad shapes.
+
+    A well-formed record is built by its tag's direct constructor. Any other
+    record goes through _checked_event, so every error text comes from the
+    checked constructors."""
+    if type(rec) is dict:
+        tag = rec.get("sensor")
+        direct = _DIRECT.get(tag) if type(tag) is str else None
+        if direct is not None:
+            event = direct(rec)
+            if event is not None:
+                return event
+    return _checked_event(rec)
+
+
+def _checked_event(rec: dict) -> SensorEvent:
+    """event_from_record through the checked constructors, for any record."""
     if not isinstance(rec, dict):
         raise ContractViolation("record must be an object")
     tag = rec.get("sensor")

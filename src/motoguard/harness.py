@@ -160,7 +160,9 @@ def loads_scenario(text: str) -> Scenario:
     sc = None
     prev_ms = 0
     scan = json.JSONDecoder().raw_decode
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    # only LF ends a line: splitlines() would also break at U+2028, U+0085
+    # and the like, which JSON allows raw inside a string
+    for line_no, raw in enumerate(text.split("\n"), start=1):
         # raw_decode takes a value that starts the line; a line it fails on
         # or does not consume whole is blank or goes through the full decode
         try:

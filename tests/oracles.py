@@ -11,10 +11,13 @@ from __future__ import annotations
 import json
 import math
 import re
+from dataclasses import fields
 from functools import reduce
-from operator import xor
+from operator import itemgetter, xor
 
-from motoguard.core import ContractViolation, ControllerConfig, GeoPoint, event_from_record
+from motoguard.core import (Auth, ContractViolation, ControllerConfig, GasReading, GeoPoint,
+                            GpsFix, Ignition, LidarRange, MagField, PirMotion, SensorEvent,
+                            SupplyVoltage, Tilt, event_from_record)
 from motoguard.harness import SchemaError
 from motoguard.nmea import (MAX_SENTENCE_CHARS, ChecksumMismatch, MalformedNumber,
                             MissingField, ParseError, RmcData, UnsupportedSentence)
@@ -144,7 +147,7 @@ def json_lines_reference(text: str) -> list:
     """
     header = None
     events = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(text.split("\n"), start=1):
         if not raw.strip():
             continue
         try:
@@ -161,6 +164,60 @@ def json_lines_reference(text: str) -> list:
         except ContractViolation as exc:
             raise SchemaError(line_no, str(exc)) from None
     return events
+
+
+# --- the record decoder, as it was before the direct constructors: every record
+# goes through the checked payload and SensorEvent constructors
+
+_SENSOR_TAGS: dict[str, type] = {
+    "lidar": LidarRange,
+    "mag": MagField,
+    "pir": PirMotion,
+    "gas": GasReading,
+    "tilt": Tilt,
+    "gps": GpsFix,
+    "ignition": Ignition,
+    "auth": Auth,
+    "supply": SupplyVoltage,
+}
+
+
+def _gps_from_fields(lat_deg: float, lon_deg: float, speed_kph: float, valid: bool) -> GpsFix:
+    return GpsFix(GeoPoint(lat_deg, lon_deg), speed_kph, valid)
+
+
+def _decoder(cls: type) -> tuple:
+    """(constructor, record fields in constructor order, exact record key set,
+    getter of the field values: a tuple for several fields, else the one value)."""
+    if cls is GpsFix:
+        build, names = _gps_from_fields, ("lat_deg", "lon_deg", "speed_kph", "valid")
+    else:
+        build, names = cls, tuple(f.name for f in fields(cls))
+    return build, names, frozenset(names) | {"t_ms", "sensor"}, itemgetter(*names)
+
+
+_DECODERS = {tag: _decoder(cls) for tag, cls in _SENSOR_TAGS.items()}
+
+
+def event_from_record_reference(rec: dict) -> SensorEvent:
+    """Inverse of event_to_record; raises ContractViolation on bad shapes."""
+    if not isinstance(rec, dict):
+        raise ContractViolation("record must be an object")
+    tag = rec.get("sensor")
+    # the str check keeps an unhashable tag (a JSON list) out of the lookup
+    decoder = _DECODERS.get(tag) if isinstance(tag, str) else None
+    if decoder is None:
+        raise ContractViolation(f"unknown sensor tag: {tag!r}")
+    build, names, keys, values = decoder
+    if rec.keys() != keys:
+        missing = [name for name in names if name not in rec]
+        if missing:
+            raise ContractViolation(f"missing fields: {', '.join(missing)}")
+        unexpected = sorted(rec.keys() - keys)
+        if unexpected:
+            raise ContractViolation(f"unexpected fields: {', '.join(unexpected)}")
+    payload = build(*values(rec)) if len(names) > 1 else build(values(rec))
+    return SensorEvent(rec.get("t_ms"), payload)
 
 
 # --- the field-by-field RMC parser, as it was before the one-pattern accept path

@@ -99,6 +99,21 @@ def test_non_string_sensor_tag_is_schema_error(command: str, tmp_path: Path, cap
     assert capsys.readouterr().err == f"error: {bad}: line 2: unknown sensor tag: ['lidar']\n"
 
 
+# str.splitlines() also breaks at these; JSON allows the last three raw in a string
+SPLITLINES_ONLY = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("sep", SPLITLINES_ONLY[-3:], ids=["x85", "u2028", "u2029"])
+def test_simulate_splits_lines_only_at_lf(sep: str, tmp_path: Path, capsys) -> None:
+    bad = tmp_path / "separator.jsonl"
+    bad.write_text('{"name": "x", "description": "a' + sep + 'b"}\n'
+                   '{"t_ms": 100, "sensor": "pir", "detected": true}\n'
+                   '{"t_ms": 50, "sensor": "pir", "detected": true}\n', encoding="utf-8")
+    assert main(["simulate", "--scenario", str(bad)]) == 3
+    assert capsys.readouterr().err == (
+        f"error: {bad}: line 3: t_ms 50 is earlier than the event before it (100)\n")
+
+
 HUGE = "1" + "0" * 400       # an int too large for a float
 
 
@@ -322,6 +337,17 @@ def test_nmea_corrupt_byte_rejects_only_its_sentence(tmp_path: Path, capsys) -> 
     lines = capsys.readouterr().out.splitlines()
     assert code == 1
     assert [line.split()[0] for line in lines] == ["OK", "REJECTED", "OK"]
+
+
+@pytest.mark.parametrize("sep", SPLITLINES_ONLY, ids=[f"{ord(c):x}" for c in SPLITLINES_ONLY])
+def test_nmea_file_splits_sentences_only_at_lf(sep: str, tmp_path: Path, capsys) -> None:
+    source = tmp_path / "separator.nmea"
+    corrupt = GOOD_RMC[:-3] + sep + GOOD_RMC[-3:]  # just before the '*'
+    source.write_text(f"{GOOD_RMC}\n{corrupt}\n{GOOD_RMC}\n", encoding="utf-8")
+    assert main(["nmea", "--file", str(source)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == ["OK", "REJECTED", "OK"]
+    assert lines[1] == f"REJECTED ParseError: invalid body character: {sep!r}"
 
 
 # --- argparse plumbing -----------------------------------------------------

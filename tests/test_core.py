@@ -1,11 +1,16 @@
 from __future__ import annotations
 
 import json
+import math
+import sys
+import tracemalloc
 from enum import IntEnum
+from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from motoguard import core
 from motoguard.core import (ActuatorCommand, Alert, AlertKind, Auth, Buzzer, ConfigError,
                             ContractViolation, ControllerConfig, DEFAULT_CONFIG, GasReading,
                             GeoPoint, GpsFix, Ignition, LidarRange, MagField, PirMotion,
@@ -13,7 +18,8 @@ from motoguard.core import (ActuatorCommand, Alert, AlertKind, Auth, Buzzer, Con
                             ValidationError, VirtualClock, apply_overrides, event_from_record,
                             event_to_record, _finite, parse_config_text, severity_of,
                             truncate_sms, validate_config)
-from oracles import finite_reference
+from motoguard.harness import loads_scenario
+from oracles import event_from_record_reference, finite_reference
 
 
 def test_severity_table_matches_design() -> None:
@@ -218,6 +224,166 @@ def test_gps_record_round_trip_is_exact(lat, lon, speed, valid, t) -> None:
     ev = SensorEvent(t, GpsFix(GeoPoint(lat, lon), speed, valid))
     back = event_from_record(json.loads(json.dumps(event_to_record(ev))))
     assert back == ev
+
+
+# --- direct decode: well-formed records skip the checked constructors --------
+
+MAX = sys.float_info.max
+
+WELL_FORMED = {
+    "lidar": rec("lidar", range_m=12.5),
+    "mag": rec("mag", b_ut=48.25),
+    "pir": rec("pir", detected=True),
+    "gas": rec("gas", ethanol_ppm=12.0, co_ppm=1.5, lpg_ppm=300.0),
+    "tilt": rec("tilt", angle_deg=61.5),
+    "gps": rec("gps", **GPS),
+    "ignition": rec("ignition", on=False),
+    "auth": rec("auth", authorized=True),
+    "supply": rec("supply", volts=23.9),
+    # the edges each rule still accepts
+    "lidar_negative_zero": dict(rec("lidar", range_m=-0.0), t_ms=10**12),
+    "mag_largest_float": rec("mag", b_ut=MAX),
+    "supply_subnormal": rec("supply", volts=5e-324),
+    "gas_zero_and_max": rec("gas", ethanol_ppm=0.0, co_ppm=MAX, lpg_ppm=-0.0),
+    "tilt_zero": rec("tilt", angle_deg=0.0),
+    "tilt_180": rec("tilt", angle_deg=180.0),
+    "gps_north_east": rec("gps", **dict(GPS, lat_deg=90.0, lon_deg=180.0)),
+    "gps_south_west": rec("gps", **dict(GPS, lat_deg=-90.0, lon_deg=-180.0, valid=False)),
+}
+
+
+TAGS = ("lidar", "mag", "pir", "gas", "tilt", "gps", "ignition", "auth", "supply")
+RECORD_FIELDS = {tag: tuple(WELL_FORMED[tag])[2:] for tag in TAGS}  # after t_ms, sensor
+
+
+def _unreachable(record):
+    raise AssertionError(f"checked path reached for {record!r}")
+
+
+@pytest.mark.parametrize("record", WELL_FORMED.values(), ids=WELL_FORMED.keys())
+def test_well_formed_records_skip_the_checked_path(record: dict, monkeypatch) -> None:
+    want = event_from_record_reference(record)
+    monkeypatch.setattr(core, "_checked_event", _unreachable)
+    assert repr(event_from_record(record)) == repr(want)
+
+
+def test_corpus_records_skip_the_checked_path(corpus_dir: Path, monkeypatch) -> None:
+    texts = [path.read_text(encoding="utf-8") for path in sorted(corpus_dir.glob("*.jsonl"))]
+    want = [repr(loads_scenario(text).events) for text in texts]
+    monkeypatch.setattr(core, "_checked_event", _unreachable)
+    assert [repr(loads_scenario(text).events) for text in texts] == want
+
+
+def _decode_outcome(decode, record) -> tuple:
+    try:
+        event = decode(record)
+    except Exception as exc:  # the exception type and text are part of the contract
+        return type(exc), str(exc)
+    # repr shows -0.0 and an IntEnum t_ms; the types show an int or a float subclass
+    return repr(event), [type(v) for v in event_to_record(event).values()]
+
+
+class _NoLe(float):
+    """A float subclass whose <= raises: the checked path never calls it on a
+    non-negative field, so a fast path that took the subclass would show."""
+
+    def __le__(self, other):
+        raise TypeError("no <=")
+
+
+# every bound of a field rule, and the floats just either side of it
+BOUNDS = [-180.0, -90.0, 0.0, 90.0, 180.0, MAX]
+EDGE_VALUES = [*BOUNDS, *(math.nextafter(b, d) for b in BOUNDS for d in (-math.inf, math.inf)),
+               -0.0, 5e-324, -MAX, float("nan"), float("inf"), float("-inf"), 0, 7, -1, 10**400,
+               True, False, _Float(1.5), _Float("nan"), _NoLe(2.5), _Level.TWO, None, "1.0",
+               [1.0]]
+field_values = st.one_of(st.floats(), st.floats(-200.0, 200.0), st.sampled_from(EDGE_VALUES),
+                         st.integers(-5, 200), st.booleans())
+t_values = st.one_of(st.integers(-5, 10**13),
+                     st.sampled_from([True, False, _Level.TWO, 1.0, None, "5", 2**64, -2**64]))
+
+
+@st.composite
+def sensor_records(draw) -> object:
+    """A record of any tag, mostly of the right shape, sometimes with a key
+    missing or extra, an unknown or non-str tag, or not a dict at all."""
+    if draw(st.integers(0, 19)) == 0:
+        return draw(st.sampled_from([[], "lidar", None, 7, ["sensor", "lidar"]]))
+    tag = draw(st.sampled_from(TAGS))
+    record = {"t_ms": draw(t_values), "sensor": tag}
+    record.update((name, draw(field_values)) for name in RECORD_FIELDS[tag])
+    if draw(st.integers(0, 7)) == 0:
+        del record[draw(st.sampled_from(sorted(record)))]
+    if draw(st.integers(0, 7)) == 0:
+        record[draw(st.sampled_from(["zeta", "point", "range_m", "valid"]))] = 1.0
+    if draw(st.integers(0, 15)) == 0:
+        record["sensor"] = draw(st.sampled_from([["lidar"], {"a": 1}, 7, None, "sonar", "Lidar"]))
+    return record
+
+
+@settings(max_examples=1000)
+@given(sensor_records())
+@example(rec("lidar", range_m=float("nan")))
+@example(rec("mag", b_ut=float("inf")))
+@example(rec("gas", ethanol_ppm=0.0, co_ppm=0.0, lpg_ppm=float("-inf")))
+@example(rec("supply", volts=-0.0))
+@example(rec("gps", **dict(GPS, lat_deg=90.0, lon_deg=-180.0)))
+@example(rec("gps", **dict(GPS, lat_deg=-90.0, lon_deg=180.0)))
+@example(rec("gps", **dict(GPS, lat_deg=90.00000000000001)))
+@example(rec("gps", **dict(GPS, lat_deg=-90.00000000000001)))
+@example(rec("gps", **dict(GPS, lon_deg=180.00000000000003)))
+@example(rec("gps", **dict(GPS, lon_deg=-180.00000000000003)))
+@example(rec("tilt", angle_deg=0.0))
+@example(rec("tilt", angle_deg=180.0))
+@example(rec("tilt", angle_deg=-0.0))
+@example(rec("tilt", angle_deg=180.00000000000003))
+@example(rec("lidar", range_m=3))
+@example(rec("gps", **dict(GPS, speed_kph=30)))
+@example(rec("lidar", range_m=True))
+@example(rec("pir", detected=1))
+@example(rec("mag", b_ut=_Float(2.5)))
+@example(rec("lidar", range_m=_NoLe(2.5)))
+@example(rec("tilt", angle_deg=_Float("nan")))
+@example(dict(rec("pir", detected=True), t_ms=True))
+@example(dict(rec("pir", detected=True), t_ms=_Level.TWO))
+@example(dict(rec("lidar", range_m=1.0), t_ms=-1))
+@example(dict(rec("lidar", range_m=1.0), t_ms=1.0))
+@example({"sensor": "lidar", "range_m": 1.0})
+@example(rec("gas", ethanol_ppm=0.0, co_ppm=0.0))
+@example(rec("lidar", range_m=1.0, zeta=2))
+@example(rec("gps", **GPS, point=[1, 2]))
+@example([("t_ms", 0), ("sensor", "lidar"), ("range_m", 1.0)])
+@example(rec(["lidar"], range_m=1.0))
+@example(rec(7))
+def test_event_from_record_agrees_with_the_checked_decoder(record) -> None:
+    assert _decode_outcome(event_from_record, record) == \
+        _decode_outcome(event_from_record_reference, record)
+
+
+def _traced_bytes(decode, records: list) -> int:
+    """Memory the decoded events hold, by tracemalloc, once the decode is done."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        events = [decode(record) for record in records]
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(events) == len(records)
+    return held
+
+
+@pytest.mark.parametrize("tag", ["lidar", "pir", "gas", "gps"])
+def test_direct_events_hold_the_memory_of_constructed_ones(tag: str) -> None:
+    # an object filled through __dict__ loses CPython's shared-key instance
+    # dict and holds about 120 bytes more per event
+    n = 2000
+    records = [dict(WELL_FORMED[tag], t_ms=i) for i in range(n)]
+    for decode in (event_from_record, event_from_record_reference):
+        _traced_bytes(decode, records[:10])  # first calls fill the interpreter's caches
+    direct = _traced_bytes(event_from_record, records)
+    constructed = _traced_bytes(event_from_record_reference, records)
+    assert abs(direct - constructed) <= 4 * n
 
 
 def test_default_config_is_valid() -> None:
