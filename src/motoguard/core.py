@@ -351,15 +351,18 @@ def _decoder(cls: type) -> tuple:
 _DECODERS = {tag: _decoder(cls) for tag, cls in _SENSOR_TAGS.items()}
 
 # Each record field's contract as the payload constructors check it: (exact
-# type, lowest, highest), both ends inclusive. The float bounds are finite, so
-# lo <= x <= hi also rejects nan and +-inf; every bool lies in False..True.
-_NON_NEGATIVE = (float, 0.0, sys.float_info.max)
-_BOOL = (bool, False, True)
+# type, the other exact type taken, lowest, highest), both ends inclusive. A
+# float field also takes an int, stored unchanged as the constructors store
+# it; the float is tested first, so a float record pays nothing for that. The
+# bounds are finite, so lo <= x <= hi also rejects nan, +-inf and an int too
+# large for a float; every bool lies in False..True.
+_NON_NEGATIVE = (float, int, 0.0, sys.float_info.max)
+_BOOL = (bool, bool, False, True)
 _FIELD_RULES = {
     "range_m": _NON_NEGATIVE, "b_ut": _NON_NEGATIVE, "detected": _BOOL,
     "ethanol_ppm": _NON_NEGATIVE, "co_ppm": _NON_NEGATIVE, "lpg_ppm": _NON_NEGATIVE,
-    "angle_deg": (float, 0.0, 180.0),
-    "lat_deg": (float, -90.0, 90.0), "lon_deg": (float, -180.0, 180.0),
+    "angle_deg": (float, int, 0.0, 180.0),
+    "lat_deg": (float, int, -90.0, 90.0), "lon_deg": (float, int, -180.0, 180.0),
     "speed_kph": _NON_NEGATIVE, "valid": _BOOL,
     "on": _BOOL, "authorized": _BOOL, "volts": _NON_NEGATIVE,
 }
@@ -399,14 +402,14 @@ def _direct(build, names: tuple, keys: frozenset, values) -> Callable[[dict], Se
     field meets its _FIELD_RULES entry; None for any other record."""
     if len(names) == 1:  # all but gas and gps, so nearly every record: no loops
         (name,) = names
-        kind, lo, hi = _FIELD_RULES[name]
+        kind, also, lo, hi = _FIELD_RULES[name]
 
         def direct(rec: dict) -> SensorEvent | None:
             # a missing key reads None, which no rule accepts, so three keys
             # that pass are exactly "sensor", "t_ms" and `name`
             t_ms, value = rec.get("t_ms"), rec.get(name)
             if not (len(rec) == 3 and type(t_ms) is int and t_ms >= 0
-                    and type(value) is kind and lo <= value <= hi):
+                    and (type(value) is kind or type(value) is also) and lo <= value <= hi):
                 return None
             payload = _new(build)
             _set(payload, name, value)
@@ -425,8 +428,8 @@ def _direct(build, names: tuple, keys: frozenset, values) -> Callable[[dict], Se
         t_ms, field_values = rec["t_ms"], values(rec)
         if not (type(t_ms) is int and t_ms >= 0):
             return None
-        for value, (kind, lo, hi) in zip(field_values, rules):
-            if not (type(value) is kind and lo <= value <= hi):
+        for value, (kind, also, lo, hi) in zip(field_values, rules):
+            if not ((type(value) is kind or type(value) is also) and lo <= value <= hi):
                 return None
         event = _new(SensorEvent)
         _set(event, "t_ms", t_ms)
@@ -568,7 +571,9 @@ def apply_overrides(cfg: ControllerConfig, overrides: dict) -> ControllerConfig:
 def parse_config_text(text: str) -> dict:
     """Parse flat key=value lines ('#' starts a comment) into an override map."""
     overrides: dict = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    # only LF ends a line, as in scenario files: splitlines() would also break
+    # a comment at U+2028 and the like; strip() below drops a stray CR
+    for line_no, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

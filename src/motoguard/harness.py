@@ -263,9 +263,69 @@ def _record_to_obj(rec: LogRecord) -> dict:
     return {"t_ms": rec.t_ms, "type": "mode", "mode": rec.mode.value}
 
 
+# The fixed-shape lines below are json.dumps(_record_to_obj(rec)) written as
+# templates: the same key order and separators, strings through the encoder
+# json.dumps itself uses, and every enum value and action tag rendered once
+# here by json.dumps.
+_encode_str = json.encoder.encode_basestring_ascii
+_JSON_BOOL = (json.dumps(False), json.dumps(True))
+_KIND_JSON = {kind: json.dumps(kind.value) for kind in AlertKind}
+_SEVERITY_JSON = {sev: json.dumps(sev.label) for sev in Severity}
+_MODE_JSON = {mode: json.dumps(mode.value) for mode in Mode}
+_SMS_ACTION_JSON = json.dumps(_ACTION_TAGS[SmsSend])
+
+
+def _flag_shape(cls: type) -> tuple[str, str]:
+    """A one-flag action class's flag name, and its line text from the action
+    tag up to the flag's value."""
+    (flag,) = cls.__match_args__
+    return flag, f"{json.dumps(_ACTION_TAGS[cls])}, {json.dumps(flag)}: "
+
+
+_FLAG_ACTIONS = {cls: _flag_shape(cls) for cls in (Buzzer, IgnitionInhibit, SolenoidLock)}
+
+
 def log_to_jsonl(log: EventLog) -> str:
-    """Canonical one-record-per-line rendering; byte-stable across runs."""
-    return "\n".join(json.dumps(_record_to_obj(r)) for r in log.records) + "\n"
+    """Canonical one-record-per-line rendering; byte-stable across runs.
+
+    A record of an exact log class whose fields all have their exact types
+    takes its shape's template; any other goes through json.dumps."""
+    lines: list[str] = []
+    append = lines.append
+    for rec in log.records:
+        cls = type(rec)
+        if cls is Alert:
+            t_ms, kind, severity, message = rec.t_ms, rec.kind, rec.severity, rec.message
+            if (type(t_ms) is int and type(kind) is AlertKind
+                    and type(severity) is Severity and type(message) is str):
+                append(f'{{"t_ms": {t_ms}, "type": "alert", "kind": {_KIND_JSON[kind]}, '
+                       f'"severity": {_SEVERITY_JSON[severity]}, '
+                       f'"message": {_encode_str(message)}}}')
+                continue
+        elif cls is ActuatorCommand:
+            t_ms, action = rec.t_ms, rec.action
+            if type(t_ms) is int:
+                shape = _FLAG_ACTIONS.get(type(action))
+                if shape is not None:
+                    flag = getattr(action, shape[0])
+                    if type(flag) is bool:
+                        append(f'{{"t_ms": {t_ms}, "type": "command", "action": '
+                               f'{shape[1]}{_JSON_BOOL[flag]}}}')
+                        continue
+                elif type(action) is SmsSend:
+                    to, body = action.to, action.body
+                    if type(to) is str and type(body) is str:
+                        append(f'{{"t_ms": {t_ms}, "type": "command", "action": '
+                               f'{_SMS_ACTION_JSON}, "to": {_encode_str(to)}, '
+                               f'"body": {_encode_str(body)}}}')
+                        continue
+        elif cls is ModeChange:
+            t_ms, mode = rec.t_ms, rec.mode
+            if type(t_ms) is int and type(mode) is Mode:
+                append(f'{{"t_ms": {t_ms}, "type": "mode", "mode": {_MODE_JSON[mode]}}}')
+                continue
+        append(json.dumps(_record_to_obj(rec)))
+    return "\n".join(lines) + "\n"
 
 
 # --- expected-label matching and metrics ----------------------------------

@@ -2,8 +2,9 @@
 
 Each detector oracle recomputes the expected trigger positions from the
 whole trace at once, with no incremental state, so a disagreement points at
-the package's state machines rather than at a shared bug. The matcher and
-decoding oracles are the plain, slower forms of the package's fast paths.
+the package's state machines rather than at a shared bug. The matcher,
+decoding and log serializer oracles are the plain, slower forms of the
+package's fast paths.
 """
 
 from __future__ import annotations
@@ -15,10 +16,11 @@ from dataclasses import fields
 from functools import reduce
 from operator import itemgetter, xor
 
-from motoguard.core import (Auth, ContractViolation, ControllerConfig, GasReading, GeoPoint,
-                            GpsFix, Ignition, LidarRange, MagField, PirMotion, SensorEvent,
-                            SupplyVoltage, Tilt, event_from_record)
-from motoguard.harness import SchemaError
+from motoguard.core import (ActuatorCommand, Alert, Auth, Buzzer, ContractViolation,
+                            ControllerConfig, GasReading, GeoPoint, GpsFix, Ignition,
+                            IgnitionInhibit, LidarRange, MagField, PirMotion, SensorEvent,
+                            SmsSend, SolenoidLock, SupplyVoltage, Tilt, event_from_record)
+from motoguard.harness import EventLog, LogRecord, SchemaError
 from motoguard.nmea import (MAX_SENTENCE_CHARS, ChecksumMismatch, MalformedNumber,
                             MissingField, ParseError, RmcData, UnsupportedSentence)
 
@@ -218,6 +220,28 @@ def event_from_record_reference(rec: dict) -> SensorEvent:
             raise ContractViolation(f"unexpected fields: {', '.join(unexpected)}")
     payload = build(*values(rec)) if len(names) > 1 else build(values(rec))
     return SensorEvent(rec.get("t_ms"), payload)
+
+
+# --- the event log serializer, as it was before the per-shape templates: every
+# record goes through a dict and json.dumps
+
+_ACTION_TAGS = {Buzzer: "buzzer", IgnitionInhibit: "ignition_inhibit",
+                SolenoidLock: "solenoid_lock", SmsSend: "sms_send"}
+
+
+def _record_to_obj(rec: LogRecord) -> dict:
+    if isinstance(rec, Alert):
+        return {"t_ms": rec.t_ms, "type": "alert", "kind": rec.kind.value,
+                "severity": rec.severity.label, "message": rec.message}
+    if isinstance(rec, ActuatorCommand):
+        return {"t_ms": rec.t_ms, "type": "command",
+                "action": _ACTION_TAGS[type(rec.action)], **vars(rec.action)}
+    return {"t_ms": rec.t_ms, "type": "mode", "mode": rec.mode.value}
+
+
+def log_to_jsonl_reference(log: EventLog) -> str:
+    """Canonical one-record-per-line rendering; byte-stable across runs."""
+    return "\n".join(json.dumps(_record_to_obj(r)) for r in log.records) + "\n"
 
 
 # --- the field-by-field RMC parser, as it was before the one-pattern accept path

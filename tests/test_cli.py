@@ -177,6 +177,21 @@ def test_simulate_honors_config_overrides(corpus_dir: Path, tmp_path: Path, caps
     assert "alcohol_lockout" not in lenient_out
 
 
+@pytest.mark.parametrize("sep", SPLITLINES_ONLY, ids=[f"{ord(c):x}" for c in SPLITLINES_ONLY])
+def test_config_file_splits_lines_only_at_lf(sep: str, corpus_dir: Path, tmp_path: Path,
+                                             capsys) -> None:
+    # a comment keeps its separator, and CR LF line ends read as LF
+    cfg = tmp_path / "note.cfg"
+    scenario = str(corpus_dir / "breath_lockout.jsonl")
+    cfg.write_bytes(f"# rider note{sep}second line of the note\r\n"
+                    "ethanol_lockout_ppm = 450\r\n".encode())
+    assert main(["simulate", "--scenario", scenario, "--config", str(cfg)]) == 0
+    assert "alcohol_lockout" not in capsys.readouterr().out
+    cfg.write_bytes(f"# rider note{sep}second line of the note\r\nbogus = 1\r\n".encode())
+    assert main(["simulate", "--scenario", scenario, "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == "error: bad config: line 2: unknown key 'bogus'\n"
+
+
 # --- eval ------------------------------------------------------------------
 
 def test_eval_full_corpus_passes(corpus_dir: Path, tmp_path: Path, capsys) -> None:

@@ -249,6 +249,13 @@ WELL_FORMED = {
     "tilt_180": rec("tilt", angle_deg=180.0),
     "gps_north_east": rec("gps", **dict(GPS, lat_deg=90.0, lon_deg=180.0)),
     "gps_south_west": rec("gps", **dict(GPS, lat_deg=-90.0, lon_deg=-180.0, valid=False)),
+    # integer values, which JSON writers that drop ".0" produce
+    "lidar_int": rec("lidar", range_m=12),
+    "mag_int_zero": rec("mag", b_ut=0),
+    "gas_ints": rec("gas", ethanol_ppm=12, co_ppm=0, lpg_ppm=300.5),
+    "tilt_int_180": rec("tilt", angle_deg=180),
+    "gps_ints": rec("gps", lat_deg=-90, lon_deg=180, speed_kph=30, valid=True),
+    "supply_largest_float_as_int": rec("supply", volts=int(MAX)),
 }
 
 
@@ -339,6 +346,18 @@ def sensor_records(draw) -> object:
 @example(rec("tilt", angle_deg=180.00000000000003))
 @example(rec("lidar", range_m=3))
 @example(rec("gps", **dict(GPS, speed_kph=30)))
+@example(rec("lidar", range_m=0))
+@example(rec("lidar", range_m=-1))
+@example(rec("mag", b_ut=10**400))
+@example(rec("supply", volts=int(MAX)))
+@example(rec("supply", volts=int(MAX) + 1))
+@example(rec("gas", ethanol_ppm=1, co_ppm=0, lpg_ppm=-1))
+@example(rec("tilt", angle_deg=180))
+@example(rec("tilt", angle_deg=181))
+@example(rec("gps", **dict(GPS, lat_deg=-90, lon_deg=180)))
+@example(rec("gps", **dict(GPS, lat_deg=91)))
+@example(rec("gps", **dict(GPS, lon_deg=-181)))
+@example(rec("lidar", range_m=_Level.TWO))
 @example(rec("lidar", range_m=True))
 @example(rec("pir", detected=1))
 @example(rec("mag", b_ut=_Float(2.5)))

@@ -1,13 +1,17 @@
 from __future__ import annotations
 
 import json
+from functools import partial
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from motoguard.core import (AlertKind, Auth, GasReading, GpsFix, GeoPoint, Ignition,
-                            PirMotion, SensorEvent, SmsSend, ValidationError, severity_of)
+from motoguard import harness
+from motoguard.core import (ActuatorCommand, AlertKind, Auth, Buzzer, GasReading, GpsFix,
+                            GeoPoint, Ignition, IgnitionInhibit, LidarRange, PirMotion,
+                            SensorEvent, Severity, SmsSend, SolenoidLock, ValidationError,
+                            _bare, severity_of)
 from motoguard.controller import Mode
 from motoguard.harness import (Alert, CaseResult, ConfusionMatrix, EventLog,
                                ExpectedLabel, ModeChange, Scenario, SchemaError,
@@ -15,7 +19,7 @@ from motoguard.harness import (Alert, CaseResult, ConfusionMatrix, EventLog,
                                dumps_scenario, error_rate, evaluate_scenarios, load_scenario,
                                loads_scenario, log_to_jsonl, match_alerts, render_report,
                                report_json, run, save_scenario)
-from oracles import greedy_match, json_lines_reference
+from oracles import greedy_match, json_lines_reference, log_to_jsonl_reference
 
 HEADER = '{"name": "t"}'
 
@@ -227,6 +231,106 @@ def test_log_record_shapes() -> None:
                         "engaged": True}
     sms = json.loads(lines[4])
     assert sms["action"] == "sms_send" and sms["to"] == "+639171234567"
+
+
+# --- log serialization: the per-shape templates agree with json.dumps ---------
+
+class _Int(int):
+    """An int whose own text differs from its value's: json.dumps writes the
+    value, so a template that took the subclass would show."""
+
+    def __repr__(self) -> str:
+        return "_Int"
+
+    __str__ = __repr__
+
+    def __format__(self, spec: str) -> str:
+        return "_Int"
+
+
+class _Str(str):
+    pass
+
+
+# a quote, a backslash, control characters, U+2028, non-ASCII text, a lone
+# surrogate and an escaped pair: no golden log holds any of them. An SmsSend
+# holding them is built by _bare, past the check on its number.
+ODD_TEXTS = ['"', "\\", "\x00\x08\t\n\x1f\x7f", "\u2028", "caf\u00e9 \u2713 \U0001d11e", "\ud800",
+             'a"b\\c\u2028d\udc00']
+
+texts = st.one_of(st.text(st.characters(exclude_categories=())), st.sampled_from(ODD_TEXTS))
+log_times = st.one_of(st.integers(0, 10**13), st.integers(0, 10**6).map(_Int))
+flags = st.one_of(st.booleans(), st.sampled_from([0, 1]))
+log_records = st.one_of(
+    st.builds(Alert, log_times, st.sampled_from(AlertKind), st.sampled_from(Severity),
+              st.one_of(texts, texts.map(_Str))),
+    st.builds(ActuatorCommand, log_times, st.one_of(
+        st.builds(Buzzer, flags), st.builds(IgnitionInhibit, flags),
+        st.builds(SolenoidLock, flags), st.builds(partial(_bare, SmsSend), texts, texts))),
+    st.builds(ModeChange, log_times, st.sampled_from(Mode)),
+)
+
+
+def _render_outcome(render, log: EventLog) -> tuple:
+    try:
+        return "text", render(log)
+    except Exception as exc:  # the exception type and text are part of the contract
+        return type(exc), str(exc)
+
+
+@settings(max_examples=500)
+@given(st.lists(log_records, max_size=8).map(EventLog))
+@example(EventLog([]))
+@example(EventLog([Alert(0, AlertKind.CRASH, Severity.HIGH, text) for text in ODD_TEXTS]))
+@example(EventLog([ActuatorCommand(0, _bare(SmsSend, text, "ok")) for text in ODD_TEXTS]))
+@example(EventLog([ActuatorCommand(0, _bare(SmsSend, "+639171234567", text))
+                   for text in ODD_TEXTS]))
+@example(EventLog([Alert(_Int(5), AlertKind.THEFT, Severity.HIGH, "t"),
+                   ActuatorCommand(_Int(5), Buzzer(True)),
+                   ActuatorCommand(_Int(5), SmsSend("+639171234567", "b")),
+                   ModeChange(_Int(5), Mode.RIDING)]))
+@example(EventLog([Alert(0, AlertKind.GAS_LEAK, Severity.HIGH, _Str("leak")),
+                   ActuatorCommand(0, _bare(SmsSend, _Str("+639171234567"), "b")),
+                   ActuatorCommand(0, _bare(SmsSend, "+639171234567", _Str("b")))]))
+@example(EventLog([ActuatorCommand(0, Buzzer(1)), ActuatorCommand(0, IgnitionInhibit(0)),
+                   ActuatorCommand(0, SolenoidLock(1)), ActuatorCommand(0, SolenoidLock(0))]))
+@example(EventLog([Alert(0, AlertKind.BEACON, Severity.HIGH, "b"),
+                   Alert(0, AlertKind.CRASH, Severity.LOW, "c")]))
+@example(EventLog([ActuatorCommand(0, Buzzer(on=False)),
+                   ActuatorCommand(0, SolenoidLock(engaged=False))]))
+@example(EventLog([ModeChange(True, Mode.PARKED), ModeChange(0, "parked")]))
+@example(EventLog([Alert(0, "crash", Severity.HIGH, "c")]))
+@example(EventLog([Alert(0, AlertKind.CRASH, 3, "c")]))
+@example(EventLog([ActuatorCommand(0, None)]))
+@example(EventLog([Alert(0, AlertKind.CRASH, Severity.HIGH, None)]))
+@example(EventLog([ActuatorCommand(0, _bare(SmsSend, 639171234567, "b"))]))
+@example(EventLog([ActuatorCommand(0, _bare(SmsSend, "+639171234567", None))]))
+@example(EventLog([Alert(10**5000, AlertKind.CRASH, Severity.HIGH, "c")]))
+def test_log_to_jsonl_agrees_with_json_dumps(log: EventLog) -> None:
+    assert _render_outcome(log_to_jsonl, log) == _render_outcome(log_to_jsonl_reference, log)
+
+
+def _fallback_reached(rec) -> dict:
+    raise AssertionError(f"json.dumps fallback reached for {rec!r}")
+
+
+def test_emitted_records_skip_the_fallback(corpus_dir: Path, monkeypatch) -> None:
+    # a closing target with a 1 ms cooldown: an alert, a buzzer and an SMS per sample
+    closing = [ev(3000 + 100 * i, LidarRange(40.0 - i)) for i in range(40)]
+    storm = Scenario(name="storm", config={"sms_cooldown_ms": 1},
+                     events=preamble() + [ev(2500, GpsFix(GeoPoint(14.6, 121.0), 60.0, True)),
+                                          *closing])
+    logs = [run(load_scenario(path)) for path in sorted(corpus_dir.glob("*.jsonl"))]
+    logs.append(run(storm))
+    want = [log_to_jsonl_reference(log) for log in logs]
+    shapes = {(obj["type"], obj.get("action")) for text in want
+              for obj in map(json.loads, text.splitlines())}
+    assert shapes == {("alert", None), ("mode", None), ("command", "buzzer"),
+                      ("command", "ignition_inhibit"), ("command", "solenoid_lock"),
+                      ("command", "sms_send")}
+    assert len(logs) == 23 and want[-1].count('"sms_send"') > 10
+    monkeypatch.setattr(harness, "_record_to_obj", _fallback_reached)
+    assert [log_to_jsonl(log) for log in logs] == want
 
 
 def test_header_config_overrides_apply() -> None:
