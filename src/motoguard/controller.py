@@ -31,6 +31,13 @@ class Mode(str, Enum):
     THEFT_SUSPECTED = "theft_suspected"
 
 
+# every (from, to) mode change step can make; README's "Modes" table lists the same
+MODE_EDGES = frozenset({(Mode.PARKED, Mode.PRE_RIDE), (Mode.PARKED, Mode.THEFT_SUSPECTED),
+                        (Mode.PRE_RIDE, Mode.PARKED), (Mode.PRE_RIDE, Mode.RIDING),
+                        (Mode.RIDING, Mode.PARKED), (Mode.RIDING, Mode.CRASH_SUSPECTED),
+                        (Mode.CRASH_SUSPECTED, Mode.PARKED), (Mode.THEFT_SUSPECTED, Mode.PARKED)})
+
+
 @dataclass(frozen=True)
 class PendingSms:
     to: str
@@ -129,158 +136,188 @@ def _crash_sms_text(fix: GpsFix | None, t_ms: int) -> str:
     return f"CRASH {fix.point.lat_deg:.6f},{fix.point.lon_deg:.6f} t={t_ms}"
 
 
-def step(cfg: ControllerConfig, state: ControllerState, t_ms: int,
-         events: list[SensorEvent]) -> tuple[ControllerState, list[Alert], list[ActuatorCommand]]:
-    """Process all events stamped t_ms and return the follow-on state/outputs."""
+def _emit(cfg: ControllerConfig, s: ControllerState, t_ms: int, trigger: Trigger,
+          alerts: list[Alert], commands: list[ActuatorCommand]) -> None:
+    s.router, alert, cmds = route(s.router, trigger, t_ms, cfg)
+    if alert is not None:
+        alerts.append(alert)
+    commands.extend(cmds)
+
+
+def _theft_sync(cfg: ControllerConfig, s: ControllerState, t_ms: int,
+                alerts: list[Alert], commands: list[ActuatorCommand]) -> None:
+    # evaluate arming against the latest fix on a new fix or an ignition/auth change
+    if s.last_fix is None or s.mode not in (Mode.PARKED, Mode.THEFT_SUSPECTED):
+        return
+    s.theft, triggers = theft_step(s.theft, s.last_fix, s.ignition_on, s.authorized, t_ms, cfg)
+    for trig in triggers:
+        _emit(cfg, s, t_ms, trig, alerts, commands)
+        if trig.kind is AlertKind.THEFT and s.mode is Mode.PARKED:
+            s.mode = Mode.THEFT_SUSPECTED
+
+
+def _overtake_eval(cfg: ControllerConfig, s: ControllerState, t_ms: int,
+                   alerts: list[Alert], commands: list[ActuatorCommand]) -> None:
+    side = s.mag.consecutive_deviant >= cfg.mag_persist_samples
+    rear = s.collision.last_ttc_s
+    unsafe = overtake_assist(rear, side, cfg)
+    if unsafe and not s.overtake_unsafe:
+        rear_text = f"{rear:.2f}s" if rear is not None else "none"
+        _emit(cfg, s, t_ms, Trigger(AlertKind.OVERTAKE_UNSAFE,
+                                    f"OVERTAKE UNSAFE side_vehicle={'yes' if side else 'no'} "
+                                    f"rear_ttc={rear_text}"), alerts, commands)
+    s.overtake_unsafe = unsafe
+
+
+# One handler per payload class: handler(cfg, state, t_ms, payload, alerts,
+# commands) applies one event to state in place and appends its outputs.
+
+def _on_auth(cfg, s, t_ms, p: Auth, alerts, commands) -> None:
+    s.authorized = p.authorized
+    if p.authorized:
+        s.theft = TheftState()
+        if s.mode in (Mode.CRASH_SUSPECTED, Mode.THEFT_SUSPECTED):
+            s.mode = Mode.PARKED
+    else:
+        if s.mode is Mode.PRE_RIDE:
+            # revoked before the window closed: end it as a failed
+            # check does. A moving bike in RIDING keeps its ignition.
+            s.mode = Mode.PARKED
+            s.preride_start_ms = None
+            s.preride_peak = None
+            commands.append(ActuatorCommand(t_ms, IgnitionInhibit(on=True)))
+        _theft_sync(cfg, s, t_ms, alerts, commands)
+
+
+def _on_ignition(cfg, s, t_ms, p: Ignition, alerts, commands) -> None:
+    s.ignition_on = p.on
+    if p.on:
+        if s.mode is Mode.PARKED and s.authorized:
+            s.mode = Mode.PRE_RIDE
+            s.preride_start_ms = t_ms
+            s.preride_peak = None
+        elif s.mode in (Mode.PARKED, Mode.THEFT_SUSPECTED) and not s.authorized:
+            commands.append(ActuatorCommand(t_ms, SolenoidLock(engaged=True)))
+            _emit(cfg, s, t_ms, Trigger(AlertKind.THEFT, "THEFT unauthorized ignition attempt"),
+                  alerts, commands)
+            s.mode = Mode.THEFT_SUSPECTED
+    else:
+        if s.mode in (Mode.PRE_RIDE, Mode.RIDING):
+            s.mode = Mode.PARKED
+            s.preride_start_ms = None
+            s.preride_peak = None
+        _theft_sync(cfg, s, t_ms, alerts, commands)
+
+
+def _on_gas(cfg, s, t_ms, p: GasReading, alerts, commands) -> None:
+    if s.mode is Mode.PRE_RIDE:
+        # the verdict only reads per-gas peaks, so a running peak is all the
+        # window needs to keep
+        peak = p if s.preride_peak is None else s.preride_peak
+        s.preride_peak = GasReading(max(peak.ethanol_ppm, p.ethanol_ppm),
+                                    max(peak.co_ppm, p.co_ppm), max(peak.lpg_ppm, p.lpg_ppm))
+        if t_ms - s.preride_start_ms >= cfg.preride_window_ms:
+            faults = preride_faults(s.preride_peak, cfg)
+            s.mode = Mode.PARKED if faults else Mode.RIDING
+            commands.append(ActuatorCommand(t_ms, IgnitionInhibit(on=bool(faults))))
+            for fault in faults:
+                _emit(cfg, s, t_ms, fault, alerts, commands)
+            if not faults:
+                # new ride: per-ride detector state must not leak across rides
+                s.collision = CollisionState()
+                s.crash = CrashState()
+                s.overspeed_active = False
+                s.overtake_unsafe = False
+            s.preride_start_ms = None
+            s.preride_peak = None
+
+
+def _on_lidar(cfg, s, t_ms, p: LidarRange, alerts, commands) -> None:
+    if s.mode is Mode.RIDING:
+        s.collision, trig = collision_step(s.collision, p.range_m, t_ms, cfg)
+        if trig is not None:
+            _emit(cfg, s, t_ms, trig, alerts, commands)
+        _overtake_eval(cfg, s, t_ms, alerts, commands)
+
+
+def _on_mag(cfg, s, t_ms, p: MagField, alerts, commands) -> None:
+    # calibration accrues in every mode; proximity only matters riding
+    s.mag, trig = mag_step(s.mag, p.b_ut, cfg)
+    if s.mode is Mode.RIDING:
+        if trig is not None:
+            _emit(cfg, s, t_ms, trig, alerts, commands)
+        _overtake_eval(cfg, s, t_ms, alerts, commands)
+
+
+def _on_pir(cfg, s, t_ms, p: PirMotion, alerts, commands) -> None:
+    if s.mode is Mode.RIDING:
+        trig = hazard_step(p.detected, _speed_kph(s.last_fix), cfg)
+        if trig is not None:
+            _emit(cfg, s, t_ms, trig, alerts, commands)
+
+
+def _on_tilt(cfg, s, t_ms, p: Tilt, alerts, commands) -> None:
+    if s.mode is Mode.RIDING:
+        s.crash, fired = crash_step(s.crash, p.angle_deg, _speed_kph(s.last_fix), t_ms, cfg)
+        if fired:
+            _emit(cfg, s, t_ms, Trigger(AlertKind.CRASH, _crash_sms_text(s.last_fix, t_ms)),
+                  alerts, commands)
+            s.mode = Mode.CRASH_SUSPECTED
+
+
+def _on_fix(cfg, s, t_ms, p: GpsFix, alerts, commands) -> None:
+    if p.valid:
+        s.last_fix = p
+        if s.mode is Mode.RIDING:
+            s.overspeed_active, trig = overspeed_step(s.overspeed_active, p.speed_kph, cfg)
+            if trig is not None:
+                _emit(cfg, s, t_ms, trig, alerts, commands)
+        else:
+            _theft_sync(cfg, s, t_ms, alerts, commands)
+
+
+def _on_voltage(cfg, s, t_ms, p: SupplyVoltage, alerts, commands) -> None:
+    if p.volts < cfg.undervoltage_v:
+        _emit(cfg, s, t_ms, Trigger(AlertKind.UNDERVOLTAGE, f"UNDERVOLTAGE {p.volts:.1f}V "
+                                    f"limit={cfg.undervoltage_v:.1f}V"), alerts, commands)
+
+
+_HANDLERS = {Auth: _on_auth, Ignition: _on_ignition, GasReading: _on_gas,
+             LidarRange: _on_lidar, MagField: _on_mag, PirMotion: _on_pir, Tilt: _on_tilt,
+             GpsFix: _on_fix, SupplyVoltage: _on_voltage}
+
+
+def _inherited(cls: type):
+    """The handler of a payload subclass's nearest payload base, as an isinstance
+    chain picks it; None for an object of no payload class, which is ignored."""
+    return next((_HANDLERS[base] for base in cls.__mro__ if base in _HANDLERS), None)
+
+
+def advance(cfg: ControllerConfig, state: ControllerState, t_ms: int,
+            events: list[SensorEvent]) -> tuple[list[Alert], list[ActuatorCommand]]:
+    """Apply all events stamped t_ms to state, which the caller owns, in place."""
     check_t_ms(t_ms)
     if state.last_t_ms is not None and t_ms < state.last_t_ms:
         raise ContractViolation(f"step at t={t_ms} after t={state.last_t_ms}")
     for ev in events:
         if ev.t_ms != t_ms:
             raise ContractViolation(f"event stamped {ev.t_ms} passed to step at t={t_ms}")
-
-    # a shallow copy keeps step pure: every field is either immutable or
-    # reassigned below, never mutated in place
-    work = object.__new__(ControllerState)
-    work.__dict__.update(state.__dict__)
     alerts: list[Alert] = []
     commands: list[ActuatorCommand] = []
-
-    def emit(trigger: Trigger) -> Alert | None:
-        rs, alert, cmds = route(work.router, trigger, t_ms, cfg)
-        work.router = rs
-        if alert is not None:
-            alerts.append(alert)
-        commands.extend(cmds)
-        return alert
-
-    def theft_sync() -> None:
-        # evaluate arming against the latest fix on a new fix or an ignition/auth change
-        if work.last_fix is None or work.mode not in (Mode.PARKED, Mode.THEFT_SUSPECTED):
-            return
-        work.theft, triggers = theft_step(work.theft, work.last_fix, work.ignition_on,
-                                          work.authorized, t_ms, cfg)
-        for trig in triggers:
-            emit(trig)
-            if trig.kind is AlertKind.THEFT and work.mode is Mode.PARKED:
-                work.mode = Mode.THEFT_SUSPECTED
-
-    def overtake_eval() -> None:
-        side = work.mag.consecutive_deviant >= cfg.mag_persist_samples
-        rear = work.collision.last_ttc_s
-        unsafe = overtake_assist(rear, side, cfg)
-        if unsafe and not work.overtake_unsafe:
-            rear_text = f"{rear:.2f}s" if rear is not None else "none"
-            emit(Trigger(AlertKind.OVERTAKE_UNSAFE,
-                         f"OVERTAKE UNSAFE side_vehicle={'yes' if side else 'no'} "
-                         f"rear_ttc={rear_text}"))
-        work.overtake_unsafe = unsafe
-
     for ev in events:
         p = ev.payload
+        handler = _HANDLERS.get(type(p)) or _inherited(type(p))
+        if handler is not None:
+            handler(cfg, state, t_ms, p, alerts, commands)
+    state.last_t_ms = t_ms
+    return alerts, commands
 
-        if isinstance(p, Auth):
-            work.authorized = p.authorized
-            if p.authorized:
-                work.theft = TheftState()
-                if work.mode in (Mode.CRASH_SUSPECTED, Mode.THEFT_SUSPECTED):
-                    work.mode = Mode.PARKED
-            else:
-                if work.mode is Mode.PRE_RIDE:
-                    # revoked before the window closed: end it as a failed
-                    # check does. A moving bike in RIDING keeps its ignition.
-                    work.mode = Mode.PARKED
-                    work.preride_start_ms = None
-                    work.preride_peak = None
-                    commands.append(ActuatorCommand(t_ms, IgnitionInhibit(on=True)))
-                theft_sync()
 
-        elif isinstance(p, Ignition):
-            work.ignition_on = p.on
-            if p.on:
-                if work.mode is Mode.PARKED and work.authorized:
-                    work.mode = Mode.PRE_RIDE
-                    work.preride_start_ms = t_ms
-                    work.preride_peak = None
-                elif work.mode in (Mode.PARKED, Mode.THEFT_SUSPECTED) and not work.authorized:
-                    commands.append(ActuatorCommand(t_ms, SolenoidLock(engaged=True)))
-                    emit(Trigger(AlertKind.THEFT, "THEFT unauthorized ignition attempt"))
-                    work.mode = Mode.THEFT_SUSPECTED
-            else:
-                if work.mode in (Mode.PRE_RIDE, Mode.RIDING):
-                    work.mode = Mode.PARKED
-                    work.preride_start_ms = None
-                    work.preride_peak = None
-                theft_sync()
-
-        elif isinstance(p, GasReading):
-            if work.mode is Mode.PRE_RIDE:
-                # the verdict only reads per-gas peaks, so a running peak is
-                # all the window needs to keep
-                peak = p if work.preride_peak is None else work.preride_peak
-                work.preride_peak = GasReading(max(peak.ethanol_ppm, p.ethanol_ppm),
-                                               max(peak.co_ppm, p.co_ppm),
-                                               max(peak.lpg_ppm, p.lpg_ppm))
-                if t_ms - work.preride_start_ms >= cfg.preride_window_ms:
-                    faults = preride_faults(work.preride_peak, cfg)
-                    work.mode = Mode.PARKED if faults else Mode.RIDING
-                    commands.append(ActuatorCommand(t_ms, IgnitionInhibit(on=bool(faults))))
-                    for fault in faults:
-                        emit(fault)
-                    if not faults:
-                        # new ride: per-ride detector state must not leak across rides
-                        work.collision = CollisionState()
-                        work.crash = CrashState()
-                        work.overspeed_active = False
-                        work.overtake_unsafe = False
-                    work.preride_start_ms = None
-                    work.preride_peak = None
-
-        elif isinstance(p, LidarRange):
-            if work.mode is Mode.RIDING:
-                work.collision, trig = collision_step(work.collision, p.range_m, t_ms, cfg)
-                if trig is not None:
-                    emit(trig)
-                overtake_eval()
-
-        elif isinstance(p, MagField):
-            # calibration accrues in every mode; proximity only matters riding
-            work.mag, trig = mag_step(work.mag, p.b_ut, cfg)
-            if work.mode is Mode.RIDING:
-                if trig is not None:
-                    emit(trig)
-                overtake_eval()
-
-        elif isinstance(p, PirMotion):
-            if work.mode is Mode.RIDING:
-                trig = hazard_step(p.detected, _speed_kph(work.last_fix), cfg)
-                if trig is not None:
-                    emit(trig)
-
-        elif isinstance(p, Tilt):
-            if work.mode is Mode.RIDING:
-                work.crash, fired = crash_step(work.crash, p.angle_deg,
-                                               _speed_kph(work.last_fix), t_ms, cfg)
-                if fired:
-                    emit(Trigger(AlertKind.CRASH, _crash_sms_text(work.last_fix, t_ms)))
-                    work.mode = Mode.CRASH_SUSPECTED
-
-        elif isinstance(p, GpsFix):
-            if p.valid:
-                work.last_fix = p
-                if work.mode is Mode.RIDING:
-                    work.overspeed_active, trig = overspeed_step(
-                        work.overspeed_active, p.speed_kph, cfg)
-                    if trig is not None:
-                        emit(trig)
-                else:
-                    theft_sync()
-
-        elif isinstance(p, SupplyVoltage):
-            if p.volts < cfg.undervoltage_v:
-                emit(Trigger(AlertKind.UNDERVOLTAGE,
-                             f"UNDERVOLTAGE {p.volts:.1f}V "
-                             f"limit={cfg.undervoltage_v:.1f}V"))
-
-    work.last_t_ms = t_ms
+def step(cfg: ControllerConfig, state: ControllerState, t_ms: int,
+         events: list[SensorEvent]) -> tuple[ControllerState, list[Alert], list[ActuatorCommand]]:
+    """Process all events stamped t_ms and return the follow-on state/outputs."""
+    # a shallow copy keeps step pure: advance reassigns fields, never mutates them
+    work = object.__new__(ControllerState)
+    work.__dict__.update(state.__dict__)
+    alerts, commands = advance(cfg, work, t_ms, events)
     return work, alerts, commands

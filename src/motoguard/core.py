@@ -509,22 +509,22 @@ DEFAULT_CONFIG = ControllerConfig()
 # are numeric limits, and every str field is a phone number.
 _FIELD_KINDS: dict[str, type] = {f.name: type(f.default) for f in fields(ControllerConfig)}
 _KIND_TEXT = {int: "an integer", float: "a number", str: "a string"}
-
-
-def _fields_of(kind: type) -> list[str]:
-    return sorted(name for name, k in _FIELD_KINDS.items() if k is kind)
+# the fields of each kind in name order, the order validate_config reports them in
+_FLOAT_FIELDS, _INT_FIELDS, _STR_FIELDS = (
+    tuple(sorted(name for name, k in _FIELD_KINDS.items() if k is kind))
+    for kind in (float, int, str))
 
 
 def validate_config(cfg: ControllerConfig) -> list[tuple[str, str]]:
     """Return every violated constraint as (field, reason); empty means valid."""
     bad: list[tuple[str, str]] = []
-    for name in _fields_of(float):
+    for name in _FLOAT_FIELDS:
         v = getattr(cfg, name)
         if not _finite(v):
             bad.append((name, "must be a finite number"))
         elif v <= 0:
             bad.append((name, "must be > 0"))
-    for name in _fields_of(int):
+    for name in _INT_FIELDS:
         v = getattr(cfg, name)
         if not isinstance(v, int) or isinstance(v, bool):
             bad.append((name, "must be an integer"))
@@ -537,7 +537,7 @@ def validate_config(cfg: ControllerConfig) -> list[tuple[str, str]]:
         bad.append(("ethanol_lockout_ppm", "exceeds sensor range 500 ppm"))
     if _finite(cfg.crash_tilt_deg) and cfg.crash_tilt_deg > 180.0:
         bad.append(("crash_tilt_deg", "must be <= 180"))
-    for name in _fields_of(str):
+    for name in _STR_FIELDS:
         v = getattr(cfg, name)
         if not isinstance(v, str) or PHONE_PATTERN.fullmatch(v) is None:
             bad.append((name, "must match +?[0-9]{7,15}"))

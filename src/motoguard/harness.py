@@ -14,7 +14,7 @@ from itertools import groupby
 from operator import attrgetter
 from pathlib import Path
 
-from .controller import ControllerState, Mode, drain_sms, step
+from .controller import ControllerState, Mode, advance, drain_sms
 from .core import (Alert, ActuatorCommand, AlertKind, Buzzer, ContractViolation,
                    ControllerConfig, DEFAULT_CONFIG, IgnitionInhibit, SensorEvent,
                    Severity, SmsSend, SolenoidLock, ValidationError, VirtualClock,
@@ -236,7 +236,7 @@ def run(sc: Scenario, cfg: ControllerConfig = DEFAULT_CONFIG) -> EventLog:
         clock.advance_to(t_ms)
         before = state.mode
         try:
-            state, alerts, commands = step(merged, state, t_ms, list(group))
+            alerts, commands = advance(merged, state, t_ms, list(group))
         except ContractViolation as exc:
             raise ContractViolation(f"{sc.name}: at t={t_ms}: {exc}") from exc
         log.records.extend(alerts)

@@ -4,7 +4,8 @@ Each detector oracle recomputes the expected trigger positions from the
 whole trace at once, with no incremental state, so a disagreement points at
 the package's state machines rather than at a shared bug. The matcher,
 decoding and log serializer oracles are the plain, slower forms of the
-package's fast paths.
+package's fast paths, and the replay oracle is the loop that copies the
+controller state at every step.
 """
 
 from __future__ import annotations
@@ -14,13 +15,18 @@ import math
 import re
 from dataclasses import fields
 from functools import reduce
-from operator import itemgetter, xor
+from itertools import groupby
+from operator import attrgetter, itemgetter, xor
 
-from motoguard.core import (ActuatorCommand, Alert, Auth, Buzzer, ContractViolation,
-                            ControllerConfig, GasReading, GeoPoint, GpsFix, Ignition,
-                            IgnitionInhibit, LidarRange, MagField, PirMotion, SensorEvent,
-                            SmsSend, SolenoidLock, SupplyVoltage, Tilt, event_from_record)
-from motoguard.harness import EventLog, LogRecord, SchemaError
+from motoguard.controller import ControllerState, Mode, drain_sms, step
+from motoguard.core import (DEFAULT_CONFIG, ActuatorCommand, Alert, Auth, Buzzer,
+                            ContractViolation, ControllerConfig, GasReading, GeoPoint, GpsFix,
+                            Ignition, IgnitionInhibit, LidarRange, MagField, PirMotion,
+                            SensorEvent, SmsSend, SolenoidLock, SupplyVoltage, Tilt,
+                            ValidationError, VirtualClock, apply_overrides, event_from_record,
+                            require_valid_config)
+from motoguard.gsm import FakeModem, ModemClient
+from motoguard.harness import EventLog, LogRecord, ModeChange, Scenario, SchemaError
 from motoguard.nmea import (MAX_SENTENCE_CHARS, ChecksumMismatch, MalformedNumber,
                             MissingField, ParseError, RmcData, UnsupportedSentence)
 
@@ -220,6 +226,38 @@ def event_from_record_reference(rec: dict) -> SensorEvent:
             raise ContractViolation(f"unexpected fields: {', '.join(unexpected)}")
     payload = build(*values(rec)) if len(names) > 1 else build(values(rec))
     return SensorEvent(rec.get("t_ms"), payload)
+
+
+# --- the replay loop, as it was before it advanced its own state: the public,
+# pure step copies the controller state at every timestamp
+
+def run_reference(sc: Scenario, cfg: ControllerConfig = DEFAULT_CONFIG) -> EventLog:
+    """Replay a scenario against a fresh controller and compliant fake modem."""
+    try:
+        merged = require_valid_config(apply_overrides(cfg, sc.config))
+    except ValidationError as exc:
+        # a bad key the header sets is the scenario's fault; any other is cfg's
+        raise ValidationError([(f"{sc.name}: {name}" if name in sc.config else name, reason)
+                               for name, reason in exc.violations]) from exc
+    clock = VirtualClock()
+    modem = FakeModem(clock)
+    client = ModemClient(modem)
+    client.modem_init()
+    state = ControllerState()
+    log = EventLog([ModeChange(0, Mode.PARKED)])
+    for t_ms, group in groupby(sc.events, key=attrgetter("t_ms")):
+        clock.advance_to(t_ms)
+        before = state.mode
+        try:
+            state, alerts, commands = step(merged, state, t_ms, list(group))
+        except ContractViolation as exc:
+            raise ContractViolation(f"{sc.name}: at t={t_ms}: {exc}") from exc
+        log.records.extend(alerts)
+        log.records.extend(commands)
+        if state.mode is not before:
+            log.records.append(ModeChange(t_ms, state.mode))
+        state.router, _, _ = drain_sms(state.router, client)
+    return log
 
 
 # --- the event log serializer, as it was before the per-shape templates: every

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import ast
 import copy
+import dataclasses
 import random
 import re
+import typing
 from pathlib import Path
 
 import pytest
@@ -11,13 +14,17 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from motoguard.core import (ActuatorCommand, AlertKind, Auth, Buzzer, ContractViolation,
                             ControllerConfig, GasReading, GeoPoint, GpsFix, Ignition,
-                            IgnitionInhibit, LidarRange, PirMotion, SensorEvent,
-                            Severity, SmsSend, SolenoidLock, SupplyVoltage, Tilt,
-                            VirtualClock)
-from motoguard.controller import (SMS_QUEUE_MAX, ControllerState, Mode, PendingSms,
-                                  RouterState, drain_sms, route, step)
+                            IgnitionInhibit, LidarRange, MagField, Payload, PirMotion,
+                            SensorEvent, Severity, SmsSend, SolenoidLock, SupplyVoltage,
+                            Tilt, VirtualClock)
+from motoguard.controller import (_HANDLERS, MODE_EDGES, SMS_QUEUE_MAX, ControllerState,
+                                  Mode, PendingSms, RouterState, drain_sms, route, step)
 from motoguard.detectors import Trigger
 from motoguard.gsm import FakeModem, ModemClient, ModemPhase
+from motoguard.harness import Scenario, load_scenario, run
+from oracles import run_reference
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 CLEAN = GasReading(ethanol_ppm=0.0, co_ppm=0.0, lpg_ppm=0.0)
 HERE = GeoPoint(14.5995, 120.9842)
@@ -323,7 +330,7 @@ def test_replay_of_a_prefix_matches(cfg: ControllerConfig) -> None:
         (5000, [ev(5000, LidarRange(28.0))]),
     ]
 
-    def run(n: int):
+    def replay(n: int):
         state = ControllerState()
         outputs = []
         for t, events in script[:n]:
@@ -331,16 +338,91 @@ def test_replay_of_a_prefix_matches(cfg: ControllerConfig) -> None:
             outputs.append((alerts, commands))
         return state, outputs
 
-    full_state, full_out = run(len(script))
+    full_state, full_out = replay(len(script))
     for n in range(len(script) + 1):
-        state, outputs = run(n)
+        state, outputs = replay(n)
         assert outputs == full_out[:n]
     assert full_state.mode is Mode.RIDING
 
 
+def riding_at(cfg: ControllerConfig, speed: float) -> ControllerState:
+    state, _, _ = step(cfg, to_riding(cfg), 3000, [ev(3000, fix(speed=speed))])
+    return state
+
+
+def pre_ride(cfg: ControllerConfig) -> ControllerState:
+    state, _, _ = step(cfg, ControllerState(), 0, [ev(0, Auth(True)), ev(0, Ignition(True))])
+    return state
+
+
+# one case per payload class, each in a mode where the payload does work
+PURITY_CASES = {
+    "auth": (pre_ride, Auth(False)),
+    "ignition": (lambda cfg: ControllerState(), Ignition(True)),
+    "gas": (pre_ride, CLEAN),
+    "lidar": (lambda cfg: riding_at(cfg, 40.0), LidarRange(2.0)),
+    "mag": (lambda cfg: riding_at(cfg, 40.0), MagField(400.0)),
+    "pir": (lambda cfg: riding_at(cfg, 40.0), PirMotion(True)),
+    "tilt": (lambda cfg: riding_at(cfg, 0.0), Tilt(85.0)),
+    "fix": (lambda cfg: riding_at(cfg, 40.0), fix(speed=200.0)),
+    "voltage": (lambda cfg: ControllerState(), SupplyVoltage(5.0)),
+}
+
+
+@pytest.mark.parametrize("make,payload", PURITY_CASES.values(), ids=PURITY_CASES.keys())
+def test_step_keeps_every_input_field_identical(cfg: ControllerConfig, make,
+                                                payload) -> None:
+    state = make(cfg)
+    before = dict(vars(state))
+    new, _, _ = step(cfg, state, 10_000, [ev(10_000, payload)])
+    assert new is not state
+    assert vars(state).keys() == before.keys()
+    assert [name for name, value in vars(state).items() if value is not before[name]] == []
+
+
+# --- payload dispatch ------------------------------------------------------
+
+def test_every_payload_class_has_exactly_one_handler() -> None:
+    classes = typing.get_args(Payload)
+    assert len(classes) == 9
+    assert set(_HANDLERS) == set(classes)
+    assert len(set(_HANDLERS.values())) == len(classes)
+
+
+class LowVoltage(SupplyVoltage):
+    """A payload subclass the controller has no entry for."""
+
+
+def test_a_payload_subclass_takes_its_base_class_handler(cfg: ControllerConfig) -> None:
+    _, alerts, _ = step(cfg, ControllerState(), 0, [ev(0, LowVoltage(5.0))])
+    assert [a.kind for a in alerts] == [AlertKind.UNDERVOLTAGE]
+
+
+def test_an_object_of_no_payload_class_changes_only_the_clock(cfg: ControllerConfig) -> None:
+    state = riding_at(cfg, 40.0)
+    new, alerts, commands = step(cfg, state, 5000, [ev(5000, object()), ev(5000, "lidar")])
+    assert (alerts, commands) == ([], [])
+    assert new == dataclasses.replace(state, last_t_ms=5000)
+
+
+def nested_functions(source: str) -> dict[str, list[int]]:
+    """For each module-level function, the lines of the defs and lambdas inside it."""
+    return {node.name: [inner.lineno for stmt in node.body for inner in ast.walk(stmt)
+                        if isinstance(inner, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))]
+            for node in ast.parse(source).body if isinstance(node, ast.FunctionDef)}
+
+
+def test_step_and_advance_build_no_closure_per_call() -> None:
+    sample = "def step():\n    def emit(): pass\n    return lambda: emit\ndef other(): pass\n"
+    assert nested_functions(sample) == {"step": [2, 3], "other": []}
+    source = (REPO_ROOT / "src" / "motoguard" / "controller.py").read_text(encoding="utf-8")
+    found = nested_functions(source)
+    assert (found["step"], found["advance"]) == ([], [])
+
+
 # --- mode edges ------------------------------------------------------------
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+README = REPO_ROOT / "README.md"
 FAR = GeoPoint(14.6095, 120.9842)  # about 1.1 km north of HERE
 RANDOM_PAYLOADS = (
     lambda rng: Auth(rng.random() < 0.5),
@@ -361,8 +443,8 @@ def readme_mode_edges() -> set[tuple[Mode, Mode]]:
 
 
 def test_every_mode_change_is_a_readme_edge() -> None:
-    edges = readme_mode_edges()
-    assert len(edges) == 8
+    assert readme_mode_edges() == MODE_EDGES
+    assert len(MODE_EDGES) == 8
     # short windows and holds let a random stream reach every edge
     cfg = ControllerConfig(preride_window_ms=300, crash_hold_ms=300)
     rng = random.Random(1105)
@@ -375,9 +457,39 @@ def test_every_mode_change_is_a_readme_edge() -> None:
             before = state.mode
             state, _, _ = step(cfg, state, t_ms, [ev(t_ms, rng.choice(RANDOM_PAYLOADS)(rng))])
             if state.mode is not before:
-                assert (before, state.mode) in edges, f"{before.value} -> {state.mode.value}"
+                assert (before, state.mode) in MODE_EDGES, f"{before.value} -> {state.mode.value}"
                 seen.add((before, state.mode))
-    assert seen == edges  # the table lists no edge that step never takes
+    assert seen == MODE_EDGES  # the table lists no edge that step never takes
+
+
+# --- replay that advances its own state ------------------------------------
+
+def test_replay_matches_the_copying_loop_on_the_corpus() -> None:
+    paths = sorted((REPO_ROOT / "scenarios").glob("*.jsonl"))
+    assert len(paths) == 22
+    for path in paths:
+        sc = load_scenario(path)
+        assert run(sc) == run_reference(sc), path.name
+
+
+def test_replay_matches_the_copying_loop_on_random_streams() -> None:
+    payloads = RANDOM_PAYLOADS + (
+        lambda rng: MagField(rng.choice((50.0, 50.0, 400.0))),
+        lambda rng: PirMotion(rng.random() < 0.5),
+        lambda rng: SupplyVoltage(rng.choice((12.0, 24.0))),
+    )
+    # short windows reach every mode; a 1 ms cooldown queues many SMS and a
+    # 500 ms one suppresses repeats; a zero gap puts several events in one step
+    rng = random.Random(1111)
+    for _ in range(20):
+        config = {"preride_window_ms": 300, "crash_hold_ms": 300,
+                  "sms_cooldown_ms": rng.choice((1, 500))}
+        events, t_ms = [], 0
+        for _ in range(200):
+            t_ms += rng.choice((0, 0, 50, 100, 200))
+            events.append(ev(t_ms, rng.choice(payloads)(rng)))
+        sc = Scenario("random", config=config, events=events)
+        assert run(sc) == run_reference(sc)
 
 
 # --- alert router ----------------------------------------------------------
