@@ -38,14 +38,14 @@ MODE_EDGES = frozenset({(Mode.PARKED, Mode.PRE_RIDE), (Mode.PARKED, Mode.THEFT_S
                         (Mode.CRASH_SUSPECTED, Mode.PARKED), (Mode.THEFT_SUSPECTED, Mode.PARKED)})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PendingSms:
     to: str
     body: str
     severity: Severity
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RouterState:
     # route replaces this map on each emit and never mutates it, so a
     # RouterState can be shared between controller states
@@ -54,16 +54,19 @@ class RouterState:
     dropped_count: int = 0
 
 
-def _enqueue(rs: RouterState, msg: PendingSms) -> RouterState:
-    queue = rs.pending_sms + (msg,)
-    dropped = rs.dropped_count
+_BUZZER_ON = Buzzer(on=True)  # records are immutable, so every buzzer command shares it
+
+
+def _enqueue(queue: tuple[PendingSms, ...], dropped: int, msg: PendingSms) -> tuple[tuple, int]:
+    """The queue with msg appended, and the drop count after overflow."""
+    queue += (msg,)
     if len(queue) > SMS_QUEUE_MAX:
         # overflow policy: sacrifice the lowest-severity, oldest entry,
         # which may be the incoming message itself
         victim = min(range(len(queue)), key=lambda i: (queue[i].severity, i))
         queue = queue[:victim] + queue[victim + 1:]
         dropped += 1
-    return RouterState(rs.last_emit, queue, dropped)
+    return queue, dropped
 
 
 def route(rs: RouterState, trigger: Trigger, t_ms: int,
@@ -75,15 +78,15 @@ def route(rs: RouterState, trigger: Trigger, t_ms: int,
     sev = severity_of(trigger.kind)
     alert = Alert(t_ms, trigger.kind, sev, trigger.message)
     commands: list[ActuatorCommand] = []
+    queue, dropped = rs.pending_sms, rs.dropped_count
     if sev >= Severity.MEDIUM:
-        commands.append(ActuatorCommand(t_ms, Buzzer(on=True)))
+        commands.append(ActuatorCommand(t_ms, _BUZZER_ON))
     if sev is Severity.HIGH or trigger.kind is AlertKind.BEACON:
         to = cfg.police_number if trigger.kind is AlertKind.CRASH else cfg.owner_number
         sms = SmsSend(to=to, body=trigger.message)
         commands.append(ActuatorCommand(t_ms, sms))
-        rs = _enqueue(rs, PendingSms(sms.to, sms.body, sev))
-    last_emit = {**rs.last_emit, trigger.kind: t_ms}
-    return RouterState(last_emit, rs.pending_sms, rs.dropped_count), alert, commands
+        queue, dropped = _enqueue(queue, dropped, PendingSms(sms.to, sms.body, sev))
+    return RouterState({**rs.last_emit, trigger.kind: t_ms}, queue, dropped), alert, commands
 
 
 def drain_sms(rs: RouterState, client: ModemClient) -> tuple[RouterState, int, list[str]]:

@@ -122,7 +122,7 @@ def _finite(x: float) -> bool:
         return False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GeoPoint:
     lat_deg: float
     lon_deg: float
@@ -134,7 +134,7 @@ class GeoPoint:
             raise ContractViolation(f"lon_deg out of range: {self.lon_deg!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LidarRange:
     range_m: float
 
@@ -143,7 +143,7 @@ class LidarRange:
             raise ContractViolation(f"range_m must be >= 0: {self.range_m!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MagField:
     """Ambient magnetic field magnitude in microtesla."""
 
@@ -154,7 +154,7 @@ class MagField:
             raise ContractViolation(f"b_ut must be >= 0: {self.b_ut!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PirMotion:
     detected: bool
 
@@ -163,7 +163,7 @@ class PirMotion:
             raise ContractViolation("detected must be a bool")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GasReading:
     ethanol_ppm: float
     co_ppm: float
@@ -176,7 +176,7 @@ class GasReading:
                 raise ContractViolation(f"{name} must be >= 0: {v!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Tilt:
     angle_deg: float
 
@@ -185,7 +185,7 @@ class Tilt:
             raise ContractViolation(f"angle_deg out of range: {self.angle_deg!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GpsFix:
     point: GeoPoint
     speed_kph: float
@@ -200,7 +200,7 @@ class GpsFix:
             raise ContractViolation("valid must be a bool")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Ignition:
     on: bool
 
@@ -209,7 +209,7 @@ class Ignition:
             raise ContractViolation("on must be a bool")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Auth:
     authorized: bool
 
@@ -218,7 +218,7 @@ class Auth:
             raise ContractViolation("authorized must be a bool")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SupplyVoltage:
     volts: float
 
@@ -237,7 +237,7 @@ def check_t_ms(t_ms: int) -> None:
         raise ContractViolation(f"t_ms must be a non-negative int: {t_ms!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SensorEvent:
     t_ms: int
     payload: Payload
@@ -246,7 +246,7 @@ class SensorEvent:
         check_t_ms(self.t_ms)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Alert:
     t_ms: int
     kind: AlertKind
@@ -295,7 +295,7 @@ class SmsSend:
 Action = Buzzer | IgnitionInhibit | SolenoidLock | SmsSend
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ActuatorCommand:
     t_ms: int
     action: Action
@@ -369,8 +369,8 @@ _FIELD_RULES = {
 
 # A direct constructor makes each object the way a frozen dataclass __init__
 # does, object.__new__ then object.__setattr__ per field in declaration order,
-# and skips __post_init__. Filling __dict__ whole would be no faster and would
-# cost CPython its shared-key instance dicts.
+# and skips __post_init__. The records are slotted, so each field goes
+# straight into its slot and the object is one allocation.
 _new = object.__new__
 _set = object.__setattr__
 
@@ -480,7 +480,7 @@ def _checked_event(rec: dict) -> SensorEvent:
 
 # --- configuration ---------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ControllerConfig:
     ttc_warn_s: float = 2.0
     mag_deviation_ut: float = 5.0

@@ -20,7 +20,7 @@ from .core import AlertKind, ContractViolation, ControllerConfig, GasReading, Ge
 EARTH_RADIUS_M = 6_371_000.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Trigger:
     kind: AlertKind
     message: str
@@ -28,7 +28,7 @@ class Trigger:
 
 # --- forward collision (rear-facing lidar) --------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CollisionState:
     prev_range_m: float | None = None
     prev_t_ms: int | None = None
@@ -71,7 +71,7 @@ def collision_step(state: CollisionState, range_m: float, t_ms: int,
 
 # --- vehicle presence (magnetometer) --------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MagState:
     calib: tuple[float, ...] = ()
     baseline_ut: float | None = None
@@ -156,10 +156,13 @@ def overspeed_step(active: bool, speed_kph: float,
 
 # --- crash (tilt held while stopped) --------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CrashState:
     over_tilt_since_ms: int | None = None
     fired: bool = False
+
+
+_UPRIGHT = CrashState()  # the state of every sample outside the gates
 
 
 def crash_step(state: CrashState, tilt_deg: float, speed_kph: float, t_ms: int,
@@ -170,7 +173,7 @@ def crash_step(state: CrashState, tilt_deg: float, speed_kph: float, t_ms: int,
     per latched episode, on the sample that first reaches the hold time.
     """
     if not (tilt_deg >= cfg.crash_tilt_deg and speed_kph <= cfg.crash_speed_max_kph):
-        return CrashState(), False
+        return _UPRIGHT, False
     since = state.over_tilt_since_ms if state.over_tilt_since_ms is not None else t_ms
     fired = not state.fired and t_ms - since >= cfg.crash_hold_ms
     return CrashState(since, state.fired or fired), fired
@@ -186,7 +189,7 @@ def overtake_assist(rear_ttc_s: float | None, side_vehicle: bool,
 
 # --- anti-theft geofence and hourly beacon --------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TheftState:
     armed: bool = False
     parked_point: GeoPoint | None = None

@@ -94,8 +94,9 @@ class FakeModem:
     def write(self, data: bytes) -> None:
         if self._closed:
             raise ChannelClosed("channel closed")
-        self.transcript.append(bytes(data))
-        self._respond(bytes(data))
+        frame = bytes(data)
+        self.transcript.append(frame)
+        self._respond(frame)
 
     def read_until(self, pattern: bytes, timeout_ms: int) -> bytes:
         if self._closed:
@@ -135,10 +136,9 @@ class FakeModem:
             return "SEND"
         if not frame.endswith(b"\r"):
             return None
-        cmd = frame[:-1].decode("ascii", errors="replace")
-        if cmd.startswith("AT+CMGS="):
+        if frame.startswith(b"AT+CMGS="):
             return "AT+CMGS"
-        return cmd
+        return frame[:-1].decode("ascii", errors="replace")
 
 
 class ModemClient:
@@ -171,13 +171,14 @@ class ModemClient:
         if not body.isascii():
             raise ContractViolation("body must be ASCII")
         try:
-            self.channel.write(f'AT+CMGS="{to}"'.encode("ascii") + b"\r")
+            self.channel.write(f'AT+CMGS="{to}"\r'.encode("ascii"))
             try:
                 self.channel.read_until(b"> ", DEFAULT_TIMEOUT_MS)
             except ChannelTimeout:
                 raise PromptTimeout() from None
             self.channel.write(body.encode("ascii") + CTRL_Z)
-            lines = self._await_final("AT+CMGS", error_as=SendRejected())
+            if (lines := self._await_final("AT+CMGS")) is None:
+                raise SendRejected()
             ref = self._extract_ref(lines)
         except ModemError as exc:
             self._fail(exc)
@@ -190,13 +191,15 @@ class ModemClient:
         for attempt in range(INIT_RETRIES + 1):
             self.channel.write(cmd.encode("ascii") + b"\r")
             try:
-                self._await_final(cmd, error_as=ErrorResponse(cmd))
+                if self._await_final(cmd) is None:
+                    raise ErrorResponse(cmd)
                 return
             except CommandTimeout:  # timeouts are retried; ERROR is definitive
                 if attempt == INIT_RETRIES:
                     raise
 
-    def _await_final(self, cmd: str, *, error_as: ModemError) -> list[str]:
+    def _await_final(self, cmd: str) -> list[str] | None:
+        """The lines before a final OK, or None for a final ERROR."""
         lines: list[str] = []
         while True:
             try:
@@ -207,7 +210,7 @@ class ModemClient:
             if text == "OK":
                 return lines
             if text == "ERROR":
-                raise error_as
+                return None
             if text:
                 lines.append(text)
 

@@ -18,7 +18,7 @@ from .controller import ControllerState, Mode, advance, drain_sms
 from .core import (Alert, ActuatorCommand, AlertKind, Buzzer, ContractViolation,
                    ControllerConfig, DEFAULT_CONFIG, IgnitionInhibit, SensorEvent,
                    Severity, SmsSend, SolenoidLock, ValidationError, VirtualClock,
-                   apply_overrides, event_from_record, event_to_record,
+                   apply_overrides, check_t_ms, event_from_record, event_to_record,
                    require_valid_config, severity_of)
 from .gsm import FakeModem, ModemClient
 
@@ -34,7 +34,7 @@ class UndefinedMetric(ArithmeticError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExpectedLabel:
     """A positive label is a kind plus a time window; a negative label
     declares that no alert of the kind may appear anywhere in the run."""
@@ -64,10 +64,15 @@ class Scenario:
     expected: list[ExpectedLabel] = field(default_factory=list)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ModeChange:
     t_ms: int
     mode: Mode
+
+    def __post_init__(self):
+        check_t_ms(self.t_ms)
+        if not isinstance(self.mode, Mode):
+            raise ContractViolation(f"mode must be a Mode: {self.mode!r}")
 
 
 LogRecord = Alert | ActuatorCommand | ModeChange
@@ -87,6 +92,7 @@ class EventLog:
 # --- scenario files --------------------------------------------------------
 
 _HEADER_KEYS = {"name", "description", "config", "expected"}
+_KIND_OF_VALUE = {kind.value: kind for kind in AlertKind}
 
 
 def _label_from_obj(obj: dict, line_no: int) -> ExpectedLabel:
@@ -94,10 +100,10 @@ def _label_from_obj(obj: dict, line_no: int) -> ExpectedLabel:
         raise SchemaError(line_no, "expected label must be an object")
     extra = dict(obj)
     kind_text = extra.pop("kind", None)
-    try:
-        kind = AlertKind(kind_text)
-    except ValueError:
-        raise SchemaError(line_no, f"unknown alert kind {kind_text!r}") from None
+    # the str check keeps an unhashable kind (a JSON list or object) out of the lookup
+    kind = _KIND_OF_VALUE.get(kind_text) if isinstance(kind_text, str) else None
+    if kind is None:
+        raise SchemaError(line_no, f"unknown alert kind {kind_text!r}")
     if extra.pop("negative", False):
         if extra:
             raise SchemaError(line_no, f"negative label has extra fields: {sorted(extra)}")
@@ -330,7 +336,7 @@ def log_to_jsonl(log: EventLog) -> str:
 
 # --- expected-label matching and metrics ----------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConfusionMatrix:
     tp: int
     tn: int

@@ -71,7 +71,7 @@ class UnsupportedSentence(ParseError):
         super().__init__(f"unsupported sentence type: {sentence_type!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RmcData:
     utc_time: str
     status: str

@@ -394,8 +394,9 @@ def _traced_bytes(decode, records: list) -> int:
 
 @pytest.mark.parametrize("tag", ["lidar", "pir", "gas", "gps"])
 def test_direct_events_hold_the_memory_of_constructed_ones(tag: str) -> None:
-    # an object filled through __dict__ loses CPython's shared-key instance
-    # dict and holds about 120 bytes more per event
+    # the payload and event records are slotted, so a direct event and a
+    # constructed one are the same objects; this catches a direct constructor
+    # that builds anything larger
     n = 2000
     records = [dict(WELL_FORMED[tag], t_ms=i) for i in range(n)]
     for decode in (event_from_record, event_from_record_reference):

@@ -51,7 +51,9 @@ def test_send_golden_transcript_and_refs() -> None:
     _, modem, client = fresh()
     client.modem_init()
     assert client.send_sms(OWNER, "hello") == 1
-    assert modem.transcript[-2:] == [b'AT+CMGS="+639171234567"\r', b"hello\x1a"]
+    assert modem.transcript == [b"AT\r", b"ATE0\r", b"AT+CMGF=1\r",
+                                b'AT+CMGS="+639171234567"\r', b"hello\x1a"]
+    assert {type(frame) for frame in modem.transcript} == {bytes}
     assert client.send_sms(OWNER, "again") == 2
     assert client.phase is ModemPhase.READY
 
@@ -95,10 +97,11 @@ def test_error_response_is_definitive() -> None:
     client = ModemClient(modem)
     with pytest.raises(ErrorResponse) as err:
         client.modem_init()
+    assert (type(err.value), str(err.value)) == (ErrorResponse, "ERROR response to 'ATE0'")
     assert err.value.command == "ATE0"
     assert client.phase is ModemPhase.FAILED
     assert modem.transcript == [b"AT\r", b"ATE0\r"]  # no retry on ERROR
-    assert client.last_error is not None
+    assert client.last_error == "ERROR response to 'ATE0'"
 
 
 def test_prompt_timeout() -> None:
@@ -116,9 +119,32 @@ def test_body_rejected_by_modem() -> None:
     modem = FakeModem(clock, fail_commands={"SEND"})
     client = ModemClient(modem)
     client.modem_init()
-    with pytest.raises(SendRejected):
+    with pytest.raises(SendRejected) as err:
         client.send_sms(OWNER, "hello")
+    assert (type(err.value), str(err.value)) == (SendRejected, "modem rejected message body")
     assert client.phase is ModemPhase.FAILED
+    assert client.last_error == "modem rejected message body"
+
+
+def test_a_written_bytearray_is_kept_as_bytes() -> None:
+    _, modem, _ = fresh()
+    frame = bytearray(b"AT\r")
+    modem.write(frame)
+    frame[:] = b"XX\r"
+    assert modem.transcript == [b"AT\r"] and type(modem.transcript[0]) is bytes
+
+
+@pytest.mark.parametrize("frame,name", [
+    (b"hello\x1a", "SEND"),
+    (b'AT+CMGS="+639171234567"\r', "AT+CMGS"),
+    (b"AT+CMGS=\xff\r", "AT+CMGS"),
+    (b"AT+CMGS\r", "AT+CMGS"),
+    (b"AT\r", "AT"),
+    (b"AT", None),
+    (b"AT+CMGF=\xe91\r", "AT+CMGF=\ufffd1"),
+])
+def test_normalize_names_each_frame(frame: bytes, name: str | None) -> None:
+    assert FakeModem._normalize(frame) == name
 
 
 def test_final_ok_without_reference_is_rejected() -> None:

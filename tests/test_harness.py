@@ -8,10 +8,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from motoguard import harness
-from motoguard.core import (ActuatorCommand, AlertKind, Auth, Buzzer, GasReading, GpsFix,
-                            GeoPoint, Ignition, IgnitionInhibit, LidarRange, PirMotion,
-                            SensorEvent, Severity, SmsSend, SolenoidLock, ValidationError,
-                            _bare, severity_of)
+from motoguard.core import (ActuatorCommand, AlertKind, Auth, Buzzer, ContractViolation,
+                            GasReading, GpsFix, GeoPoint, Ignition, IgnitionInhibit,
+                            LidarRange, PirMotion, SensorEvent, Severity, SmsSend,
+                            SolenoidLock, ValidationError, _bare, severity_of)
 from motoguard.controller import Mode
 from motoguard.harness import (Alert, CaseResult, ConfusionMatrix, EventLog,
                                ExpectedLabel, ModeChange, Scenario, SchemaError,
@@ -128,6 +128,7 @@ def test_schema_errors_carry_line_numbers(text: str, line_no: int, fragment: str
 
 
 PIR = '{"t_ms": 5, "sensor": "pir", "detected": true}'
+LABELED = '{{"name": "t", "expected": [{}]}}'.format  # a header holding one label
 
 
 JSON_LINE_CASES = {
@@ -142,6 +143,16 @@ JSON_LINE_CASES = {
                           "invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig)"),
     "unclosed_object": (HEADER + "\n" + PIR + "\n{", 3,
                         "invalid JSON: Expecting property name enclosed in double quotes"),
+    "label_kind_missing": (LABELED('{"start_ms": 0, "end_ms": 5}'), 1, "unknown alert kind None"),
+    "label_kind_null": (LABELED('{"kind": null}'), 1, "unknown alert kind None"),
+    "label_kind_int": (LABELED('{"kind": 1}'), 1, "unknown alert kind 1"),
+    "label_kind_bool": (LABELED('{"kind": true}'), 1, "unknown alert kind True"),
+    "label_kind_list": (LABELED('{"kind": ["crash"]}'), 1, "unknown alert kind ['crash']"),
+    "label_kind_object": (LABELED('{"kind": {"crash": 1}}'), 1,
+                          "unknown alert kind {'crash': 1}"),
+    "label_kind_capitalised": (LABELED('{"kind": "Collision"}'), 1,
+                               "unknown alert kind 'Collision'"),
+    "label_kind_unknown": (LABELED('{"kind": "meteor"}'), 1, "unknown alert kind 'meteor'"),
 }
 
 
@@ -156,6 +167,12 @@ def test_json_line_outcomes_are_exact(text: str, line_no: int | None,
     with pytest.raises(SchemaError) as err:
         loads_scenario(text)
     assert (err.value.line_no, err.value.reason) == (line_no, reason)
+
+
+def test_every_alert_kind_value_is_a_label_kind() -> None:
+    labels = [{"kind": kind.value, "negative": True} for kind in AlertKind]
+    sc = loads_scenario(json.dumps({"name": "t", "expected": labels}))
+    assert [lab.kind for lab in sc.expected] == list(AlertKind)
 
 
 EVENT_LINES = [PIR, '{"t_ms": 5, "sensor": "lidar", "range_m": 3.5}',
@@ -271,6 +288,23 @@ log_records = st.one_of(
 )
 
 
+@pytest.mark.parametrize("t_ms,mode,reason", [
+    (True, Mode.PARKED, "t_ms must be a non-negative int: True"),
+    (-5, Mode.RIDING, "t_ms must be a non-negative int: -5"),
+    (1.0, Mode.RIDING, "t_ms must be a non-negative int: 1.0"),
+    (0, "parked", "mode must be a Mode: 'parked'"),
+    (0, None, "mode must be a Mode: None"),
+])
+def test_mode_change_rejects_bad_fields(t_ms, mode, reason: str) -> None:
+    with pytest.raises(ContractViolation) as err:
+        ModeChange(t_ms, mode)
+    assert str(err.value) == reason
+
+
+def test_mode_change_takes_an_int_subclass() -> None:
+    assert ModeChange(_Int(5), Mode.RIDING).t_ms == 5
+
+
 def _render_outcome(render, log: EventLog) -> tuple:
     try:
         return "text", render(log)
@@ -298,7 +332,6 @@ def _render_outcome(render, log: EventLog) -> tuple:
                    Alert(0, AlertKind.CRASH, Severity.LOW, "c")]))
 @example(EventLog([ActuatorCommand(0, Buzzer(on=False)),
                    ActuatorCommand(0, SolenoidLock(engaged=False))]))
-@example(EventLog([ModeChange(True, Mode.PARKED), ModeChange(0, "parked")]))
 @example(EventLog([Alert(0, "crash", Severity.HIGH, "c")]))
 @example(EventLog([Alert(0, AlertKind.CRASH, 3, "c")]))
 @example(EventLog([ActuatorCommand(0, None)]))

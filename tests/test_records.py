@@ -1,0 +1,40 @@
+from __future__ import annotations
+
+import dataclasses
+import importlib
+import types
+from pathlib import Path
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+MODULES = [importlib.import_module(f"motoguard.{path.stem}")
+           for path in sorted((REPO_ROOT / "src" / "motoguard").glob("*.py"))
+           if path.stem not in ("__init__", "__main__")]
+
+# the action classes keep a __dict__: the event log reads them with vars()
+UNSLOTTED_ACTIONS = {"motoguard.core.Buzzer", "motoguard.core.IgnitionInhibit",
+                     "motoguard.core.SolenoidLock", "motoguard.core.SmsSend"}
+
+
+def unslotted_frozen_dataclasses(module: types.ModuleType) -> list[str]:
+    """Qualified names of the frozen dataclasses a module defines without
+    __slots__ of their own, so that each object is two allocations."""
+    return [f"{module.__name__}.{name}" for name, obj in vars(module).items()
+            if isinstance(obj, type) and obj.__module__ == module.__name__
+            and dataclasses.is_dataclass(obj) and obj.__dataclass_params__.frozen
+            and "__slots__" not in vars(obj)]
+
+
+def test_every_frozen_record_but_the_actions_is_slotted() -> None:
+    found = {name for module in MODULES for name in unslotted_frozen_dataclasses(module)}
+    assert found == UNSLOTTED_ACTIONS
+
+
+def test_the_slot_check_sees_only_unslotted_frozen_dataclasses() -> None:
+    module = types.ModuleType("fake")
+    source = ("from dataclasses import dataclass\n"
+              "@dataclass(frozen=True)\nclass Bare:\n    x: int\n"
+              "@dataclass(frozen=True, slots=True)\nclass Slotted:\n    x: int\n"
+              "@dataclass\nclass Mutable:\n    x: int\n"
+              "class Plain:\n    pass\n")
+    exec(compile(source, "fake", "exec", dont_inherit=True), vars(module))
+    assert unslotted_frozen_dataclasses(module) == ["fake.Bare"]
