@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -65,6 +66,9 @@ def _load_base_config(path: str | None):
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    if args.out is not None and os.path.realpath(args.out) == os.path.realpath(args.scenario):
+        print(f"error: --out would overwrite the scenario file: {args.out}", file=sys.stderr)
+        return EXIT_USAGE
     base = _load_base_config(args.config)
     scenario = _guarded("scenario", args.scenario, load_scenario, args.scenario)
     log = _guarded("scenario", args.scenario, run, scenario, base)
@@ -77,6 +81,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    if args.report is not None and Path(args.report).suffix == ".json":
+        print(f"error: --report would be overwritten by its .json twin: {args.report}",
+              file=sys.stderr)
+        return EXIT_USAGE
     base = _load_base_config(args.config)
     directory = Path(args.scenario_dir)
     if not directory.is_dir():

@@ -565,7 +565,8 @@ def apply_overrides(cfg: ControllerConfig, overrides: dict) -> ControllerConfig:
             coerced[key] = kind(value)
         except OverflowError:  # an int too large for a float
             raise ValidationError([(key, "must be a finite number")]) from None
-    return dataclasses.replace(cfg, **coerced)
+    # cfg is frozen, so with nothing to overlay it is its own result
+    return dataclasses.replace(cfg, **coerced) if coerced else cfg
 
 
 def parse_config_text(text: str) -> dict:

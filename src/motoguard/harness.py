@@ -104,7 +104,10 @@ def _label_from_obj(obj: dict, line_no: int) -> ExpectedLabel:
     kind = _KIND_OF_VALUE.get(kind_text) if isinstance(kind_text, str) else None
     if kind is None:
         raise SchemaError(line_no, f"unknown alert kind {kind_text!r}")
-    if extra.pop("negative", False):
+    negative = extra.pop("negative", False)
+    if type(negative) is not bool:  # a string, number or null must not pass for a flag
+        raise SchemaError(line_no, "label negative must be true or false")
+    if negative:
         if extra:
             raise SchemaError(line_no, f"negative label has extra fields: {sorted(extra)}")
         return ExpectedLabel(kind)
@@ -150,6 +153,9 @@ def _scenario_from_header(header: object, line_no: int) -> Scenario:
     return Scenario(name=name, description=description, config=config, expected=expected)
 
 
+_scan = json.JSONDecoder().raw_decode
+
+
 def _decode_line(raw: str, line_no: int) -> object:
     """json.loads(raw), with every failure as a SchemaError on line_no."""
     try:
@@ -165,14 +171,13 @@ def loads_scenario(text: str) -> Scenario:
     """Parse a scenario file; the first bad line in file order is the one reported."""
     sc = None
     prev_ms = 0
-    scan = json.JSONDecoder().raw_decode
     # only LF ends a line: splitlines() would also break at U+2028, U+0085
     # and the like, which JSON allows raw inside a string
     for line_no, raw in enumerate(text.split("\n"), start=1):
         # raw_decode takes a value that starts the line; a line it fails on
         # or does not consume whole is blank or goes through the full decode
         try:
-            obj, end = scan(raw)
+            obj, end = _scan(raw)
         except (ValueError, RecursionError):
             end = -1
         if end != len(raw):
@@ -234,8 +239,8 @@ def run(sc: Scenario, cfg: ControllerConfig = DEFAULT_CONFIG) -> EventLog:
                                for name, reason in exc.violations]) from exc
     clock = VirtualClock()
     modem = FakeModem(clock)
+    # no power-on init: the first drain that has a message brings the modem up
     client = ModemClient(modem)
-    client.modem_init()
     state = ControllerState()
     log = EventLog([ModeChange(0, Mode.PARKED)])
     for t_ms, group in groupby(sc.events, key=attrgetter("t_ms")):

@@ -55,6 +55,25 @@ def test_simulate_writes_log_to_file(corpus_dir: Path, tmp_path: Path, capsys) -
     assert out_path.read_text(encoding="utf-8").startswith('{"t_ms": 0, "type": "mode"')
 
 
+@pytest.mark.parametrize("spelling", ["same", "dotted", "symlink"])
+def test_simulate_refuses_to_overwrite_its_scenario(spelling: str, corpus_dir: Path,
+                                                    tmp_path: Path, capsys) -> None:
+    scenario = tmp_path / "quiet_parked.jsonl"
+    shutil.copy(corpus_dir / "quiet_parked.jsonl", scenario)
+    before = scenario.read_bytes()
+    out = {"same": scenario, "dotted": tmp_path / "." / scenario.name,
+           "symlink": tmp_path / "link.jsonl"}[spelling]
+    if spelling == "symlink":
+        out.symlink_to(scenario)
+    # a missing --config shows that the refusal comes before anything is read
+    code = main(["simulate", "--scenario", str(scenario), "--out", str(out),
+                 "--config", str(tmp_path / "absent.cfg")])
+    assert code == 2
+    assert capsys.readouterr() == (
+        "", f"error: --out would overwrite the scenario file: {out}\n")
+    assert scenario.read_bytes() == before
+
+
 def test_simulate_unwritable_out_is_io_error(corpus_dir: Path, tmp_path: Path,
                                              capsys) -> None:
     code = main(["simulate", "--scenario", str(corpus_dir / "quiet_parked.jsonl"),
@@ -237,6 +256,31 @@ def test_eval_unwritable_report_names_the_file(blocked: str, corpus_dir: Path,
     assert err.count("\n") == 1
     if blocked == "report.json":
         assert report.read_text(encoding="utf-8") == out
+
+
+def test_eval_refuses_a_report_its_json_twin_would_overwrite(corpus_dir: Path,
+                                                             tmp_path: Path, capsys) -> None:
+    report = tmp_path / "r.json"
+    code = main(["eval", "--scenario-dir", str(corpus_dir), "--report", str(report),
+                 "--config", str(tmp_path / "absent.cfg")])
+    assert code == 2
+    assert capsys.readouterr() == (
+        "", f"error: --report would be overwritten by its .json twin: {report}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("name", ["r.txt", "r", "r.jsonl", "r.json.txt"])
+def test_eval_report_and_twin_are_both_written(name: str, corpus_dir: Path, tmp_path: Path,
+                                               capsys) -> None:
+    cases = tmp_path / "cases"
+    cases.mkdir()
+    shutil.copy(corpus_dir / "quiet_parked.jsonl", cases)
+    report = tmp_path / name
+    assert main(["eval", "--scenario-dir", str(cases), "--report", str(report)]) == 0
+    out = capsys.readouterr().out
+    assert report.read_text(encoding="utf-8") == out
+    twin = json.loads(report.with_suffix(".json").read_text(encoding="utf-8"))
+    assert twin["cases"][0]["name"] == "quiet_parked"
 
 
 def test_eval_empty_directory_is_usage_error(tmp_path: Path, capsys) -> None:

@@ -458,6 +458,12 @@ def test_parse_config_text_errors_carry_line_numbers() -> None:
         parse_config_text("speed_limit_kph=fast")
 
 
+def test_apply_overrides_without_overrides_returns_cfg_itself() -> None:
+    cfg = ControllerConfig(speed_limit_kph=95.0)
+    assert apply_overrides(cfg, {}) is cfg
+    assert apply_overrides(DEFAULT_CONFIG, {}) is DEFAULT_CONFIG
+
+
 def test_apply_overrides_rejects_unknown_and_wrong_types() -> None:
     with pytest.raises(ValidationError):
         apply_overrides(DEFAULT_CONFIG, {"warp_factor": 9})

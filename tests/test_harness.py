@@ -13,6 +13,7 @@ from motoguard.core import (ActuatorCommand, AlertKind, Auth, Buzzer, ContractVi
                             LidarRange, PirMotion, SensorEvent, Severity, SmsSend,
                             SolenoidLock, ValidationError, _bare, severity_of)
 from motoguard.controller import Mode
+from motoguard.gsm import FakeModem, ModemClient
 from motoguard.harness import (Alert, CaseResult, ConfusionMatrix, EventLog,
                                ExpectedLabel, ModeChange, Scenario, SchemaError,
                                UndefinedMetric, _match, accuracy,
@@ -153,6 +154,18 @@ JSON_LINE_CASES = {
     "label_kind_capitalised": (LABELED('{"kind": "Collision"}'), 1,
                                "unknown alert kind 'Collision'"),
     "label_kind_unknown": (LABELED('{"kind": "meteor"}'), 1, "unknown alert kind 'meteor'"),
+    "label_negative_string_false": (LABELED('{"kind": "crash", "negative": "false"}'), 1,
+                                    "label negative must be true or false"),
+    "label_negative_string_no": (LABELED('{"kind": "crash", "negative": "no"}'), 1,
+                                 "label negative must be true or false"),
+    "label_negative_one": (LABELED('{"kind": "crash", "negative": 1}'), 1,
+                           "label negative must be true or false"),
+    "label_negative_zero": (LABELED('{"kind": "crash", "negative": 0, "start_ms": 0, '
+                                    '"end_ms": 5}'), 1, "label negative must be true or false"),
+    "label_negative_null": (LABELED('{"kind": "crash", "negative": null, "start_ms": 0, '
+                                    '"end_ms": 5}'), 1, "label negative must be true or false"),
+    "label_negative_list": (LABELED('{"kind": "crash", "negative": [], "start_ms": 0, '
+                                    '"end_ms": 5}'), 1, "label negative must be true or false"),
 }
 
 
@@ -167,6 +180,12 @@ def test_json_line_outcomes_are_exact(text: str, line_no: int | None,
     with pytest.raises(SchemaError) as err:
         loads_scenario(text)
     assert (err.value.line_no, err.value.reason) == (line_no, reason)
+
+
+def test_negative_false_with_a_window_is_a_positive_label() -> None:
+    sc = loads_scenario(LABELED('{"kind": "crash", "negative": false, "start_ms": 0, '
+                                '"end_ms": 5}'))
+    assert sc.expected == [ExpectedLabel(AlertKind.CRASH, 0, 5)]
 
 
 def test_every_alert_kind_value_is_a_label_kind() -> None:
@@ -220,9 +239,38 @@ def test_unsorted_events_name_the_offender() -> None:
 
 # --- replay ----------------------------------------------------------------
 
-def test_empty_scenario_logs_only_the_initial_mode() -> None:
+def test_empty_scenario_logs_only_the_initial_mode(monkeypatch) -> None:
+    frames: list[bytes] = []
+    write = FakeModem.write
+
+    def recorded(modem: FakeModem, data: bytes) -> None:
+        frames.append(data)
+        write(modem, data)
+
+    monkeypatch.setattr(FakeModem, "write", recorded)
     log = run(Scenario(name="empty"))
     assert log.records == [ModeChange(0, Mode.PARKED)]
+    assert frames == []  # no power-on init: nothing to send, nothing written
+
+
+def test_replay_brings_the_modem_up_only_to_send(corpus_dir: Path, monkeypatch) -> None:
+    inits: list[ModemClient] = []
+    modem_init = ModemClient.modem_init
+
+    def counted(client: ModemClient) -> None:
+        inits.append(client)
+        modem_init(client)
+
+    monkeypatch.setattr(ModemClient, "modem_init", counted)
+    counts, expected = {}, {}
+    for path in sorted(corpus_dir.glob("*.jsonl")):
+        inits.clear()
+        log = run(load_scenario(path))
+        counts[path.stem] = len(inits)
+        expected[path.stem] = int(any(isinstance(c.action, SmsSend) for c in log.commands()))
+    assert len(counts) == 22
+    assert counts == expected
+    assert sum(counts.values()) == 8
 
 
 def test_run_is_byte_deterministic(corpus_dir: Path) -> None:
