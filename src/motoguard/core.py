@@ -122,109 +122,79 @@ def _finite(x: float) -> bool:
         return False
 
 
+class _RuleChecked:
+    """Base of the records whose constructor tests every field against its row in _rows."""
+
+    __slots__ = ()
+
+    def __post_init__(self):
+        for name, kind, _, lo, hi, text in self._rows:
+            value = getattr(self, name)
+            if kind is not float:
+                ok = isinstance(value, kind)
+            elif type(value) is float:  # the finite bounds reject nan and +-inf
+                ok = lo <= value <= hi
+            else:  # _finite rejects a bool and a non-number, and bounds the rest above
+                ok = _finite(value) and (value >= lo if hi == _MAX else lo <= value <= hi)
+            if not ok:
+                raise ContractViolation(text.format(name, value))
+
+
 @dataclass(frozen=True, slots=True)
-class GeoPoint:
+class GeoPoint(_RuleChecked):
     lat_deg: float
     lon_deg: float
 
-    def __post_init__(self):
-        if not (_finite(self.lat_deg) and -90.0 <= self.lat_deg <= 90.0):
-            raise ContractViolation(f"lat_deg out of range: {self.lat_deg!r}")
-        if not (_finite(self.lon_deg) and -180.0 <= self.lon_deg <= 180.0):
-            raise ContractViolation(f"lon_deg out of range: {self.lon_deg!r}")
-
 
 @dataclass(frozen=True, slots=True)
-class LidarRange:
+class LidarRange(_RuleChecked):
     range_m: float
 
-    def __post_init__(self):
-        if not (_finite(self.range_m) and self.range_m >= 0.0):
-            raise ContractViolation(f"range_m must be >= 0: {self.range_m!r}")
-
 
 @dataclass(frozen=True, slots=True)
-class MagField:
+class MagField(_RuleChecked):
     """Ambient magnetic field magnitude in microtesla."""
 
     b_ut: float
 
-    def __post_init__(self):
-        if not (_finite(self.b_ut) and self.b_ut >= 0.0):
-            raise ContractViolation(f"b_ut must be >= 0: {self.b_ut!r}")
-
 
 @dataclass(frozen=True, slots=True)
-class PirMotion:
+class PirMotion(_RuleChecked):
     detected: bool
 
-    def __post_init__(self):
-        if not isinstance(self.detected, bool):
-            raise ContractViolation("detected must be a bool")
-
 
 @dataclass(frozen=True, slots=True)
-class GasReading:
+class GasReading(_RuleChecked):
     ethanol_ppm: float
     co_ppm: float
     lpg_ppm: float
 
-    def __post_init__(self):
-        for name in ("ethanol_ppm", "co_ppm", "lpg_ppm"):
-            v = getattr(self, name)
-            if not (_finite(v) and v >= 0.0):
-                raise ContractViolation(f"{name} must be >= 0: {v!r}")
-
 
 @dataclass(frozen=True, slots=True)
-class Tilt:
+class Tilt(_RuleChecked):
     angle_deg: float
 
-    def __post_init__(self):
-        if not (_finite(self.angle_deg) and 0.0 <= self.angle_deg <= 180.0):
-            raise ContractViolation(f"angle_deg out of range: {self.angle_deg!r}")
-
 
 @dataclass(frozen=True, slots=True)
-class GpsFix:
+class GpsFix(_RuleChecked):
     point: GeoPoint
     speed_kph: float
     valid: bool
 
-    def __post_init__(self):
-        if not isinstance(self.point, GeoPoint):
-            raise ContractViolation("point must be a GeoPoint")
-        if not (_finite(self.speed_kph) and self.speed_kph >= 0.0):
-            raise ContractViolation(f"speed_kph must be >= 0: {self.speed_kph!r}")
-        if not isinstance(self.valid, bool):
-            raise ContractViolation("valid must be a bool")
-
 
 @dataclass(frozen=True, slots=True)
-class Ignition:
+class Ignition(_RuleChecked):
     on: bool
 
-    def __post_init__(self):
-        if not isinstance(self.on, bool):
-            raise ContractViolation("on must be a bool")
-
 
 @dataclass(frozen=True, slots=True)
-class Auth:
+class Auth(_RuleChecked):
     authorized: bool
 
-    def __post_init__(self):
-        if not isinstance(self.authorized, bool):
-            raise ContractViolation("authorized must be a bool")
-
 
 @dataclass(frozen=True, slots=True)
-class SupplyVoltage:
+class SupplyVoltage(_RuleChecked):
     volts: float
-
-    def __post_init__(self):
-        if not (_finite(self.volts) and self.volts >= 0.0):
-            raise ContractViolation(f"volts must be >= 0: {self.volts!r}")
 
 
 Payload = (LidarRange | MagField | PirMotion | GasReading | Tilt | GpsFix
@@ -232,8 +202,8 @@ Payload = (LidarRange | MagField | PirMotion | GasReading | Tilt | GpsFix
 
 
 def check_t_ms(t_ms: int) -> None:
-    """Reject a virtual-clock time that is not a non-negative int (a bool is not one)."""
-    if not (isinstance(t_ms, int) and not isinstance(t_ms, bool) and t_ms >= 0):
+    """Reject a virtual-clock time that is not an exact non-negative int (no subclass)."""
+    if not (type(t_ms) is int and t_ms >= 0):
         raise ContractViolation(f"t_ms must be a non-negative int: {t_ms!r}")
 
 
@@ -255,6 +225,12 @@ class Alert:
 
     def __post_init__(self):
         check_t_ms(self.t_ms)
+        if type(self.kind) is not AlertKind:
+            raise ContractViolation(f"kind must be an AlertKind: {self.kind!r}")
+        if type(self.severity) is not Severity:
+            raise ContractViolation(f"severity must be a Severity: {self.severity!r}")
+        if type(self.message) is not str:
+            raise ContractViolation(f"message must be a str: {self.message!r}")
 
 
 def truncate_sms(body: str) -> str:
@@ -264,29 +240,31 @@ def truncate_sms(body: str) -> str:
     return body[: SMS_MAX_CHARS - 3] + "..."
 
 
-@dataclass(frozen=True)
-class Buzzer:
+@dataclass(frozen=True, slots=True)
+class Buzzer(_RuleChecked):
     on: bool
 
 
-@dataclass(frozen=True)
-class IgnitionInhibit:
+@dataclass(frozen=True, slots=True)
+class IgnitionInhibit(_RuleChecked):
     on: bool
 
 
-@dataclass(frozen=True)
-class SolenoidLock:
+@dataclass(frozen=True, slots=True)
+class SolenoidLock(_RuleChecked):
     engaged: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SmsSend:
     to: str
     body: str
 
     def __post_init__(self):
-        if PHONE_PATTERN.fullmatch(self.to) is None:
+        if type(self.to) is not str or PHONE_PATTERN.fullmatch(self.to) is None:
             raise ContractViolation(f"bad phone number: {self.to!r}")
+        if type(self.body) is not str:
+            raise ContractViolation(f"body must be a str: {self.body!r}")
         # normalizing here, rather than validating, keeps every construction
         # path inside the length budget
         object.__setattr__(self, "body", truncate_sms(self.body))
@@ -302,6 +280,33 @@ class ActuatorCommand:
 
     def __post_init__(self):
         check_t_ms(self.t_ms)
+        if type(self.action) not in Action.__args__:
+            raise ContractViolation(f"action must be a Buzzer, IgnitionInhibit, SolenoidLock "
+                                    f"or SmsSend: {self.action!r}")
+
+
+# Each rule-checked field's contract, written once: (exact type, the other
+# exact type taken, lowest, highest, error text), both ends inclusive. The
+# constructors take an int or float subclass too (never a bool) and test a
+# non-negative field, whose highest is _MAX, from below only; a non-number
+# field by isinstance. The direct decoder takes only the exact types; its
+# lo <= x <= hi rejects nan, +-inf and an int too large for a float.
+_MAX = sys.float_info.max
+_NON_NEGATIVE = (float, int, 0.0, _MAX, "{} must be >= 0: {!r}")
+_BOOL = (bool, bool, False, True, "{} must be a bool")
+_RANGE = "{} out of range: {!r}"
+_FIELD_RULES = {
+    "range_m": _NON_NEGATIVE, "b_ut": _NON_NEGATIVE, "detected": _BOOL,
+    "ethanol_ppm": _NON_NEGATIVE, "co_ppm": _NON_NEGATIVE, "lpg_ppm": _NON_NEGATIVE,
+    "angle_deg": (float, int, 0.0, 180.0, _RANGE),
+    "lat_deg": (float, int, -90.0, 90.0, _RANGE), "lon_deg": (float, int, -180.0, 180.0, _RANGE),
+    "point": (GeoPoint, GeoPoint, None, None, "{} must be a GeoPoint"),
+    "speed_kph": _NON_NEGATIVE, "valid": _BOOL,
+    "on": _BOOL, "authorized": _BOOL, "volts": _NON_NEGATIVE, "engaged": _BOOL,
+}
+# each rule-checked class's fields with their rows, in declaration order
+for _cls in (GeoPoint, *Payload.__args__, Buzzer, IgnitionInhibit, SolenoidLock):
+    _cls._rows = tuple((name, *_FIELD_RULES[name]) for name in _cls.__match_args__)
 
 
 # --- sensor event serialization -------------------------------------------
@@ -350,23 +355,6 @@ def _decoder(cls: type) -> tuple:
 
 _DECODERS = {tag: _decoder(cls) for tag, cls in _SENSOR_TAGS.items()}
 
-# Each record field's contract as the payload constructors check it: (exact
-# type, the other exact type taken, lowest, highest), both ends inclusive. A
-# float field also takes an int, stored unchanged as the constructors store
-# it; the float is tested first, so a float record pays nothing for that. The
-# bounds are finite, so lo <= x <= hi also rejects nan, +-inf and an int too
-# large for a float; every bool lies in False..True.
-_NON_NEGATIVE = (float, int, 0.0, sys.float_info.max)
-_BOOL = (bool, bool, False, True)
-_FIELD_RULES = {
-    "range_m": _NON_NEGATIVE, "b_ut": _NON_NEGATIVE, "detected": _BOOL,
-    "ethanol_ppm": _NON_NEGATIVE, "co_ppm": _NON_NEGATIVE, "lpg_ppm": _NON_NEGATIVE,
-    "angle_deg": (float, int, 0.0, 180.0),
-    "lat_deg": (float, int, -90.0, 90.0), "lon_deg": (float, int, -180.0, 180.0),
-    "speed_kph": _NON_NEGATIVE, "valid": _BOOL,
-    "on": _BOOL, "authorized": _BOOL, "volts": _NON_NEGATIVE,
-}
-
 # A direct constructor makes each object the way a frozen dataclass __init__
 # does, object.__new__ then object.__setattr__ per field in declaration order,
 # and skips __post_init__. The records are slotted, so each field goes
@@ -402,7 +390,7 @@ def _direct(build, names: tuple, keys: frozenset, values) -> Callable[[dict], Se
     field meets its _FIELD_RULES entry; None for any other record."""
     if len(names) == 1:  # all but gas and gps, so nearly every record: no loops
         (name,) = names
-        kind, also, lo, hi = _FIELD_RULES[name]
+        kind, also, lo, hi, _ = _FIELD_RULES[name]
 
         def direct(rec: dict) -> SensorEvent | None:
             # a missing key reads None, which no rule accepts, so three keys
@@ -428,7 +416,7 @@ def _direct(build, names: tuple, keys: frozenset, values) -> Callable[[dict], Se
         t_ms, field_values = rec["t_ms"], values(rec)
         if not (type(t_ms) is int and t_ms >= 0):
             return None
-        for value, (kind, also, lo, hi) in zip(field_values, rules):
+        for value, (kind, also, lo, hi, _) in zip(field_values, rules):
             if not ((type(value) is kind or type(value) is also) and lo <= value <= hi):
                 return None
         event = _new(SensorEvent)

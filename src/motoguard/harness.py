@@ -263,21 +263,11 @@ def run(sc: Scenario, cfg: ControllerConfig = DEFAULT_CONFIG) -> EventLog:
 _ACTION_TAGS = {Buzzer: "buzzer", IgnitionInhibit: "ignition_inhibit",
                 SolenoidLock: "solenoid_lock", SmsSend: "sms_send"}
 
-
-def _record_to_obj(rec: LogRecord) -> dict:
-    if isinstance(rec, Alert):
-        return {"t_ms": rec.t_ms, "type": "alert", "kind": rec.kind.value,
-                "severity": rec.severity.label, "message": rec.message}
-    if isinstance(rec, ActuatorCommand):
-        return {"t_ms": rec.t_ms, "type": "command",
-                "action": _ACTION_TAGS[type(rec.action)], **vars(rec.action)}
-    return {"t_ms": rec.t_ms, "type": "mode", "mode": rec.mode.value}
-
-
-# The fixed-shape lines below are json.dumps(_record_to_obj(rec)) written as
-# templates: the same key order and separators, strings through the encoder
-# json.dumps itself uses, and every enum value and action tag rendered once
-# here by json.dumps.
+# Each line shape is one template: the json.dumps output of its keys in
+# order, with strings through the encoder json.dumps itself uses and every
+# enum value and action tag rendered once here by json.dumps. The record
+# constructors take only fields of exactly their declared types, so every
+# record fits its shape's template.
 _encode_str = json.encoder.encode_basestring_ascii
 _JSON_BOOL = (json.dumps(False), json.dumps(True))
 _KIND_JSON = {kind: json.dumps(kind.value) for kind in AlertKind}
@@ -297,45 +287,27 @@ _FLAG_ACTIONS = {cls: _flag_shape(cls) for cls in (Buzzer, IgnitionInhibit, Sole
 
 
 def log_to_jsonl(log: EventLog) -> str:
-    """Canonical one-record-per-line rendering; byte-stable across runs.
-
-    A record of an exact log class whose fields all have their exact types
-    takes its shape's template; any other goes through json.dumps."""
+    """Canonical one-record-per-line rendering; byte-stable across runs."""
     lines: list[str] = []
     append = lines.append
     for rec in log.records:
         cls = type(rec)
         if cls is Alert:
-            t_ms, kind, severity, message = rec.t_ms, rec.kind, rec.severity, rec.message
-            if (type(t_ms) is int and type(kind) is AlertKind
-                    and type(severity) is Severity and type(message) is str):
-                append(f'{{"t_ms": {t_ms}, "type": "alert", "kind": {_KIND_JSON[kind]}, '
-                       f'"severity": {_SEVERITY_JSON[severity]}, '
-                       f'"message": {_encode_str(message)}}}')
-                continue
+            append(f'{{"t_ms": {rec.t_ms}, "type": "alert", "kind": {_KIND_JSON[rec.kind]}, '
+                   f'"severity": {_SEVERITY_JSON[rec.severity]}, '
+                   f'"message": {_encode_str(rec.message)}}}')
         elif cls is ActuatorCommand:
-            t_ms, action = rec.t_ms, rec.action
-            if type(t_ms) is int:
-                shape = _FLAG_ACTIONS.get(type(action))
-                if shape is not None:
-                    flag = getattr(action, shape[0])
-                    if type(flag) is bool:
-                        append(f'{{"t_ms": {t_ms}, "type": "command", "action": '
-                               f'{shape[1]}{_JSON_BOOL[flag]}}}')
-                        continue
-                elif type(action) is SmsSend:
-                    to, body = action.to, action.body
-                    if type(to) is str and type(body) is str:
-                        append(f'{{"t_ms": {t_ms}, "type": "command", "action": '
-                               f'{_SMS_ACTION_JSON}, "to": {_encode_str(to)}, '
-                               f'"body": {_encode_str(body)}}}')
-                        continue
-        elif cls is ModeChange:
-            t_ms, mode = rec.t_ms, rec.mode
-            if type(t_ms) is int and type(mode) is Mode:
-                append(f'{{"t_ms": {t_ms}, "type": "mode", "mode": {_MODE_JSON[mode]}}}')
-                continue
-        append(json.dumps(_record_to_obj(rec)))
+            action = rec.action
+            shape = _FLAG_ACTIONS.get(type(action))
+            if shape is None:  # the one action that is not a flag
+                append(f'{{"t_ms": {rec.t_ms}, "type": "command", "action": '
+                       f'{_SMS_ACTION_JSON}, "to": {_encode_str(action.to)}, '
+                       f'"body": {_encode_str(action.body)}}}')
+            else:
+                append(f'{{"t_ms": {rec.t_ms}, "type": "command", "action": '
+                       f'{shape[1]}{_JSON_BOOL[getattr(action, shape[0])]}}}')
+        else:
+            append(f'{{"t_ms": {rec.t_ms}, "type": "mode", "mode": {_MODE_JSON[rec.mode]}}}')
     return "\n".join(lines) + "\n"
 
 

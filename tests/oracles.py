@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import fields
+from dataclasses import dataclass, fields
 from functools import reduce
 from itertools import groupby
 from operator import attrgetter, itemgetter, xor
@@ -24,7 +24,7 @@ from motoguard.core import (DEFAULT_CONFIG, ActuatorCommand, Alert, Auth, Buzzer
                             Ignition, IgnitionInhibit, LidarRange, MagField, PirMotion,
                             SensorEvent, SmsSend, SolenoidLock, SupplyVoltage, Tilt,
                             ValidationError, VirtualClock, apply_overrides, event_from_record,
-                            require_valid_config)
+                            _finite, require_valid_config)
 from motoguard.gsm import FakeModem, ModemClient
 from motoguard.harness import EventLog, LogRecord, ModeChange, Scenario, SchemaError
 from motoguard.nmea import (MAX_SENTENCE_CHARS, ChecksumMismatch, MalformedNumber,
@@ -228,6 +228,130 @@ def event_from_record_reference(rec: dict) -> SensorEvent:
     return SensorEvent(rec.get("t_ms"), payload)
 
 
+# --- the payload constructors, as they were before the field-rule table: one
+# hand-written __post_init__ per class. Each copy keeps its class's fields and
+# check, so the same arguments must give the same fields or the same error.
+# GpsFixReference tests its point against the package's GeoPoint.
+
+@dataclass(frozen=True, slots=True)
+class GeoPointReference:
+    lat_deg: float
+    lon_deg: float
+
+    def __post_init__(self):
+        if not (_finite(self.lat_deg) and -90.0 <= self.lat_deg <= 90.0):
+            raise ContractViolation(f"lat_deg out of range: {self.lat_deg!r}")
+        if not (_finite(self.lon_deg) and -180.0 <= self.lon_deg <= 180.0):
+            raise ContractViolation(f"lon_deg out of range: {self.lon_deg!r}")
+
+
+@dataclass(frozen=True, slots=True)
+class LidarRangeReference:
+    range_m: float
+
+    def __post_init__(self):
+        if not (_finite(self.range_m) and self.range_m >= 0.0):
+            raise ContractViolation(f"range_m must be >= 0: {self.range_m!r}")
+
+
+@dataclass(frozen=True, slots=True)
+class MagFieldReference:
+    """Ambient magnetic field magnitude in microtesla."""
+
+    b_ut: float
+
+    def __post_init__(self):
+        if not (_finite(self.b_ut) and self.b_ut >= 0.0):
+            raise ContractViolation(f"b_ut must be >= 0: {self.b_ut!r}")
+
+
+@dataclass(frozen=True, slots=True)
+class PirMotionReference:
+    detected: bool
+
+    def __post_init__(self):
+        if not isinstance(self.detected, bool):
+            raise ContractViolation("detected must be a bool")
+
+
+@dataclass(frozen=True, slots=True)
+class GasReadingReference:
+    ethanol_ppm: float
+    co_ppm: float
+    lpg_ppm: float
+
+    def __post_init__(self):
+        for name in ("ethanol_ppm", "co_ppm", "lpg_ppm"):
+            v = getattr(self, name)
+            if not (_finite(v) and v >= 0.0):
+                raise ContractViolation(f"{name} must be >= 0: {v!r}")
+
+
+@dataclass(frozen=True, slots=True)
+class TiltReference:
+    angle_deg: float
+
+    def __post_init__(self):
+        if not (_finite(self.angle_deg) and 0.0 <= self.angle_deg <= 180.0):
+            raise ContractViolation(f"angle_deg out of range: {self.angle_deg!r}")
+
+
+@dataclass(frozen=True, slots=True)
+class GpsFixReference:
+    point: GeoPoint
+    speed_kph: float
+    valid: bool
+
+    def __post_init__(self):
+        if not isinstance(self.point, GeoPoint):
+            raise ContractViolation("point must be a GeoPoint")
+        if not (_finite(self.speed_kph) and self.speed_kph >= 0.0):
+            raise ContractViolation(f"speed_kph must be >= 0: {self.speed_kph!r}")
+        if not isinstance(self.valid, bool):
+            raise ContractViolation("valid must be a bool")
+
+
+@dataclass(frozen=True, slots=True)
+class IgnitionReference:
+    on: bool
+
+    def __post_init__(self):
+        if not isinstance(self.on, bool):
+            raise ContractViolation("on must be a bool")
+
+
+@dataclass(frozen=True, slots=True)
+class AuthReference:
+    authorized: bool
+
+    def __post_init__(self):
+        if not isinstance(self.authorized, bool):
+            raise ContractViolation("authorized must be a bool")
+
+
+@dataclass(frozen=True, slots=True)
+class SupplyVoltageReference:
+    volts: float
+
+    def __post_init__(self):
+        if not (_finite(self.volts) and self.volts >= 0.0):
+            raise ContractViolation(f"volts must be >= 0: {self.volts!r}")
+
+
+CHECKED_PAYLOAD_REFERENCES = {
+    GeoPoint: GeoPointReference,
+    LidarRange: LidarRangeReference,
+    MagField: MagFieldReference,
+    PirMotion: PirMotionReference,
+    GasReading: GasReadingReference,
+    Tilt: TiltReference,
+    GpsFix: GpsFixReference,
+    Ignition: IgnitionReference,
+    Auth: AuthReference,
+    SupplyVoltage: SupplyVoltageReference,
+}
+
+
 # --- the replay loop, as it was before it advanced its own state: the public,
 # pure step copies the controller state at every timestamp
 
@@ -273,7 +397,8 @@ def _record_to_obj(rec: LogRecord) -> dict:
                 "severity": rec.severity.label, "message": rec.message}
     if isinstance(rec, ActuatorCommand):
         return {"t_ms": rec.t_ms, "type": "command",
-                "action": _ACTION_TAGS[type(rec.action)], **vars(rec.action)}
+                "action": _ACTION_TAGS[type(rec.action)],
+                **{f.name: getattr(rec.action, f.name) for f in fields(rec.action)}}
     return {"t_ms": rec.t_ms, "type": "mode", "mode": rec.mode.value}
 
 

@@ -19,7 +19,8 @@ from motoguard.core import (ActuatorCommand, Alert, AlertKind, Auth, Buzzer, Con
                             event_to_record, _finite, parse_config_text, severity_of,
                             truncate_sms, validate_config)
 from motoguard.harness import loads_scenario
-from oracles import event_from_record_reference, finite_reference
+from oracles import (CHECKED_PAYLOAD_REFERENCES, event_from_record_reference,
+                     finite_reference)
 
 
 def test_severity_table_matches_design() -> None:
@@ -377,6 +378,46 @@ def sensor_records(draw) -> object:
 def test_event_from_record_agrees_with_the_checked_decoder(record) -> None:
     assert _decode_outcome(event_from_record, record) == \
         _decode_outcome(event_from_record_reference, record)
+
+
+class _Count(int):
+    pass
+
+
+def _build_outcome(build, values: tuple) -> tuple:
+    """What a constructor made of values: each stored field's type and repr,
+    or the type and text of its error."""
+    try:
+        obj = build(*values)
+    except Exception as exc:  # the exception type and text are part of the contract
+        return type(exc), str(exc)
+    return [(type(v), repr(v)) for v in (getattr(obj, name) for name in obj.__match_args__)]
+
+
+payload_values = st.one_of(field_values, st.sampled_from(
+    [_Count(0), _Count(7), _Count(-1), _Count(181), "abc", "", GeoPoint(14.5, 121.0)]))
+
+
+@pytest.mark.parametrize("cls", CHECKED_PAYLOAD_REFERENCES, ids=lambda cls: cls.__name__)
+@settings(max_examples=200)
+@given(st.tuples(st.one_of(st.just(GeoPoint(14.5, 121.0)), payload_values),
+                 payload_values, payload_values))
+@example((-0.0, -0.0, -0.0))
+@example((0, 0, False))
+@example((_Level.TWO, _Level.TWO, True))
+@example((_Count(3), _Count(180), _Count(2)))
+@example((_Float(2.5), _Float("nan"), _Float("-inf")))
+@example((_NoLe(2.5), _NoLe(2.5), _NoLe(2.5)))
+@example((GeoPoint(14.5, 121.0), _NoLe(2.5), True))
+@example((10**400, -10**400, 1))
+@example((float("inf"), float("-inf"), float("nan")))
+@example((True, False, True))
+@example(("1.0", None, "yes"))
+@example((GeoPoint(-90.0, 180.0), 0, False))
+@example((90, -180, 180))
+def test_payload_constructors_agree_with_the_hand_written_checks(cls: type, values: tuple) -> None:
+    values = values[:len(cls.__match_args__)]
+    assert _build_outcome(cls, values) == _build_outcome(CHECKED_PAYLOAD_REFERENCES[cls], values)
 
 
 def _traced_bytes(decode, records: list) -> int:

@@ -1,17 +1,15 @@
 from __future__ import annotations
 
 import json
-from functools import partial
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from motoguard import harness
-from motoguard.core import (ActuatorCommand, AlertKind, Auth, Buzzer, ContractViolation,
-                            GasReading, GpsFix, GeoPoint, Ignition, IgnitionInhibit,
-                            LidarRange, PirMotion, SensorEvent, Severity, SmsSend,
-                            SolenoidLock, ValidationError, _bare, severity_of)
+from motoguard.core import (PHONE_PATTERN, ActuatorCommand, AlertKind, Auth, Buzzer,
+                            ContractViolation, GasReading, GpsFix, GeoPoint, Ignition,
+                            IgnitionInhibit, LidarRange, PirMotion, SensorEvent, Severity,
+                            SmsSend, SolenoidLock, ValidationError, severity_of)
 from motoguard.controller import Mode
 from motoguard.gsm import FakeModem, ModemClient
 from motoguard.harness import (Alert, CaseResult, ConfusionMatrix, EventLog,
@@ -301,8 +299,8 @@ def test_log_record_shapes() -> None:
 # --- log serialization: the per-shape templates agree with json.dumps ---------
 
 class _Int(int):
-    """An int whose own text differs from its value's: json.dumps writes the
-    value, so a template that took the subclass would show."""
+    """An int whose own text differs from its value's: a template would write
+    the text where json.dumps writes the value, so no log record takes one."""
 
     def __repr__(self) -> str:
         return "_Int"
@@ -317,23 +315,40 @@ class _Str(str):
     pass
 
 
-# a quote, a backslash, control characters, U+2028, non-ASCII text, a lone
-# surrogate and an escaped pair: no golden log holds any of them. An SmsSend
-# holding them is built by _bare, past the check on its number.
-ODD_TEXTS = ['"', "\\", "\x00\x08\t\n\x1f\x7f", "\u2028", "caf\u00e9 \u2713 \U0001d11e", "\ud800",
-             'a"b\\c\u2028d\udc00']
+PHONE = "+639171234567"
 
-texts = st.one_of(st.text(st.characters(exclude_categories=())), st.sampled_from(ODD_TEXTS))
-log_times = st.one_of(st.integers(0, 10**13), st.integers(0, 10**6).map(_Int))
-flags = st.one_of(st.booleans(), st.sampled_from([0, 1]))
-log_records = st.one_of(
-    st.builds(Alert, log_times, st.sampled_from(AlertKind), st.sampled_from(Severity),
-              st.one_of(texts, texts.map(_Str))),
-    st.builds(ActuatorCommand, log_times, st.one_of(
-        st.builds(Buzzer, flags), st.builds(IgnitionInhibit, flags),
-        st.builds(SolenoidLock, flags), st.builds(partial(_bare, SmsSend), texts, texts))),
-    st.builds(ModeChange, log_times, st.sampled_from(Mode)),
-)
+
+# Every value a log record constructor rejects: a time that is not an exact
+# int, a kind, severity or mode that is not its enum, a text that is not an
+# exact str, a flag that is not a bool, and an action of no action class.
+@pytest.mark.parametrize("build,reason", [
+    (lambda: Alert(_Int(5), AlertKind.THEFT, Severity.HIGH, "t"),
+     "t_ms must be a non-negative int: _Int"),
+    (lambda: Alert(0, "crash", 3, None), "kind must be an AlertKind: 'crash'"),
+    (lambda: Alert(0, AlertKind.CRASH, 3, "c"), "severity must be a Severity: 3"),
+    (lambda: Alert(0, AlertKind.CRASH, Severity.HIGH, None), "message must be a str: None"),
+    (lambda: Alert(0, AlertKind.GAS_LEAK, Severity.HIGH, _Str("leak")),
+     "message must be a str: 'leak'"),
+    (lambda: ActuatorCommand(_Int(5), Buzzer(True)), "t_ms must be a non-negative int: _Int"),
+    (lambda: ActuatorCommand(0, None),
+     "action must be a Buzzer, IgnitionInhibit, SolenoidLock or SmsSend: None"),
+    (lambda: ActuatorCommand(0, Ignition(True)),
+     "action must be a Buzzer, IgnitionInhibit, SolenoidLock or SmsSend: Ignition(on=True)"),
+    (lambda: Buzzer(1), "on must be a bool"),
+    (lambda: IgnitionInhibit(0), "on must be a bool"),
+    (lambda: SolenoidLock(1), "engaged must be a bool"),
+    (lambda: SolenoidLock(0), "engaged must be a bool"),
+    (lambda: SmsSend(123, "b"), "bad phone number: 123"),
+    (lambda: SmsSend(639171234567, "b"), "bad phone number: 639171234567"),
+    (lambda: SmsSend(_Str(PHONE), "b"), "bad phone number: '+639171234567'"),
+    (lambda: SmsSend(PHONE, None), "body must be a str: None"),
+    (lambda: SmsSend(PHONE, _Str("b")), "body must be a str: 'b'"),
+    (lambda: ModeChange(_Int(5), Mode.RIDING), "t_ms must be a non-negative int: _Int"),
+])
+def test_log_records_reject_bad_fields(build, reason: str) -> None:
+    with pytest.raises(ContractViolation) as err:
+        build()
+    assert str(err.value) == reason
 
 
 @pytest.mark.parametrize("t_ms,mode,reason", [
@@ -349,8 +364,21 @@ def test_mode_change_rejects_bad_fields(t_ms, mode, reason: str) -> None:
     assert str(err.value) == reason
 
 
-def test_mode_change_takes_an_int_subclass() -> None:
-    assert ModeChange(_Int(5), Mode.RIDING).t_ms == 5
+# a quote, a backslash, control characters, U+2028, non-ASCII text, a lone
+# surrogate and an escaped pair: no golden log holds any of them
+ODD_TEXTS = ['"', "\\", "\x00\x08\t\n\x1f\x7f", "\u2028", "caf\u00e9 \u2713 \U0001d11e", "\ud800",
+             'a"b\\c\u2028d\udc00']
+
+texts = st.one_of(st.text(st.characters(exclude_categories=())), st.sampled_from(ODD_TEXTS))
+log_times = st.integers(0, 10**13)
+flags = st.booleans()
+log_records = st.one_of(
+    st.builds(Alert, log_times, st.sampled_from(AlertKind), st.sampled_from(Severity), texts),
+    st.builds(ActuatorCommand, log_times, st.one_of(
+        st.builds(Buzzer, flags), st.builds(IgnitionInhibit, flags), st.builds(SolenoidLock, flags),
+        st.builds(SmsSend, st.from_regex(PHONE_PATTERN, fullmatch=True), texts))),
+    st.builds(ModeChange, log_times, st.sampled_from(Mode)),
+)
 
 
 def _render_outcome(render, log: EventLog) -> tuple:
@@ -364,38 +392,17 @@ def _render_outcome(render, log: EventLog) -> tuple:
 @given(st.lists(log_records, max_size=8).map(EventLog))
 @example(EventLog([]))
 @example(EventLog([Alert(0, AlertKind.CRASH, Severity.HIGH, text) for text in ODD_TEXTS]))
-@example(EventLog([ActuatorCommand(0, _bare(SmsSend, text, "ok")) for text in ODD_TEXTS]))
-@example(EventLog([ActuatorCommand(0, _bare(SmsSend, "+639171234567", text))
-                   for text in ODD_TEXTS]))
-@example(EventLog([Alert(_Int(5), AlertKind.THEFT, Severity.HIGH, "t"),
-                   ActuatorCommand(_Int(5), Buzzer(True)),
-                   ActuatorCommand(_Int(5), SmsSend("+639171234567", "b")),
-                   ModeChange(_Int(5), Mode.RIDING)]))
-@example(EventLog([Alert(0, AlertKind.GAS_LEAK, Severity.HIGH, _Str("leak")),
-                   ActuatorCommand(0, _bare(SmsSend, _Str("+639171234567"), "b")),
-                   ActuatorCommand(0, _bare(SmsSend, "+639171234567", _Str("b")))]))
-@example(EventLog([ActuatorCommand(0, Buzzer(1)), ActuatorCommand(0, IgnitionInhibit(0)),
-                   ActuatorCommand(0, SolenoidLock(1)), ActuatorCommand(0, SolenoidLock(0))]))
+@example(EventLog([ActuatorCommand(0, SmsSend(PHONE, text)) for text in ODD_TEXTS]))
 @example(EventLog([Alert(0, AlertKind.BEACON, Severity.HIGH, "b"),
                    Alert(0, AlertKind.CRASH, Severity.LOW, "c")]))
 @example(EventLog([ActuatorCommand(0, Buzzer(on=False)),
                    ActuatorCommand(0, SolenoidLock(engaged=False))]))
-@example(EventLog([Alert(0, "crash", Severity.HIGH, "c")]))
-@example(EventLog([Alert(0, AlertKind.CRASH, 3, "c")]))
-@example(EventLog([ActuatorCommand(0, None)]))
-@example(EventLog([Alert(0, AlertKind.CRASH, Severity.HIGH, None)]))
-@example(EventLog([ActuatorCommand(0, _bare(SmsSend, 639171234567, "b"))]))
-@example(EventLog([ActuatorCommand(0, _bare(SmsSend, "+639171234567", None))]))
 @example(EventLog([Alert(10**5000, AlertKind.CRASH, Severity.HIGH, "c")]))
 def test_log_to_jsonl_agrees_with_json_dumps(log: EventLog) -> None:
     assert _render_outcome(log_to_jsonl, log) == _render_outcome(log_to_jsonl_reference, log)
 
 
-def _fallback_reached(rec) -> dict:
-    raise AssertionError(f"json.dumps fallback reached for {rec!r}")
-
-
-def test_emitted_records_skip_the_fallback(corpus_dir: Path, monkeypatch) -> None:
+def test_emitted_records_render_as_json_dumps(corpus_dir: Path) -> None:
     # a closing target with a 1 ms cooldown: an alert, a buzzer and an SMS per sample
     closing = [ev(3000 + 100 * i, LidarRange(40.0 - i)) for i in range(40)]
     storm = Scenario(name="storm", config={"sms_cooldown_ms": 1},
@@ -410,7 +417,6 @@ def test_emitted_records_skip_the_fallback(corpus_dir: Path, monkeypatch) -> Non
                       ("command", "ignition_inhibit"), ("command", "solenoid_lock"),
                       ("command", "sms_send")}
     assert len(logs) == 23 and want[-1].count('"sms_send"') > 10
-    monkeypatch.setattr(harness, "_record_to_obj", _fallback_reached)
     assert [log_to_jsonl(log) for log in logs] == want
 
 

@@ -3,16 +3,16 @@ from __future__ import annotations
 import dataclasses
 import importlib
 import types
+import typing
 from pathlib import Path
+
+from motoguard import core
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 MODULES = [importlib.import_module(f"motoguard.{path.stem}")
            for path in sorted((REPO_ROOT / "src" / "motoguard").glob("*.py"))
            if path.stem not in ("__init__", "__main__")]
 
-# the action classes keep a __dict__: the event log reads them with vars()
-UNSLOTTED_ACTIONS = {"motoguard.core.Buzzer", "motoguard.core.IgnitionInhibit",
-                     "motoguard.core.SolenoidLock", "motoguard.core.SmsSend"}
 
 
 def unslotted_frozen_dataclasses(module: types.ModuleType) -> list[str]:
@@ -24,9 +24,9 @@ def unslotted_frozen_dataclasses(module: types.ModuleType) -> list[str]:
             and "__slots__" not in vars(obj)]
 
 
-def test_every_frozen_record_but_the_actions_is_slotted() -> None:
+def test_every_frozen_record_is_slotted() -> None:
     found = {name for module in MODULES for name in unslotted_frozen_dataclasses(module)}
-    assert found == UNSLOTTED_ACTIONS
+    assert found == set()
 
 
 def test_the_slot_check_sees_only_unslotted_frozen_dataclasses() -> None:
@@ -38,3 +38,16 @@ def test_the_slot_check_sees_only_unslotted_frozen_dataclasses() -> None:
               "class Plain:\n    pass\n")
     exec(compile(source, "fake", "exec", dont_inherit=True), vars(module))
     assert unslotted_frozen_dataclasses(module) == ["fake.Bare"]
+
+
+def test_every_payload_field_is_checked_by_its_rule_alone() -> None:
+    # a field with no _FIELD_RULES row, or a payload class with a __post_init__
+    # of its own, would put a second copy of some contract beside the table
+    payloads = [core.GeoPoint, *typing.get_args(core.Payload)]
+    assert len(payloads) == 10
+    for cls in payloads:
+        assert [f.name for f in dataclasses.fields(cls) if f.name not in core._FIELD_RULES] == []
+        assert cls._rows == tuple((f.name, *core._FIELD_RULES[f.name])
+                                  for f in dataclasses.fields(cls))
+        assert "__post_init__" not in vars(cls)
+        assert cls.__post_init__ is core._RuleChecked.__post_init__
