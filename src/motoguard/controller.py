@@ -290,12 +290,6 @@ _HANDLERS = {Auth: _on_auth, Ignition: _on_ignition, GasReading: _on_gas,
              GpsFix: _on_fix, SupplyVoltage: _on_voltage}
 
 
-def _inherited(cls: type):
-    """The handler of a payload subclass's nearest payload base, as an isinstance
-    chain picks it; None for an object of no payload class, which is ignored."""
-    return next((_HANDLERS[base] for base in cls.__mro__ if base in _HANDLERS), None)
-
-
 def advance(cfg: ControllerConfig, state: ControllerState, t_ms: int,
             events: list[SensorEvent]) -> tuple[list[Alert], list[ActuatorCommand]]:
     """Apply all events stamped t_ms to state, which the caller owns, in place."""
@@ -309,9 +303,7 @@ def advance(cfg: ControllerConfig, state: ControllerState, t_ms: int,
     commands: list[ActuatorCommand] = []
     for ev in events:
         p = ev.payload
-        handler = _HANDLERS.get(type(p)) or _inherited(type(p))
-        if handler is not None:
-            handler(cfg, state, t_ms, p, alerts, commands)
+        _HANDLERS[type(p)](cfg, state, t_ms, p, alerts, commands)
     state.last_t_ms = t_ms
     return alerts, commands
 

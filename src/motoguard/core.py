@@ -10,10 +10,8 @@ import dataclasses
 import math
 import re
 import sys
-from collections.abc import Callable
 from dataclasses import dataclass, fields
 from enum import Enum, IntEnum
-from functools import partial
 from operator import itemgetter
 from pathlib import Path
 
@@ -207,6 +205,9 @@ def check_t_ms(t_ms: int) -> None:
         raise ContractViolation(f"t_ms must be a non-negative int: {t_ms!r}")
 
 
+_PAYLOAD_TYPES = frozenset(Payload.__args__)
+
+
 @dataclass(frozen=True, slots=True)
 class SensorEvent:
     t_ms: int
@@ -214,6 +215,11 @@ class SensorEvent:
 
     def __post_init__(self):
         check_t_ms(self.t_ms)
+        # exact: step dispatches on type(payload), so a subclass has no handler
+        if type(self.payload) not in _PAYLOAD_TYPES:
+            raise ContractViolation(f"payload must be a LidarRange, MagField, PirMotion, "
+                                    f"GasReading, Tilt, GpsFix, Ignition, Auth or "
+                                    f"SupplyVoltage: {self.payload!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -289,8 +295,9 @@ class ActuatorCommand:
 # exact type taken, lowest, highest, error text), both ends inclusive. The
 # constructors take an int or float subclass too (never a bool) and test a
 # non-negative field, whose highest is _MAX, from below only; a non-number
-# field by isinstance. The direct decoder takes only the exact types; its
-# lo <= x <= hi rejects nan, +-inf and an int too large for a float.
+# field by isinstance. The direct decoder of the one-field tags (all but gas
+# and gps) takes only the exact types; its lo <= x <= hi rejects nan, +-inf
+# and an int too large for a float.
 _MAX = sys.float_info.max
 _NON_NEGATIVE = (float, int, 0.0, _MAX, "{} must be >= 0: {!r}")
 _BOOL = (bool, bool, False, True, "{} must be a bool")
@@ -355,92 +362,39 @@ def _decoder(cls: type) -> tuple:
 
 _DECODERS = {tag: _decoder(cls) for tag, cls in _SENSOR_TAGS.items()}
 
-# A direct constructor makes each object the way a frozen dataclass __init__
-# does, object.__new__ then object.__setattr__ per field in declaration order,
-# and skips __post_init__. The records are slotted, so each field goes
-# straight into its slot and the object is one allocation.
+# The direct decoder of a one-field tag: (payload class, its field, and the
+# field's exact types and bounds from _FIELD_RULES). It makes the payload and
+# the event the way a frozen dataclass __init__ does, object.__new__ then
+# object.__setattr__ per field, and skips __post_init__. The records are
+# slotted, so each field goes straight into its slot.
+_ONE_FIELD = {tag: (cls, name, *_FIELD_RULES[name][:4])
+              for tag, cls in _SENSOR_TAGS.items() if len(cls.__match_args__) == 1
+              for name in cls.__match_args__}
 _new = object.__new__
 _set = object.__setattr__
-
-
-def _bare(cls: type, *values):
-    """cls(*values) for a frozen dataclass, without __post_init__: only for
-    values that already meet its contract."""
-    obj = _new(cls)
-    for name, value in zip(cls.__match_args__, values):
-        _set(obj, name, value)
-    return obj
-
-
-def _bare_gps_from_fields(lat_deg: float, lon_deg: float, speed_kph: float,
-                          valid: bool) -> GpsFix:
-    point = _new(GeoPoint)
-    _set(point, "lat_deg", lat_deg)
-    _set(point, "lon_deg", lon_deg)
-    fix = _new(GpsFix)
-    _set(fix, "point", point)
-    _set(fix, "speed_kph", speed_kph)
-    _set(fix, "valid", valid)
-    return fix
-
-
-def _direct(build, names: tuple, keys: frozenset, values) -> Callable[[dict], SensorEvent | None]:
-    """The direct constructor of one tag: the event of a dict record whose key
-    set is `keys`, whose t_ms is an exact non-negative int and whose every
-    field meets its _FIELD_RULES entry; None for any other record."""
-    if len(names) == 1:  # all but gas and gps, so nearly every record: no loops
-        (name,) = names
-        kind, also, lo, hi, _ = _FIELD_RULES[name]
-
-        def direct(rec: dict) -> SensorEvent | None:
-            # a missing key reads None, which no rule accepts, so three keys
-            # that pass are exactly "sensor", "t_ms" and `name`
-            t_ms, value = rec.get("t_ms"), rec.get(name)
-            if not (len(rec) == 3 and type(t_ms) is int and t_ms >= 0
-                    and (type(value) is kind or type(value) is also) and lo <= value <= hi):
-                return None
-            payload = _new(build)
-            _set(payload, name, value)
-            event = _new(SensorEvent)
-            _set(event, "t_ms", t_ms)
-            _set(event, "payload", payload)
-            return event
-        return direct
-
-    rules = tuple(_FIELD_RULES[n] for n in names)
-    make = _bare_gps_from_fields if build is _gps_from_fields else partial(_bare, build)
-
-    def direct(rec: dict) -> SensorEvent | None:
-        if rec.keys() != keys:
-            return None
-        t_ms, field_values = rec["t_ms"], values(rec)
-        if not (type(t_ms) is int and t_ms >= 0):
-            return None
-        for value, (kind, also, lo, hi, _) in zip(field_values, rules):
-            if not ((type(value) is kind or type(value) is also) and lo <= value <= hi):
-                return None
-        event = _new(SensorEvent)
-        _set(event, "t_ms", t_ms)
-        _set(event, "payload", make(*field_values))
-        return event
-    return direct
-
-
-_DIRECT = {tag: _direct(*decoder) for tag, decoder in _DECODERS.items()}
 
 
 def event_from_record(rec: dict) -> SensorEvent:
     """Inverse of event_to_record; raises ContractViolation on bad shapes.
 
-    A well-formed record is built by its tag's direct constructor. Any other
-    record goes through _checked_event, so every error text comes from the
-    checked constructors."""
+    A well-formed record of a one-field tag is built directly. Any other
+    record, gas and gps included, goes through _checked_event, so every error
+    text comes from the checked constructors."""
     if type(rec) is dict:
         tag = rec.get("sensor")
-        direct = _DIRECT.get(tag) if type(tag) is str else None
-        if direct is not None:
-            event = direct(rec)
-            if event is not None:
+        row = _ONE_FIELD.get(tag) if type(tag) is str else None
+        if row is not None:
+            cls, name, kind, also, lo, hi = row
+            # a missing key reads None, which no rule accepts, so three keys
+            # that pass are exactly "sensor", "t_ms" and `name`
+            t_ms, value = rec.get("t_ms"), rec.get(name)
+            if (len(rec) == 3 and type(t_ms) is int and t_ms >= 0
+                    and (type(value) is kind or type(value) is also) and lo <= value <= hi):
+                payload = _new(cls)
+                _set(payload, name, value)
+                event = _new(SensorEvent)
+                _set(event, "t_ms", t_ms)
+                _set(event, "payload", payload)
                 return event
     return _checked_event(rec)
 

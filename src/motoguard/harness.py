@@ -48,9 +48,14 @@ class ExpectedLabel:
         return self.start_ms is None
 
     def __post_init__(self):
+        if type(self.kind) is not AlertKind:
+            raise ContractViolation(f"kind must be an AlertKind: {self.kind!r}")
         if (self.start_ms is None) != (self.end_ms is None):
             raise ContractViolation("window needs both start_ms and end_ms")
         if self.start_ms is not None:
+            if type(self.start_ms) is not int or type(self.end_ms) is not int:
+                raise ContractViolation(f"window bounds must be ints: "
+                                        f"[{self.start_ms!r}, {self.end_ms!r}]")
             if self.start_ms < 0 or self.end_ms < self.start_ms:
                 raise ContractViolation(f"bad window [{self.start_ms}, {self.end_ms}]")
 
@@ -306,8 +311,10 @@ def log_to_jsonl(log: EventLog) -> str:
             else:
                 append(f'{{"t_ms": {rec.t_ms}, "type": "command", "action": '
                        f'{shape[1]}{_JSON_BOOL[getattr(action, shape[0])]}}}')
-        else:
+        elif cls is ModeChange:
             append(f'{{"t_ms": {rec.t_ms}, "type": "mode", "mode": {_MODE_JSON[rec.mode]}}}')
+        else:
+            raise ContractViolation(f"not a log record: {rec!r}")
     return "\n".join(lines) + "\n"
 
 

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import ast
 import copy
-import dataclasses
 import random
 import re
 import typing
@@ -393,16 +392,21 @@ class LowVoltage(SupplyVoltage):
     """A payload subclass the controller has no entry for."""
 
 
-def test_a_payload_subclass_takes_its_base_class_handler(cfg: ControllerConfig) -> None:
-    _, alerts, _ = step(cfg, ControllerState(), 0, [ev(0, LowVoltage(5.0))])
-    assert [a.kind for a in alerts] == [AlertKind.UNDERVOLTAGE]
+OPAQUE = object()
 
 
-def test_an_object_of_no_payload_class_changes_only_the_clock(cfg: ControllerConfig) -> None:
-    state = riding_at(cfg, 40.0)
-    new, alerts, commands = step(cfg, state, 5000, [ev(5000, object()), ev(5000, "lidar")])
-    assert (alerts, commands) == ([], [])
-    assert new == dataclasses.replace(state, last_t_ms=5000)
+# step looks a handler up by the exact payload type, so an event takes no other
+@pytest.mark.parametrize("payload,shown", [
+    (LowVoltage(5.0), "LowVoltage(volts=5.0)"),
+    (OPAQUE, repr(OPAQUE)),
+    ("lidar", "'lidar'"),
+    (None, "None"),
+], ids=["payload_subclass", "object", "str", "none"])
+def test_a_sensor_event_takes_only_a_payload_class(payload, shown: str) -> None:
+    with pytest.raises(ContractViolation) as err:
+        ev(0, payload)
+    assert str(err.value) == ("payload must be a LidarRange, MagField, PirMotion, GasReading, "
+                              "Tilt, GpsFix, Ignition, Auth or SupplyVoltage: " + shown)
 
 
 def nested_functions(source: str) -> dict[str, list[int]]:

@@ -262,24 +262,48 @@ WELL_FORMED = {
 
 TAGS = ("lidar", "mag", "pir", "gas", "tilt", "gps", "ignition", "auth", "supply")
 RECORD_FIELDS = {tag: tuple(WELL_FORMED[tag])[2:] for tag in TAGS}  # after t_ms, sensor
+# the multi-field tags: rare in a ride (gps at 1 Hz, gas only before it), so
+# they are not worth a direct decoder of their own
+CHECKED_TAGS = {"gas", "gps"}
+DIRECT = {name: r for name, r in WELL_FORMED.items() if r["sensor"] not in CHECKED_TAGS}
+CHECKED = {name: r for name, r in WELL_FORMED.items() if r["sensor"] in CHECKED_TAGS}
 
 
-def _unreachable(record):
-    raise AssertionError(f"checked path reached for {record!r}")
+def _tracked_checked_path(monkeypatch) -> list:
+    """Route _checked_event through a wrapper; the list it returns fills with
+    every record that reaches it."""
+    reached, checked = [], core._checked_event
+
+    def tracked(record):
+        reached.append(record)
+        return checked(record)
+    monkeypatch.setattr(core, "_checked_event", tracked)
+    return reached
 
 
-@pytest.mark.parametrize("record", WELL_FORMED.values(), ids=WELL_FORMED.keys())
+@pytest.mark.parametrize("record", DIRECT.values(), ids=DIRECT.keys())
 def test_well_formed_records_skip_the_checked_path(record: dict, monkeypatch) -> None:
     want = event_from_record_reference(record)
-    monkeypatch.setattr(core, "_checked_event", _unreachable)
+    reached = _tracked_checked_path(monkeypatch)
     assert repr(event_from_record(record)) == repr(want)
+    assert reached == []
+
+
+@pytest.mark.parametrize("record", CHECKED.values(), ids=CHECKED.keys())
+def test_gas_and_gps_records_take_the_checked_path(record: dict, monkeypatch) -> None:
+    want = event_from_record_reference(record)
+    reached = _tracked_checked_path(monkeypatch)
+    assert repr(event_from_record(record)) == repr(want)
+    assert reached == [record]
 
 
 def test_corpus_records_skip_the_checked_path(corpus_dir: Path, monkeypatch) -> None:
     texts = [path.read_text(encoding="utf-8") for path in sorted(corpus_dir.glob("*.jsonl"))]
     want = [repr(loads_scenario(text).events) for text in texts]
-    monkeypatch.setattr(core, "_checked_event", _unreachable)
+    reached = _tracked_checked_path(monkeypatch)
     assert [repr(loads_scenario(text).events) for text in texts] == want
+    # only gas and gps records reach the checked path, and the corpus has both
+    assert {record["sensor"] for record in reached} == CHECKED_TAGS
 
 
 def _decode_outcome(decode, record) -> tuple:
@@ -375,6 +399,13 @@ def sensor_records(draw) -> object:
 @example([("t_ms", 0), ("sensor", "lidar"), ("range_m", 1.0)])
 @example(rec(["lidar"], range_m=1.0))
 @example(rec(7))
+# three keys, one of them wrong or missing, which the direct decoder must turn away
+@example({"sensor": "lidar", "range_m": 1.0, "x": 0})
+@example({"t_ms": 0, "sensor": "lidar", "range": 1.0})
+@example({"t_ms": 0, "range_m": 1.0, "x": "lidar"})
+@example({"t_ms": 0, "sensor": "auth", "on": True})
+@example({"t_ms": 0, "sensor": "pir", "detected": None})
+@example({"t_ms": 0, "sensor": "gas", "ethanol_ppm": 1.0})
 def test_event_from_record_agrees_with_the_checked_decoder(record) -> None:
     assert _decode_outcome(event_from_record, record) == \
         _decode_outcome(event_from_record_reference, record)
@@ -433,7 +464,7 @@ def _traced_bytes(decode, records: list) -> int:
     return held
 
 
-@pytest.mark.parametrize("tag", ["lidar", "pir", "gas", "gps"])
+@pytest.mark.parametrize("tag", ["lidar", "pir", "tilt", "auth"])
 def test_direct_events_hold_the_memory_of_constructed_ones(tag: str) -> None:
     # the payload and event records are slotted, so a direct event and a
     # constructed one are the same objects; this catches a direct constructor

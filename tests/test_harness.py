@@ -351,6 +351,31 @@ def test_log_records_reject_bad_fields(build, reason: str) -> None:
     assert str(err.value) == reason
 
 
+@pytest.mark.parametrize("args,reason", [
+    (("collision", 0, 5), "kind must be an AlertKind: 'collision'"),
+    (("collision",), "kind must be an AlertKind: 'collision'"),
+    ((AlertKind.CRASH, True, 5), "window bounds must be ints: [True, 5]"),
+    ((AlertKind.CRASH, "0", "5"), "window bounds must be ints: ['0', '5']"),
+    ((AlertKind.CRASH, 0, 5.0), "window bounds must be ints: [0, 5.0]"),
+    ((AlertKind.CRASH, 0, _Int(5)), "window bounds must be ints: [0, _Int]"),
+    ((AlertKind.CRASH, 0), "window needs both start_ms and end_ms"),
+    ((AlertKind.CRASH, 9, 5), "bad window [9, 5]"),
+    ((AlertKind.CRASH, -1, 5), "bad window [-1, 5]"),
+], ids=["str_kind", "str_kind_negative", "bool_start", "str_bounds", "float_end",
+        "int_subclass_end", "start_only", "end_before_start", "negative_start"])
+def test_expected_label_rejects_bad_fields(args: tuple, reason: str) -> None:
+    with pytest.raises(ContractViolation) as err:
+        ExpectedLabel(*args)
+    assert str(err.value) == reason
+
+
+def test_log_to_jsonl_rejects_a_record_of_no_log_type() -> None:
+    foreign = SensorEvent(0, Ignition(True))
+    with pytest.raises(ContractViolation) as err:
+        log_to_jsonl(EventLog([ModeChange(0, Mode.PARKED), foreign]))
+    assert str(err.value) == "not a log record: SensorEvent(t_ms=0, payload=Ignition(on=True))"
+
+
 @pytest.mark.parametrize("t_ms,mode,reason", [
     (True, Mode.PARKED, "t_ms must be a non-negative int: True"),
     (-5, Mode.RIDING, "t_ms must be a non-negative int: -5"),
