@@ -10,17 +10,14 @@ import dataclasses
 import math
 import re
 import sys
+from collections import namedtuple
 from dataclasses import dataclass, fields
 from enum import Enum, IntEnum
-from operator import itemgetter
+from operator import itemgetter, lt
 from pathlib import Path
 
 SMS_MAX_CHARS = 160
 PHONE_PATTERN = re.compile(r"\+?[0-9]{7,15}")  # use with fullmatch
-
-# MiCS-5524 detection ranges: ethanol is only readable between 10 and 500 ppm,
-# LPG-class gases only from about 1000 ppm upward.
-ETHANOL_SENSOR_MAX_PPM = 500.0
 
 
 class ContractViolation(ValueError):
@@ -447,43 +444,46 @@ class ControllerConfig:
 
 DEFAULT_CONFIG = ControllerConfig()
 
-# One kind per field, read from the declaration above: int and float fields
-# are numeric limits, and every str field is a phone number.
-_FIELD_KINDS: dict[str, type] = {f.name: type(f.default) for f in fields(ControllerConfig)}
+# One rule per config field, as declared: its kind (the default's type), a
+# test for a value of that kind, the bounds lo < value <= hi (None: none), the
+# texts for a value not of the kind, at or below lo and above hi, and the rank
+# of its kind in validate_config's report. A field with no row of its own
+# takes its kind's: a finite int or float, an int, a phone number.
+_Rule = namedtuple("_Rule", "kind is_kind lo hi kind_text lo_text hi_text rank")
+_FLOAT = _Rule(float, _finite, 0.0, math.inf, "must be a finite number", "must be > 0", None, 0)
+_INT = _Rule(int, lambda v: isinstance(v, int) and not isinstance(v, bool), 0, math.inf,
+             "must be an integer", "must be > 0", None, 1)
+_PHONE = _Rule(str, lambda v: isinstance(v, str) and PHONE_PATTERN.fullmatch(v) is not None,
+               None, None, "must match +?[0-9]{7,15}", None, None, 3)
+_CONFIG_RULES = {f.name: {float: _FLOAT, int: _INT, str: _PHONE}[type(f.default)]
+                 for f in fields(ControllerConfig)} | {
+    # MiCS-5524 detection ranges: ethanol is only readable between 10 and 500 ppm,
+    # LPG-class gases only from about 1000 ppm upward.
+    "ethanol_lockout_ppm": _FLOAT._replace(hi=500.0, hi_text="exceeds sensor range 500 ppm"),
+    "crash_tilt_deg": _FLOAT._replace(hi=180.0, hi_text="must be <= 180"),
+    "beacon_period_ms": _INT._replace(lo=59_999, lo_text="must be >= 60000"),
+}
+# (field, other field, predicate on their values, text), checked if both pass their rows
+_CROSS_RULES = (("speed_hysteresis_kph", "speed_limit_kph", lt, "must be < speed_limit_kph"),
+                ("sms_cooldown_ms", "beacon_period_ms", lt, "must be < beacon_period_ms"))
 _KIND_TEXT = {int: "an integer", float: "a number", str: "a string"}
-# the fields of each kind in name order, the order validate_config reports them in
-_FLOAT_FIELDS, _INT_FIELDS, _STR_FIELDS = (
-    tuple(sorted(name for name, k in _FIELD_KINDS.items() if k is kind))
-    for kind in (float, int, str))
 
 
 def validate_config(cfg: ControllerConfig) -> list[tuple[str, str]]:
     """Return every violated constraint as (field, reason); empty means valid."""
-    bad: list[tuple[str, str]] = []
-    for name in _FLOAT_FIELDS:
+    bad = []  # (report key, field, reason)
+    for name, r in _CONFIG_RULES.items():
         v = getattr(cfg, name)
-        if not _finite(v):
-            bad.append((name, "must be a finite number"))
-        elif v <= 0:
-            bad.append((name, "must be > 0"))
-    for name in _INT_FIELDS:
-        v = getattr(cfg, name)
-        if not isinstance(v, int) or isinstance(v, bool):
-            bad.append((name, "must be an integer"))
-        elif name == "beacon_period_ms":
-            if v < 60_000:
-                bad.append((name, "must be >= 60000"))
-        elif v <= 0:
-            bad.append((name, "must be > 0"))
-    if _finite(cfg.ethanol_lockout_ppm) and cfg.ethanol_lockout_ppm > ETHANOL_SENSOR_MAX_PPM:
-        bad.append(("ethanol_lockout_ppm", "exceeds sensor range 500 ppm"))
-    if _finite(cfg.crash_tilt_deg) and cfg.crash_tilt_deg > 180.0:
-        bad.append(("crash_tilt_deg", "must be <= 180"))
-    for name in _STR_FIELDS:
-        v = getattr(cfg, name)
-        if not isinstance(v, str) or PHONE_PATTERN.fullmatch(v) is None:
-            bad.append((name, "must match +?[0-9]{7,15}"))
-    return bad
+        if not r.is_kind(v):
+            bad.append(((r.rank, name), name, r.kind_text))
+        elif r.lo is not None and not r.lo < v <= r.hi:
+            # above hi ranks between the ints and the phones, kept as declared
+            bad.append(((r.rank, name), name, r.lo_text) if v <= r.lo else ((2,), name, r.hi_text))
+    failed = {name for _, name, _ in bad}
+    bad += (((4,), a, text) for a, b, holds, text in _CROSS_RULES
+            if a not in failed and b not in failed and not holds(getattr(cfg, a), getattr(cfg, b)))
+    # the float fields by name, then the ints, the highs, the phones and the cross rules
+    return [(name, why) for _, name, why in sorted(bad, key=itemgetter(0))]
 
 
 def require_valid_config(cfg: ControllerConfig) -> ControllerConfig:
@@ -497,9 +497,9 @@ def apply_overrides(cfg: ControllerConfig, overrides: dict) -> ControllerConfig:
     """Overlay a key-value mapping onto cfg; unknown keys are a hard error."""
     coerced: dict = {}
     for key, value in overrides.items():
-        kind = _FIELD_KINDS.get(key)
-        if kind is None:
+        if key not in _CONFIG_RULES:
             raise ValidationError([(key, "unknown config key")])
+        kind = _CONFIG_RULES[key].kind
         allowed = (int, float) if kind is float else kind
         if isinstance(value, bool) or not isinstance(value, allowed):
             raise ValidationError([(key, f"must be {_KIND_TEXT[kind]}")])
@@ -525,9 +525,9 @@ def parse_config_text(text: str) -> dict:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        kind = _FIELD_KINDS.get(key)
-        if kind is None:
+        if key not in _CONFIG_RULES:
             raise ConfigError(line_no, f"unknown key {key!r}")
+        kind = _CONFIG_RULES[key].kind
         try:
             overrides[key] = kind(value)
         except ValueError:

@@ -19,7 +19,7 @@ from .core import (Alert, ActuatorCommand, AlertKind, Buzzer, ContractViolation,
                    ControllerConfig, DEFAULT_CONFIG, IgnitionInhibit, SensorEvent,
                    Severity, SmsSend, SolenoidLock, ValidationError, VirtualClock,
                    apply_overrides, check_t_ms, event_from_record, event_to_record,
-                   require_valid_config, severity_of)
+                   require_valid_config, severity_of, validate_config)
 from .gsm import FakeModem, ModemClient
 
 
@@ -50,12 +50,10 @@ class ExpectedLabel:
     def __post_init__(self):
         if type(self.kind) is not AlertKind:
             raise ContractViolation(f"kind must be an AlertKind: {self.kind!r}")
-        if (self.start_ms is None) != (self.end_ms is None):
-            raise ContractViolation("window needs both start_ms and end_ms")
-        if self.start_ms is not None:
+        if self.start_ms is not None or self.end_ms is not None:
+            # type() rather than isinstance(): JSON true/false must not pass as 1/0
             if type(self.start_ms) is not int or type(self.end_ms) is not int:
-                raise ContractViolation(f"window bounds must be ints: "
-                                        f"[{self.start_ms!r}, {self.end_ms!r}]")
+                raise ContractViolation(_WINDOW_TEXT)
             if self.start_ms < 0 or self.end_ms < self.start_ms:
                 raise ContractViolation(f"bad window [{self.start_ms}, {self.end_ms}]")
 
@@ -98,6 +96,7 @@ class EventLog:
 
 _HEADER_KEYS = {"name", "description", "config", "expected"}
 _KIND_OF_VALUE = {kind.value: kind for kind in AlertKind}
+_WINDOW_TEXT = "label window needs integer start_ms and end_ms"
 
 
 def _label_from_obj(obj: dict, line_no: int) -> ExpectedLabel:
@@ -120,10 +119,9 @@ def _label_from_obj(obj: dict, line_no: int) -> ExpectedLabel:
     end = extra.pop("end_ms", None)
     if extra:
         raise SchemaError(line_no, f"label has extra fields: {sorted(extra)}")
-    # type() rather than isinstance(): JSON true/false must not pass as 1/0
-    if type(start) is not int or type(end) is not int:
-        raise SchemaError(line_no, "label window needs integer start_ms and end_ms")
-    try:
+    if start is None and end is None:  # a label that is not negative has a window
+        raise SchemaError(line_no, _WINDOW_TEXT)
+    try:  # ExpectedLabel alone checks the window
         return ExpectedLabel(kind, start, end)
     except ContractViolation as exc:
         raise SchemaError(line_no, str(exc)) from None
@@ -239,9 +237,11 @@ def run(sc: Scenario, cfg: ControllerConfig = DEFAULT_CONFIG) -> EventLog:
     try:
         merged = require_valid_config(apply_overrides(cfg, sc.config))
     except ValidationError as exc:
-        # a bad key the header sets is the scenario's fault; any other is cfg's
-        raise ValidationError([(f"{sc.name}: {name}" if name in sc.config else name, reason)
-                               for name, reason in exc.violations]) from exc
+        # a breach the header brings is the scenario's fault: one of a key it
+        # sets, or one that cfg alone does not have; any other is cfg's
+        own = validate_config(cfg)
+        raise ValidationError([(f"{sc.name}: {name}" if name in sc.config or (name, why) not in own
+                                else name, why) for name, why in exc.violations]) from exc
     clock = VirtualClock()
     modem = FakeModem(clock)
     # no power-on init: the first drain that has a message brings the modem up

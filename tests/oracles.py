@@ -19,12 +19,13 @@ from itertools import groupby
 from operator import attrgetter, itemgetter, xor
 
 from motoguard.controller import ControllerState, Mode, drain_sms, step
-from motoguard.core import (DEFAULT_CONFIG, ActuatorCommand, Alert, Auth, Buzzer,
-                            ContractViolation, ControllerConfig, GasReading, GeoPoint, GpsFix,
-                            Ignition, IgnitionInhibit, LidarRange, MagField, PirMotion,
-                            SensorEvent, SmsSend, SolenoidLock, SupplyVoltage, Tilt,
-                            ValidationError, VirtualClock, apply_overrides, event_from_record,
-                            _finite, require_valid_config)
+from motoguard.core import (DEFAULT_CONFIG, PHONE_PATTERN,
+                            ActuatorCommand, Alert, Auth, Buzzer, ContractViolation,
+                            ControllerConfig, GasReading, GeoPoint, GpsFix, Ignition,
+                            IgnitionInhibit, LidarRange, MagField, PirMotion, SensorEvent,
+                            SmsSend, SolenoidLock, SupplyVoltage, Tilt, ValidationError,
+                            VirtualClock, apply_overrides, event_from_record, _finite,
+                            require_valid_config)
 from motoguard.gsm import FakeModem, ModemClient
 from motoguard.harness import EventLog, LogRecord, ModeChange, Scenario, SchemaError
 from motoguard.nmea import (MAX_SENTENCE_CHARS, ChecksumMismatch, MalformedNumber,
@@ -143,6 +144,46 @@ def finite_reference(x) -> bool:
     nan nor infinite. ``math.isfinite`` raises OverflowError on an int too
     large for a float."""
     return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+
+# --- configuration validation, as it was before the rule table: one
+# hand-written loop per kind and three special cases, reporting floats by
+# name, ints by name, the ethanol and tilt upper bounds, then phone numbers
+
+ETHANOL_SENSOR_MAX_PPM = 500.0  # the sensor's range, once a core constant
+_FIELD_KINDS: dict[str, type] = {f.name: type(f.default) for f in fields(ControllerConfig)}
+_FLOAT_FIELDS, _INT_FIELDS, _STR_FIELDS = (
+    tuple(sorted(name for name, k in _FIELD_KINDS.items() if k is kind))
+    for kind in (float, int, str))
+
+
+def validate_config_reference(cfg: ControllerConfig) -> list[tuple[str, str]]:
+    """Return every violated constraint as (field, reason); empty means valid."""
+    bad: list[tuple[str, str]] = []
+    for name in _FLOAT_FIELDS:
+        v = getattr(cfg, name)
+        if not _finite(v):
+            bad.append((name, "must be a finite number"))
+        elif v <= 0:
+            bad.append((name, "must be > 0"))
+    for name in _INT_FIELDS:
+        v = getattr(cfg, name)
+        if not isinstance(v, int) or isinstance(v, bool):
+            bad.append((name, "must be an integer"))
+        elif name == "beacon_period_ms":
+            if v < 60_000:
+                bad.append((name, "must be >= 60000"))
+        elif v <= 0:
+            bad.append((name, "must be > 0"))
+    if _finite(cfg.ethanol_lockout_ppm) and cfg.ethanol_lockout_ppm > ETHANOL_SENSOR_MAX_PPM:
+        bad.append(("ethanol_lockout_ppm", "exceeds sensor range 500 ppm"))
+    if _finite(cfg.crash_tilt_deg) and cfg.crash_tilt_deg > 180.0:
+        bad.append(("crash_tilt_deg", "must be <= 180"))
+    for name in _STR_FIELDS:
+        v = getattr(cfg, name)
+        if not isinstance(v, str) or PHONE_PATTERN.fullmatch(v) is None:
+            bad.append((name, "must match +?[0-9]{7,15}"))
+    return bad
 
 
 def json_lines_reference(text: str) -> list:

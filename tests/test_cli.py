@@ -325,6 +325,22 @@ def test_eval_bad_config_file_names_no_scenario(corpus_dir: Path, tmp_path: Path
     assert capsys.readouterr().err == "error: bad config: speed_limit_kph: must be > 0\n"
 
 
+def test_eval_header_breaking_a_cross_field_rule_names_the_scenario(
+        corpus_dir: Path, tmp_path: Path, capsys) -> None:
+    # the header sets only the limit, yet the breach is reported on the hysteresis
+    work = tmp_path / "corpus"
+    shutil.copytree(corpus_dir, work)
+    path = work / "crash_fall.jsonl"
+    header, rest = path.read_text(encoding="utf-8").split("\n", 1)
+    obj = json.loads(header)
+    obj.setdefault("config", {})["speed_limit_kph"] = 5.0
+    path.write_text(json.dumps(obj) + "\n" + rest, encoding="utf-8")
+    code = main(["eval", "--scenario-dir", str(work)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: bad config: crash_fall: speed_hysteresis_kph: must be < speed_limit_kph\n")
+
+
 @pytest.mark.parametrize("kind", ["directory", "not_utf8"])
 def test_eval_unreadable_scenario_is_io_error(kind: str, tmp_path: Path, capsys) -> None:
     bad = write_unreadable(tmp_path, kind)

@@ -546,6 +546,14 @@ def full_queue(severity: Severity, n: int = 32) -> tuple[PendingSms, ...]:
                  for i in range(n))
 
 
+def test_queue_holds_exactly_its_cap_before_the_first_drop(cfg: ControllerConfig) -> None:
+    rs = RouterState(pending_sms=full_queue(Severity.LOW, SMS_QUEUE_MAX - 1))
+    rs, _, _ = route(rs, Trigger(AlertKind.CRASH, "CRASH x t=0"), 0, cfg)
+    assert (len(rs.pending_sms), rs.dropped_count) == (SMS_QUEUE_MAX, 0)
+    rs, _, _ = route(rs, Trigger(AlertKind.THEFT, "THEFT x"), 0, cfg)
+    assert (len(rs.pending_sms), rs.dropped_count) == (SMS_QUEUE_MAX, 1)
+
+
 def test_overflow_drops_oldest_lowest_severity(cfg: ControllerConfig) -> None:
     rs = RouterState(pending_sms=full_queue(Severity.LOW))
     rs, _, _ = route(rs, Trigger(AlertKind.CRASH, "CRASH x t=0"), 0, cfg)

@@ -2,9 +2,12 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import sys
 import tracemalloc
+from dataclasses import fields
 from enum import IntEnum
+from operator import lt
 from pathlib import Path
 
 import pytest
@@ -20,7 +23,7 @@ from motoguard.core import (ActuatorCommand, Alert, AlertKind, Auth, Buzzer, Con
                             truncate_sms, validate_config)
 from motoguard.harness import loads_scenario
 from oracles import (CHECKED_PAYLOAD_REFERENCES, event_from_record_reference,
-                     finite_reference)
+                     finite_reference, validate_config_reference)
 
 
 def test_severity_table_matches_design() -> None:
@@ -500,6 +503,110 @@ def test_validate_config_edge_values() -> None:
         ControllerConfig(crash_tilt_deg=190.0))
     assert validate_config(ControllerConfig(owner_number="+639171234567\n")) == [
         ("owner_number", "must match +?[0-9]{7,15}")]
+
+
+def test_validate_config_accepts_the_tilt_limit_itself() -> None:
+    assert validate_config(ControllerConfig(crash_tilt_deg=180.0)) == []
+
+
+def test_validate_config_reports_every_text_in_order() -> None:
+    # one violation per field, every field text at least once; the order is
+    # floats by name, ints by name, the ethanol and tilt upper bounds (in
+    # declaration order, not by name), the phone numbers, then the rules
+    # between fields
+    cfg = ControllerConfig(
+        ttc_warn_s=math.nan, mag_deviation_ut=0.0, mag_persist_samples=True,
+        mag_calib_samples=0, pir_speed_gate_kph="fast", ethanol_lockout_ppm=500.1,
+        lpg_leak_ppm=-1.0, speed_limit_kph=80.0, speed_hysteresis_kph=80.0,
+        crash_tilt_deg=180.5, crash_hold_ms=2.5, crash_speed_max_kph=math.inf,
+        geofence_radius_m=10**400, beacon_period_ms=59_999, preride_window_ms=-1,
+        sms_cooldown_ms=None, undervoltage_v=True, owner_number=None, police_number="911")
+    assert validate_config(cfg) == [
+        ("crash_speed_max_kph", "must be a finite number"),
+        ("geofence_radius_m", "must be a finite number"),
+        ("lpg_leak_ppm", "must be > 0"),
+        ("mag_deviation_ut", "must be > 0"),
+        ("pir_speed_gate_kph", "must be a finite number"),
+        ("ttc_warn_s", "must be a finite number"),
+        ("undervoltage_v", "must be a finite number"),
+        ("beacon_period_ms", "must be >= 60000"),
+        ("crash_hold_ms", "must be an integer"),
+        ("mag_calib_samples", "must be > 0"),
+        ("mag_persist_samples", "must be an integer"),
+        ("preride_window_ms", "must be > 0"),
+        ("sms_cooldown_ms", "must be an integer"),
+        ("ethanol_lockout_ppm", "exceeds sensor range 500 ppm"),
+        ("crash_tilt_deg", "must be <= 180"),
+        ("owner_number", "must match +?[0-9]{7,15}"),
+        ("police_number", "must match +?[0-9]{7,15}"),
+        ("speed_hysteresis_kph", "must be < speed_limit_kph"),
+    ]
+
+
+# every edge the old hand-written validator distinguished, for any field
+CONFIG_EDGES = (0, 0.0, -0.0, 1, 59_999, 60_000, 500, 500.0, 500.1, 180, 180.0, 180.5,
+                math.nan, math.inf, -math.inf, True, False, 10**400, -(10**400), "80", None,
+                "+639171234567")
+CROSS_TEXTS = {(a, text) for a, _, _, text in core._CROSS_RULES}
+
+
+@settings(max_examples=500)
+@given(st.fixed_dictionaries({}, optional={
+    f.name: st.sampled_from(CONFIG_EDGES + (f.default,)) for f in fields(ControllerConfig)}))
+def test_validate_config_agrees_with_the_hand_written_reference(values: dict) -> None:
+    cfg = ControllerConfig(**values)
+    want = validate_config_reference(cfg)
+    got = validate_config(cfg)
+    assert got[:len(want)] == want  # the field rules, texts and order unchanged
+    assert set(got[len(want):]) <= CROSS_TEXTS  # then only the rules between fields
+
+
+def test_speed_hysteresis_must_stay_below_the_limit() -> None:
+    # at hysteresis >= limit an excursion never ends, so later ones are never alerted
+    assert validate_config(ControllerConfig(speed_hysteresis_kph=80.0)) == [
+        ("speed_hysteresis_kph", "must be < speed_limit_kph")]
+    assert validate_config(ControllerConfig(speed_limit_kph=5)) == [
+        ("speed_hysteresis_kph", "must be < speed_limit_kph")]
+    assert validate_config(ControllerConfig(speed_hysteresis_kph=79.9)) == []
+    # a field that fails its own row is reported alone
+    assert validate_config(ControllerConfig(speed_limit_kph=-10.0)) == [
+        ("speed_limit_kph", "must be > 0")]
+    assert validate_config(ControllerConfig(speed_hysteresis_kph=math.inf)) == [
+        ("speed_hysteresis_kph", "must be a finite number")]
+
+
+def test_sms_cooldown_must_stay_below_the_beacon_period() -> None:
+    # a cooldown of two periods drops every other hourly beacon
+    assert validate_config(ControllerConfig(sms_cooldown_ms=7_200_000)) == [
+        ("sms_cooldown_ms", "must be < beacon_period_ms")]
+    assert validate_config(ControllerConfig(sms_cooldown_ms=3_600_000)) == [
+        ("sms_cooldown_ms", "must be < beacon_period_ms")]
+    assert validate_config(ControllerConfig(sms_cooldown_ms=3_599_999)) == []
+    assert validate_config(ControllerConfig(sms_cooldown_ms=60_000, beacon_period_ms=59_999)) == [
+        ("beacon_period_ms", "must be >= 60000")]
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+KIND_WORDS = {float: "number", int: "integer", str: "phone"}
+
+
+def accepted_text(rule) -> str:
+    """A core._CONFIG_RULES row's bounds as the README's "accepted" column writes them."""
+    if rule.kind is str:
+        return "`+?[0-9]{7,15}`"
+    text = rule.lo_text.removeprefix("must be ")  # "> 0", or ">= 60000" for lo 59 999
+    return text if rule.hi == math.inf else f"{text}, <= {rule.hi:g}"
+
+
+def test_readme_configuration_table_matches_the_rules() -> None:
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(\w+)` \| (\S+) \| (\w+) \| (.+?) \|$", section, re.MULTILINE)
+    assert rows == [(f.name, str(f.default), KIND_WORDS[type(f.default)],
+                     accepted_text(core._CONFIG_RULES[f.name])) for f in fields(ControllerConfig)]
+    assert list(core._CONFIG_RULES) == [f.name for f in fields(ControllerConfig)]
+    cross = re.findall(r"^- `(\w+)` (\S+) `(\w+)`:", section, re.MULTILINE)
+    assert cross == [(a, {lt: "<"}[holds], b) for a, b, holds, _ in core._CROSS_RULES]
 
 
 def test_parse_config_text() -> None:

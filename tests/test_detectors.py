@@ -108,6 +108,11 @@ def test_mag_retriggers_after_field_settles(cfg: ControllerConfig) -> None:
     assert run_mag(values, cfg) == [22, 27]
 
 
+def test_mag_deviation_at_the_threshold_is_not_deviant(cfg: ControllerConfig) -> None:
+    values = [50.0] * 20 + [50.0 + cfg.mag_deviation_ut] * 5 + [50.0 - cfg.mag_deviation_ut] * 5
+    assert run_mag(values, cfg) == []
+
+
 def test_mag_calibration_swallows_wild_samples(cfg: ControllerConfig) -> None:
     state = MagState()
     for b in [50.0, 500.0, 0.0] * 6:
@@ -236,6 +241,11 @@ def test_crash_fires_at_hold_time(cfg: ControllerConfig) -> None:
     assert run_crash(samples, cfg) == [3000]
 
 
+def test_crash_tilt_at_the_threshold_latches(cfg: ControllerConfig) -> None:
+    samples = [(t, cfg.crash_tilt_deg, 0.0) for t in (0, 1000, 2000, 3000)]
+    assert run_crash(samples, cfg) == [3000]
+
+
 def test_crash_dip_resets_the_clock(cfg: ControllerConfig) -> None:
     samples = [(0, 80.0, 0.0), (1000, 80.0, 0.0), (2000, 30.0, 0.0),
                (3000, 80.0, 0.0), (4000, 80.0, 0.0), (5000, 80.0, 0.0),
@@ -339,6 +349,16 @@ def test_theft_alarm_once_outside_fence(cfg: ControllerConfig) -> None:
     assert "moved 40.0m" in triggers[0].message
     state, triggers = theft_step(state, fix_at(moved(200.0)), False, False, 180_000, cfg)
     assert triggers == []  # alarm is latched
+
+
+def test_theft_fix_at_the_fence_radius_is_inside(cfg: ControllerConfig) -> None:
+    edge = moved(40.0)
+    fence = replace(cfg, geofence_radius_m=haversine_m(PARK, edge))
+    state, _ = theft_step(TheftState(), fix_at(PARK), False, False, 0, fence)
+    state, triggers = theft_step(state, fix_at(edge), False, False, 60_000, fence)
+    assert triggers == []
+    state, triggers = theft_step(state, fix_at(moved(40.1)), False, False, 120_000, fence)
+    assert [t.kind for t in triggers] == [AlertKind.THEFT]
 
 
 def test_theft_authorized_rider_disarms_fully(cfg: ControllerConfig) -> None:

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from motoguard.core import (PHONE_PATTERN, ActuatorCommand, AlertKind, Auth, Buzzer,
-                            ContractViolation, GasReading, GpsFix, GeoPoint, Ignition,
-                            IgnitionInhibit, LidarRange, PirMotion, SensorEvent, Severity,
-                            SmsSend, SolenoidLock, ValidationError, severity_of)
+                            ContractViolation, ControllerConfig, GasReading, GpsFix, GeoPoint,
+                            Ignition, IgnitionInhibit, LidarRange, PirMotion, SensorEvent,
+                            Severity, SmsSend, SolenoidLock, ValidationError, severity_of)
 from motoguard.controller import Mode
 from motoguard.gsm import FakeModem, ModemClient
 from motoguard.harness import (Alert, CaseResult, ConfusionMatrix, EventLog,
@@ -128,6 +128,7 @@ def test_schema_errors_carry_line_numbers(text: str, line_no: int, fragment: str
 
 PIR = '{"t_ms": 5, "sensor": "pir", "detected": true}'
 LABELED = '{{"name": "t", "expected": [{}]}}'.format  # a header holding one label
+WINDOW = "label window needs integer start_ms and end_ms"  # ExpectedLabel's one window text
 
 
 JSON_LINE_CASES = {
@@ -164,6 +165,20 @@ JSON_LINE_CASES = {
                                     '"end_ms": 5}'), 1, "label negative must be true or false"),
     "label_negative_list": (LABELED('{"kind": "crash", "negative": [], "start_ms": 0, '
                                     '"end_ms": 5}'), 1, "label negative must be true or false"),
+    "label_not_an_object": (LABELED('"crash"'), 1, "expected label must be an object"),
+    "label_no_window": (LABELED('{"kind": "crash"}'), 1, WINDOW),
+    "label_negative_false_no_window": (LABELED('{"kind": "crash", "negative": false}'), 1, WINDOW),
+    "label_null_bounds": (LABELED('{"kind": "crash", "start_ms": null, "end_ms": null}'), 1,
+                          WINDOW),
+    "label_null_start": (LABELED('{"kind": "crash", "start_ms": null, "end_ms": 5}'), 1, WINDOW),
+    "label_end_only": (LABELED('{"kind": "crash", "end_ms": 5}'), 1, WINDOW),
+    "label_float_start": (LABELED('{"kind": "crash", "start_ms": 0.0, "end_ms": 5}'), 1, WINDOW),
+    "label_end_before_start": (LABELED('{"kind": "crash", "start_ms": 9, "end_ms": 5}'), 1,
+                               "bad window [9, 5]"),
+    "label_extra_key": (LABELED('{"kind": "crash", "start_ms": 0, "end_ms": 5, "tag": 1}'), 1,
+                        "label has extra fields: ['tag']"),
+    "negative_label_extra_key": (LABELED('{"kind": "crash", "negative": true, "end_ms": 5}'), 1,
+                                 "negative label has extra fields: ['end_ms']"),
 }
 
 
@@ -354,15 +369,16 @@ def test_log_records_reject_bad_fields(build, reason: str) -> None:
 @pytest.mark.parametrize("args,reason", [
     (("collision", 0, 5), "kind must be an AlertKind: 'collision'"),
     (("collision",), "kind must be an AlertKind: 'collision'"),
-    ((AlertKind.CRASH, True, 5), "window bounds must be ints: [True, 5]"),
-    ((AlertKind.CRASH, "0", "5"), "window bounds must be ints: ['0', '5']"),
-    ((AlertKind.CRASH, 0, 5.0), "window bounds must be ints: [0, 5.0]"),
-    ((AlertKind.CRASH, 0, _Int(5)), "window bounds must be ints: [0, _Int]"),
-    ((AlertKind.CRASH, 0), "window needs both start_ms and end_ms"),
+    ((AlertKind.CRASH, True, 5), WINDOW),
+    ((AlertKind.CRASH, "0", "5"), WINDOW),
+    ((AlertKind.CRASH, 0, 5.0), WINDOW),
+    ((AlertKind.CRASH, 0, _Int(5)), WINDOW),
+    ((AlertKind.CRASH, 0), WINDOW),
+    ((AlertKind.CRASH, None, 5), WINDOW),
     ((AlertKind.CRASH, 9, 5), "bad window [9, 5]"),
     ((AlertKind.CRASH, -1, 5), "bad window [-1, 5]"),
 ], ids=["str_kind", "str_kind_negative", "bool_start", "str_bounds", "float_end",
-        "int_subclass_end", "start_only", "end_before_start", "negative_start"])
+        "int_subclass_end", "start_only", "end_only", "end_before_start", "negative_start"])
 def test_expected_label_rejects_bad_fields(args: tuple, reason: str) -> None:
     with pytest.raises(ContractViolation) as err:
         ExpectedLabel(*args)
@@ -458,6 +474,20 @@ def test_bad_header_config_is_rejected_at_run_time() -> None:
         run(Scenario(name="bad", config={"speed_limit_kph": -5.0}))
     with pytest.raises(ValidationError):
         run(Scenario(name="unknown", config={"warp_factor": 9}))
+
+
+def test_cross_field_breach_names_the_scenario_only_when_its_header_brings_it() -> None:
+    with pytest.raises(ValidationError) as err:
+        run(Scenario(name="slow", config={"speed_limit_kph": 5.0}))
+    assert err.value.violations == [("slow: speed_hysteresis_kph", "must be < speed_limit_kph")]
+    base = ControllerConfig(sms_cooldown_ms=3_600_000)
+    with pytest.raises(ValidationError) as err:
+        run(Scenario(name="fast", config={"speed_limit_kph": 90.0}), base)
+    assert err.value.violations == [("sms_cooldown_ms", "must be < beacon_period_ms")]
+    with pytest.raises(ValidationError) as err:
+        run(Scenario(name="short", config={"beacon_period_ms": 60_000}),
+            ControllerConfig(sms_cooldown_ms=60_000))
+    assert err.value.violations == [("short: sms_cooldown_ms", "must be < beacon_period_ms")]
 
 
 def test_sms_commands_are_drained_every_step() -> None:
