@@ -226,14 +226,15 @@ def theft_step(state: TheftState, fix: GpsFix, ignition_on: bool, authorized: bo
 
     triggers: list[Trigger] = []
     new = state
-    distance = haversine_m(state.parked_point, fix.point)
-    if distance > cfg.geofence_radius_m and not state.alarmed:
-        triggers.append(Trigger(
-            AlertKind.THEFT,
-            f"THEFT moved {distance:.1f}m from "
-            f"{state.parked_point.lat_deg:.6f},{state.parked_point.lon_deg:.6f} to "
-            f"{fix.point.lat_deg:.6f},{fix.point.lon_deg:.6f}"))
-        new = replace(new, alarmed=True)
+    if not state.alarmed:  # once alarmed, the distance is never read
+        distance = haversine_m(state.parked_point, fix.point)
+        if distance > cfg.geofence_radius_m:
+            triggers.append(Trigger(
+                AlertKind.THEFT,
+                f"THEFT moved {distance:.1f}m from "
+                f"{state.parked_point.lat_deg:.6f},{state.parked_point.lon_deg:.6f} to "
+                f"{fix.point.lat_deg:.6f},{fix.point.lon_deg:.6f}"))
+            new = replace(new, alarmed=True)
     if t_ms - new.last_beacon_t_ms >= cfg.beacon_period_ms:
         triggers.append(Trigger(
             AlertKind.BEACON,

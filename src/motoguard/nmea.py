@@ -5,6 +5,12 @@ carries everything the controller consumes (position, speed, validity).
 A sentence is accepted only whole: every field well formed and in range,
 and the checksum matching. Anything else raises a ParseError and yields no
 data, so a corrupted sentence can never half-parse.
+
+An accepted sentence is checked once. Its one pattern proves every field's
+shape, and one test bounds its minutes, coordinates and course, so its
+GeoPoint and RmcData are built directly, without the GeoPoint rule loop
+testing the same bounds again. Only the rejection walk, which names the
+first bad field, takes the checked constructors.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from dataclasses import dataclass
 from functools import reduce
 from operator import xor
 
-from .core import ContractViolation, GeoPoint, GpsFix
+from .core import _MAX, ContractViolation, GeoPoint, GpsFix, _new, _set
 
 KNOTS_TO_KPH = 1.852
 MAX_SENTENCE_CHARS = 80  # excluding CR/LF; 82 on the wire
@@ -98,7 +104,7 @@ def checksum(body: str) -> str:
 
 def _xor_hex(body: str) -> str:
     # the caller guarantees an ASCII body
-    return format(reduce(xor, body.encode("ascii"), 0), "02X")
+    return "%02X" % reduce(xor, body.encode("ascii"), 0)
 
 
 def knots_to_kph(knots: float) -> float:
@@ -142,9 +148,19 @@ def parse_rmc(line: str) -> RmcData:
         course_deg = float(course)
         if (lat_minutes < 60.0 and lon_minutes < 60.0 and lat <= 90.0 and lon <= 180.0
                 and course_deg < 360.0 and _xor_hex(sentence[1:-3]) == found):
-            point = GeoPoint(-lat if ns == "S" else lat, -lon if ew == "W" else lon)
-            return RmcData(utc_time=utc_time, status=status, point=point,
-                           speed_knots=float(speed), course_deg=course_deg, date=date)
+            # built the way a frozen dataclass __init__ builds them, minus the
+            # GeoPoint rule loop: the test above holds its bounds
+            point = _new(GeoPoint)
+            _set(point, "lat_deg", -lat if ns == "S" else lat)
+            _set(point, "lon_deg", -lon if ew == "W" else lon)
+            rmc = _new(RmcData)
+            _set(rmc, "utc_time", utc_time)
+            _set(rmc, "status", status)
+            _set(rmc, "point", point)
+            _set(rmc, "speed_knots", float(speed))
+            _set(rmc, "course_deg", course_deg)
+            _set(rmc, "date", date)
+            return rmc
     # the field walk is the one source of rejection reasons
     return _parse_fields(sentence)
 
@@ -199,6 +215,22 @@ def _parse_fields(sentence: str) -> RmcData:
 
 
 def to_gps_fix(rmc: RmcData) -> GpsFix:
-    """Convert parsed RMC data into the controller's GpsFix sample."""
-    return GpsFix(point=rmc.point, speed_kph=knots_to_kph(rmc.speed_knots),
-                  valid=rmc.status == "A")
+    """Convert parsed RMC data into the controller's GpsFix sample.
+
+    The fix of an accepted sentence is built once, without a second check:
+    parse_rmc gives an exact GeoPoint and exact float knots, and when their
+    kph is a finite non-negative float and the validity a bool, GpsFix's
+    rules would pass all three unchanged. Any other RmcData, such as a
+    hand-built one, goes through knots_to_kph and the checked constructor
+    and raises what they raise.
+    """
+    point, knots, valid = rmc.point, rmc.speed_knots, rmc.status == "A"
+    if type(point) is GeoPoint and type(knots) is float and type(valid) is bool:
+        kph = knots * KNOTS_TO_KPH
+        if 0.0 <= kph <= _MAX:
+            fix = _new(GpsFix)
+            _set(fix, "point", point)
+            _set(fix, "speed_kph", kph)
+            _set(fix, "valid", valid)
+            return fix
+    return GpsFix(point=point, speed_kph=knots_to_kph(knots), valid=valid)

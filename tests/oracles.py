@@ -20,16 +20,18 @@ from operator import attrgetter, itemgetter, xor
 
 from motoguard.controller import ControllerState, Mode, drain_sms, step
 from motoguard.core import (DEFAULT_CONFIG, PHONE_PATTERN,
-                            ActuatorCommand, Alert, Auth, Buzzer, ContractViolation,
+                            ActuatorCommand, Alert, AlertKind, Auth, Buzzer, ContractViolation,
                             ControllerConfig, GasReading, GeoPoint, GpsFix, Ignition,
                             IgnitionInhibit, LidarRange, MagField, PirMotion, SensorEvent,
                             SmsSend, SolenoidLock, SupplyVoltage, Tilt, ValidationError,
                             VirtualClock, apply_overrides, event_from_record, _finite,
                             require_valid_config)
+from motoguard.detectors import haversine_m
 from motoguard.gsm import FakeModem, ModemClient
 from motoguard.harness import EventLog, LogRecord, ModeChange, Scenario, SchemaError
 from motoguard.nmea import (MAX_SENTENCE_CHARS, ChecksumMismatch, MalformedNumber,
-                            MissingField, ParseError, RmcData, UnsupportedSentence)
+                            MissingField, ParseError, RmcData, UnsupportedSentence,
+                            knots_to_kph)
 
 
 def crash_trigger_times(samples: list[tuple[int, float, float]],
@@ -111,6 +113,39 @@ def breath_fails(ethanol_ppms: list[float], cfg: ControllerConfig) -> bool:
 def leak_fails(lpg_ppms: list[float], cfg: ControllerConfig) -> bool:
     """Expected outcome of the pre-ride leak rule: fail on the worst sample."""
     return any(ppm >= cfg.lpg_leak_ppm for ppm in lpg_ppms)
+
+
+def theft_trigger_times(fixes: list[tuple[int, GpsFix, bool]],
+                        cfg: ControllerConfig) -> list[tuple[AlertKind, int]]:
+    """Expected (kind, t_ms) theft and beacon triggers for (t_ms, fix, ignition_on)
+    samples of a rider who is never authorised, in time order.
+
+    Invalid fixes are dropped first. The first remaining fix with the ignition
+    off arms at its point and time t0. One THEFT fires at the first later fix
+    farther than the radius from the armed point. Beacons fall due on whole
+    periods from t0, at most one per fix, so the number sent by the i-th fix
+    after arming is min(i, min over j <= i of (q_j + i - j)), where q_j is the
+    count of whole periods from t0 to the j-th fix; a beacon fires wherever
+    that number grows. A THEFT comes before a BEACON of the same fix.
+    """
+    valid = [sample for sample in fixes if sample[1].valid]
+    arm = next((i for i, (_, _, ignition_on) in enumerate(valid) if not ignition_on), None)
+    if arm is None:
+        return []
+    t0, home = valid[arm][0], valid[arm][1].point
+    after = [(t, fix) for t, fix, _ in valid[arm + 1:]]
+    breach = next((i for i, (_, fix) in enumerate(after, start=1)
+                   if haversine_m(home, fix.point) > cfg.geofence_radius_m), None)
+    periods = [(t - t0) // cfg.beacon_period_ms for t, _ in after]
+    sent = [min([i] + [periods[j - 1] + i - j for j in range(1, i + 1)])
+            for i in range(len(after) + 1)]
+    out: list[tuple[AlertKind, int]] = []
+    for i, (t, _) in enumerate(after, start=1):
+        if i == breach:
+            out.append((AlertKind.THEFT, t))
+        if sent[i] > sent[i - 1]:
+            out.append((AlertKind.BEACON, t))
+    return out
 
 
 def greedy_match(alerts: list, expected: list) -> tuple[tuple[int, int, int, int], list, list]:
@@ -544,3 +579,9 @@ def parse_rmc_reference(line: str) -> RmcData:
 
     return RmcData(utc_time=utc_time, status=status, point=GeoPoint(lat, lon),
                    speed_knots=speed_knots, course_deg=course_deg, date=parts[9])
+
+
+def to_gps_fix_reference(rmc: RmcData) -> GpsFix:
+    """Convert parsed RMC data into a GpsFix, always through the checked constructor."""
+    return GpsFix(point=rmc.point, speed_kph=knots_to_kph(rmc.speed_knots),
+                  valid=rmc.status == "A")

@@ -4,8 +4,9 @@ import random
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from motoguard import detectors
 from motoguard.controller import ControllerState, Mode, step
 from motoguard.core import (AlertKind, Auth, ContractViolation, ControllerConfig, GasReading,
                             GeoPoint, GpsFix, Ignition, SensorEvent)
@@ -14,7 +15,7 @@ from motoguard.detectors import (CollisionState, CrashState, MagState, TheftStat
                                  mag_step, overspeed_step, overtake_assist, preride_faults,
                                  theft_step, ttc)
 from oracles import (breath_fails, crash_trigger_times, leak_fails, mag_trigger_indices,
-                     overspeed_trigger_indices)
+                     overspeed_trigger_indices, theft_trigger_times)
 
 
 # --- time to collision -----------------------------------------------------
@@ -393,7 +394,57 @@ def test_theft_and_beacon_can_share_a_step(cfg: ControllerConfig) -> None:
     assert [t.kind for t in triggers] == [AlertKind.THEFT, AlertKind.BEACON]
 
 
+def test_theft_measures_no_distance_once_alarmed(cfg: ControllerConfig, monkeypatch) -> None:
+    calls = []
+
+    def counted(a: GeoPoint, b: GeoPoint) -> float:
+        calls.append((a, b))
+        return haversine_m(a, b)
+    monkeypatch.setattr(detectors, "haversine_m", counted)
+    state, _ = theft_step(TheftState(), fix_at(PARK), False, False, 0, cfg)
+    state, _ = theft_step(state, fix_at(moved(10.0)), False, False, 60_000, cfg)
+    state, triggers = theft_step(state, fix_at(moved(40.0)), False, False, 120_000, cfg)
+    assert [t.kind for t in triggers] == [AlertKind.THEFT]
+    assert len(calls) == 2
+    beacons = []
+    for t in range(180_000, 7_200_001, 60_000):
+        state, triggers = theft_step(state, fix_at(moved(200.0)), False, False, t, cfg)
+        beacons.extend((trig.kind, t) for trig in triggers)
+    assert beacons == [(AlertKind.BEACON, 3_600_000), (AlertKind.BEACON, 7_200_000)]
+    assert len(calls) == 2
+
+
 # --- randomized sweeps against the brute-force oracles ---------------------
+
+# a one-minute beacon, so a short stream crosses several periods
+MINUTE_BEACON = ControllerConfig(beacon_period_ms=60_000)
+
+
+@st.composite
+def parked_fix_streams(draw) -> list[tuple[int, GpsFix, bool]]:
+    """(t_ms, fix, ignition_on) samples in time order: some fixes invalid, some
+    with the ignition on, each jittered north of PARK across the fence radius,
+    with gaps from none to over three beacon periods."""
+    radius = MINUTE_BEACON.geofence_radius_m
+    meters = st.one_of(st.just(0.0), st.floats(0.0, 2 * radius),
+                       st.sampled_from([radius - 1e-6, radius, radius + 1e-6]))
+    t, stream = 0, []
+    for _ in range(draw(st.integers(0, 25))):
+        t += draw(st.sampled_from([0, 1_000, 30_000, 59_999, 60_000, 60_001, 200_000]))
+        valid = draw(st.integers(0, 4)) > 0
+        stream.append((t, fix_at(moved(draw(meters)), valid), draw(st.integers(0, 3)) == 0))
+    return stream
+
+
+@settings(max_examples=300)
+@given(parked_fix_streams())
+def test_theft_matches_oracle_on_random_fix_streams(stream) -> None:
+    state, got = TheftState(), []
+    for t, fix, ignition_on in stream:
+        state, triggers = theft_step(state, fix, ignition_on, False, t, MINUTE_BEACON)
+        got.extend((trig.kind, t) for trig in triggers)
+    assert got == theft_trigger_times(stream, MINUTE_BEACON)
+
 
 def test_overspeed_matches_oracle_on_random_traces(cfg: ControllerConfig) -> None:
     rng = random.Random(1101)

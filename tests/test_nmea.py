@@ -1,14 +1,16 @@
 from __future__ import annotations
 
+from dataclasses import FrozenInstanceError, fields
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from motoguard import nmea
-from motoguard.core import ContractViolation
+from motoguard import core, nmea
+from motoguard.core import ContractViolation, GeoPoint
 from motoguard.nmea import (ChecksumMismatch, MalformedNumber, MissingField, ParseError,
-                            UnsupportedSentence, checksum, knots_to_kph, parse_rmc,
+                            RmcData, UnsupportedSentence, checksum, knots_to_kph, parse_rmc,
                             to_gps_fix)
-from oracles import parse_rmc_reference
+from oracles import parse_rmc_reference, to_gps_fix_reference
 from rmcgen import build_rmc, xor_checksum
 
 GOOD = "$GPRMC,123519,A,4807.038,N,01131.000,E,022.4,084.4,230394,003.1,W*6A"
@@ -240,7 +242,7 @@ def test_parse_agrees_with_the_field_walk_oracle(line: str) -> None:
     assert outcome(parse_rmc, line) == outcome(parse_rmc_reference, line)
 
 
-@pytest.mark.parametrize("line", [
+WELL_FORMED = [
     GOOD,
     build_rmc(-33.8568, -151.2153, 5.0, 90.0, status="V", talker="GN"),
     good_with("4807.038", "4859.9999"),
@@ -250,10 +252,99 @@ def test_parse_agrees_with_the_field_walk_oracle(line: str) -> None:
     good_with("003.1,W", "003.1,W,ABCDEFGHIJK"),
     GOOD + "\n\r",
     with_checksum("$GNRMC,123519,V,4807.038,S,01131.000,W,022.4,084.4,230394*"),
-])
+]
+
+
+@pytest.mark.parametrize("line", WELL_FORMED)
 def test_well_formed_sentences_skip_the_field_walk(line: str, monkeypatch) -> None:
     # the one-pattern accept path takes every well-formed sentence, edges included
     def walk(sentence: str):
         raise AssertionError(f"field walk reached for {sentence!r}")
     monkeypatch.setattr(nmea, "_parse_fields", walk)
     assert parse_rmc(line) == parse_rmc_reference(line)
+
+
+@pytest.mark.parametrize("line", WELL_FORMED)
+def test_well_formed_sentences_skip_the_rule_loop(line: str, monkeypatch) -> None:
+    # an accepted sentence's GeoPoint, RmcData and GpsFix are built directly
+    want = repr(to_gps_fix_reference(parse_rmc_reference(line)))
+
+    def rule_loop(record):
+        raise AssertionError(f"rule loop reached for {record!r}")
+    monkeypatch.setattr(core._RuleChecked, "__post_init__", rule_loop)
+    assert repr(to_gps_fix(parse_rmc(line))) == want
+
+
+@settings(max_examples=400)
+@example(GOOD)
+@example(good_with("022.4", "000.0"))
+@given(rmc_lines())
+def test_accepted_sentences_build_the_checked_records(line: str) -> None:
+    try:
+        rmc = parse_rmc(line)
+    except ParseError:
+        return
+    fix = to_gps_fix(rmc)
+    checked = to_gps_fix_reference(rmc)
+    assert repr(fix) == repr(checked)
+    assert hash(fix) == hash(checked)
+    assert repr(rmc.point) == repr(GeoPoint(rmc.point.lat_deg, rmc.point.lon_deg))
+    assert [type(getattr(rmc, f.name)) for f in fields(rmc)] == [
+        str, str, GeoPoint, float, float, str]
+    assert [type(getattr(rmc.point, f.name)) for f in fields(rmc.point)] == [float, float]
+    assert [type(getattr(fix, f.name)) for f in fields(fix)] == [GeoPoint, float, bool]
+    for record in (rmc.point, rmc, fix):
+        for f in fields(record):
+            with pytest.raises(FrozenInstanceError):
+                setattr(record, f.name, getattr(record, f.name))
+
+
+class PointSubclass(GeoPoint):
+    __slots__ = ()
+
+
+class KnotsSubclass(float):
+    __slots__ = ()
+
+
+class LooseStatus(str):
+    """A status whose == gives an int, which GpsFix refuses as its validity."""
+
+    def __eq__(self, other):
+        return 1
+
+    __hash__ = str.__hash__
+
+
+def converted(convert, rmc: RmcData):
+    try:
+        return repr(convert(rmc))
+    except ContractViolation as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("point,knots,status,direct", [
+    (GeoPoint(48.1173, 11.5167), 22.4, "A", True),
+    (GeoPoint(48.1173, 11.5167), -0.0, "A", True),  # 0.0 <= -0.0: the same -0.0 kph
+    (GeoPoint(48.1173, 11.5167), -0.1, "A", False),
+    (GeoPoint(48.1173, 11.5167), float("nan"), "A", False),
+    (GeoPoint(48.1173, 11.5167), float("inf"), "V", False),
+    (GeoPoint(48.1173, 11.5167), 1e308, "A", False),  # finite knots, infinite kph
+    (GeoPoint(48.1173, 11.5167), 5, "A", False),
+    (GeoPoint(48.1173, 11.5167), True, "A", False),
+    (GeoPoint(48.1173, 11.5167), KnotsSubclass(22.4), "A", False),
+    ((48.1173, 11.5167), 22.4, "A", False),
+    (PointSubclass(48.1173, 11.5167), 22.4, "A", False),
+    (GeoPoint(48.1173, 11.5167), 22.4, LooseStatus("A"), False),
+], ids=["float", "negative_zero", "negative", "nan", "inf", "kph_overflow", "int", "bool",
+        "float_subclass", "tuple_point", "point_subclass", "loose_status"])
+def test_hand_built_rmc_data_converts_as_the_checked_constructor(
+        point, knots, status, direct: bool, monkeypatch) -> None:
+    # anything the direct build cannot prove goes through knots_to_kph and
+    # GpsFix, with the checked path's value or exception text
+    rmc = RmcData("123519", status, point, knots, 84.4, "230394")
+    want = converted(to_gps_fix_reference, rmc)
+    calls = []
+    monkeypatch.setattr(nmea, "knots_to_kph", lambda k: calls.append(k) or knots_to_kph(k))
+    assert converted(to_gps_fix, rmc) == want
+    assert calls == ([] if direct else [knots])
