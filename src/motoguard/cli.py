@@ -7,6 +7,7 @@ Exit codes: 0 success (eval: all cases passed), 1 failures present,
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -59,6 +60,16 @@ def _write(path, text: str) -> None:
         raise _Exit(EXIT_IO)
 
 
+def _refuse_overwrite(outputs, inputs: dict) -> None:
+    """Report the first (flag, path) output whose real path is a key of inputs,
+    the {real path: kind} of every file the command reads, and raise _Exit."""
+    for flag, out in outputs:
+        kind = inputs.get(os.path.realpath(out))
+        if kind is not None:
+            print(f"error: {flag} would overwrite the {kind} file: {out}", file=sys.stderr)
+            raise _Exit(EXIT_USAGE)
+
+
 def _load_base_config(path: str | None):
     if path is None:
         return DEFAULT_CONFIG
@@ -66,9 +77,11 @@ def _load_base_config(path: str | None):
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    if args.out is not None and os.path.realpath(args.out) == os.path.realpath(args.scenario):
-        print(f"error: --out would overwrite the scenario file: {args.out}", file=sys.stderr)
-        return EXIT_USAGE
+    if args.out is not None:
+        inputs = {os.path.realpath(args.scenario): "scenario"}
+        if args.config is not None:
+            inputs.setdefault(os.path.realpath(args.config), "config")
+        _refuse_overwrite([("--out", args.out)], inputs)
     base = _load_base_config(args.config)
     scenario = _guarded("scenario", args.scenario, load_scenario, args.scenario)
     log = _guarded("scenario", args.scenario, run, scenario, base)
@@ -94,6 +107,18 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if not paths:
         print(f"error: no scenario files in {directory}", file=sys.stderr)
         return EXIT_USAGE
+    if args.report is not None:
+        outputs = [("--report", args.report)]
+        if Path(args.report).name:  # "", "." and "/" have no twin; writing them fails first
+            outputs.append(("--report's .json twin", Path(args.report).with_suffix(".json")))
+        # a listed file that is not a link is its name in the real directory: one
+        # lstat each, where realpath would take one per component of the path
+        real_dir = os.path.realpath(directory)
+        inputs = {(os.path.realpath(path) if path.is_symlink()
+                   else os.path.join(real_dir, path.name)): "scenario" for path in paths}
+        if args.config is not None:
+            inputs.setdefault(os.path.realpath(args.config), "config")
+        _refuse_overwrite(outputs, inputs)
     scenarios = [_guarded("scenario", path, load_scenario, path) for path in paths]
     results = _guarded("scenario", directory, evaluate_scenarios, scenarios, base)
     text = render_report(results)
@@ -157,11 +182,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    # A command makes no reference cycles (tests/test_cli.py pins this), so a
+    # collection would only traverse live events: pause the collector for the
+    # command and hand it back as found. Reference counting still frees at once.
+    enabled = gc.isenabled()
+    gc.disable()
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except _Exit as exc:
         return exc.code
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def entry() -> None:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import json
 import os
 import shutil
@@ -10,7 +11,9 @@ from pathlib import Path
 import pytest
 
 import motoguard
+from motoguard import cli, nmea
 from motoguard.cli import main
+from motoguard.harness import load_scenario, log_to_jsonl, match_alerts, run
 
 GOOD_RMC = "$GPRMC,123519,A,4807.038,N,01131.000,E,022.4,084.4,230394,003.1,W*6A"
 
@@ -269,6 +272,54 @@ def test_eval_refuses_a_report_its_json_twin_would_overwrite(corpus_dir: Path,
     assert list(tmp_path.iterdir()) == []
 
 
+# argv ({c} the config file, {d} the scenario directory, {s} a scenario in it),
+# then the refused flag, the kind of input it would overwrite and the path it names
+OVERWRITES = {
+    "simulate_out_config": (["simulate", "--scenario", "{s}", "--config", "{c}", "--out", "{c}"],
+                            "--out", "config", "c.cfg"),
+    "eval_report_scenario": (["eval", "--scenario-dir", "{d}", "--report", "{s}"],
+                             "--report", "scenario", "d/quiet_parked.jsonl"),
+    "eval_report_scenario_via_linked_dir": (["eval", "--scenario-dir", "dlink", "--report", "{s}"],
+                                            "--report", "scenario", "d/quiet_parked.jsonl"),
+    "eval_report_config": (["eval", "--scenario-dir", "{d}", "--config", "{c}", "--report", "{c}"],
+                           "--report", "config", "c.cfg"),
+    "eval_twin_config": (["eval", "--scenario-dir", "{d}", "--config", "c.json",
+                          "--report", "c.txt"], "--report's .json twin", "config", "c.json"),
+    "eval_twin_scenario": (["eval", "--scenario-dir", "{d}", "--report", "link.txt"],
+                           "--report's .json twin", "scenario", "link.json"),
+}
+
+
+@pytest.mark.parametrize("case", OVERWRITES)
+def test_no_output_overwrites_an_input(case: str, corpus_dir: Path, tmp_path: Path,
+                                       monkeypatch, capsys) -> None:
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "d").mkdir()
+    shutil.copy(corpus_dir / "quiet_parked.jsonl", tmp_path / "d")
+    for name in ("c.cfg", "c.json"):
+        (tmp_path / name).write_text("speed_limit_kph = 80\n", encoding="utf-8")
+    # a scenario the directory lists through a link whose target has a report twin's name
+    shutil.copy(corpus_dir / "crash_fall.jsonl", tmp_path / "link.json")
+    (tmp_path / "d" / "z_link.jsonl").symlink_to(tmp_path / "link.json")
+    (tmp_path / "dlink").symlink_to(tmp_path / "d")
+    argv, flag, kind, named = OVERWRITES[case]
+    before = {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()}
+    code = main([arg.format(c="c.cfg", d="d", s="d/quiet_parked.jsonl") for arg in argv])
+    assert code == 2
+    assert capsys.readouterr() == ("", f"error: {flag} would overwrite the {kind} file: {named}\n")
+    assert {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()} == before
+
+
+@pytest.mark.parametrize("report", ["", "."])
+def test_eval_nameless_report_path_is_io_error(report: str, corpus_dir: Path, tmp_path: Path,
+                                               monkeypatch, capsys) -> None:
+    # such a path has no .json twin; writing the report itself fails first
+    monkeypatch.chdir(tmp_path)
+    shutil.copy(corpus_dir / "quiet_parked.jsonl", tmp_path)
+    assert main(["eval", "--scenario-dir", ".", "--report", report]) == 3
+    assert capsys.readouterr().err.startswith(f"error: cannot write {report}: ")
+
+
 @pytest.mark.parametrize("name", ["r.txt", "r", "r.jsonl", "r.json.txt"])
 def test_eval_report_and_twin_are_both_written(name: str, corpus_dir: Path, tmp_path: Path,
                                                capsys) -> None:
@@ -433,3 +484,70 @@ def test_usage_errors_exit_2(capsys) -> None:
         with pytest.raises(SystemExit) as err:
             main(argv)
         assert err.value.code == 2
+
+
+# --- the cyclic collector --------------------------------------------------
+
+@pytest.mark.parametrize("caller_enabled", [True, False], ids=["gc_on", "gc_off"])
+@pytest.mark.parametrize("case", ["returns", "exit_error", "usage_error", "raises"])
+def test_main_hands_the_collector_back_as_it_found_it(case: str, caller_enabled: bool,
+                                                      corpus_dir: Path, tmp_path: Path,
+                                                      monkeypatch, capsys) -> None:
+    seen = []
+    real = cli.cmd_simulate
+
+    def command(args):
+        seen.append(gc.isenabled())
+        if case == "raises":
+            raise RuntimeError("escaped the command")
+        return real(args)
+
+    monkeypatch.setattr(cli, "cmd_simulate", command)
+    scenario = corpus_dir / "crash_fall.jsonl"
+    if case == "exit_error":
+        scenario = tmp_path / "absent.jsonl"
+    argv = ["bogus"] if case == "usage_error" else ["simulate", "--scenario", str(scenario)]
+    was_enabled = gc.isenabled()
+    (gc.enable if caller_enabled else gc.disable)()
+    try:
+        if case == "usage_error":
+            with pytest.raises(SystemExit) as err:
+                main(argv)
+            assert err.value.code == 2
+        elif case == "raises":
+            with pytest.raises(RuntimeError, match="escaped the command"):
+                main(argv)
+        else:
+            assert main(argv) == {"returns": 0, "exit_error": 3}[case]
+        assert gc.isenabled() is caller_enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    assert seen == ([] if case == "usage_error" else [False])
+
+
+def test_replay_and_decode_make_no_reference_cycles(corpus_dir: Path) -> None:
+    # cli.main pauses the collector for a whole command because of this: a
+    # cycle kept in replay state would hold its memory until the command ends
+    sentences = (Path(__file__).parent / "golden" / "nmea_sentences.txt").read_text(
+        encoding="utf-8").split("\n")
+    paths = sorted(corpus_dir.glob("*.jsonl"))
+    assert len(paths) == 22
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for path in paths:
+            scenario = load_scenario(path)
+            log = run(scenario)
+            log_to_jsonl(log)
+            match_alerts(log, scenario.expected)
+        for line in sentences:
+            try:
+                nmea.to_gps_fix(nmea.parse_rmc(line))
+            except nmea.ParseError:
+                pass
+        unreachable = gc.collect()
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert unreachable == 0
