@@ -60,11 +60,25 @@ def _write(path, text: str) -> None:
         raise _Exit(EXIT_IO)
 
 
-def _refuse_overwrite(outputs, inputs: dict) -> None:
-    """Report the first (flag, path) output whose real path is a key of inputs,
-    the {real path: kind} of every file the command reads, and raise _Exit."""
+def _file_id(path):
+    """The (device, inode) of the file path names, through any links; None if
+    path cannot be stat'ed, since then it names no file to read or overwrite."""
+    try:
+        st = os.stat(path)
+    except OSError:
+        return None
+    return st.st_dev, st.st_ino
+
+
+def _refuse_overwrite(outputs, scenarios, config) -> None:
+    """Report the first (flag, path) output that is the same file as one of the
+    scenario paths or the config path (None if none), and raise _Exit."""
+    inputs = {_file_id(path): "scenario" for path in scenarios}
+    if config is not None:
+        inputs.setdefault(_file_id(config), "config")
+    inputs.pop(None, None)
     for flag, out in outputs:
-        kind = inputs.get(os.path.realpath(out))
+        kind = inputs.get(_file_id(out))
         if kind is not None:
             print(f"error: {flag} would overwrite the {kind} file: {out}", file=sys.stderr)
             raise _Exit(EXIT_USAGE)
@@ -78,10 +92,7 @@ def _load_base_config(path: str | None):
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     if args.out is not None:
-        inputs = {os.path.realpath(args.scenario): "scenario"}
-        if args.config is not None:
-            inputs.setdefault(os.path.realpath(args.config), "config")
-        _refuse_overwrite([("--out", args.out)], inputs)
+        _refuse_overwrite([("--out", args.out)], [args.scenario], args.config)
     base = _load_base_config(args.config)
     scenario = _guarded("scenario", args.scenario, load_scenario, args.scenario)
     log = _guarded("scenario", args.scenario, run, scenario, base)
@@ -111,14 +122,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         outputs = [("--report", args.report)]
         if Path(args.report).name:  # "", "." and "/" have no twin; writing them fails first
             outputs.append(("--report's .json twin", Path(args.report).with_suffix(".json")))
-        # a listed file that is not a link is its name in the real directory: one
-        # lstat each, where realpath would take one per component of the path
-        real_dir = os.path.realpath(directory)
-        inputs = {(os.path.realpath(path) if path.is_symlink()
-                   else os.path.join(real_dir, path.name)): "scenario" for path in paths}
-        if args.config is not None:
-            inputs.setdefault(os.path.realpath(args.config), "config")
-        _refuse_overwrite(outputs, inputs)
+        _refuse_overwrite(outputs, paths, args.config)
     scenarios = [_guarded("scenario", path, load_scenario, path) for path in paths]
     results = _guarded("scenario", directory, evaluate_scenarios, scenarios, base)
     text = render_report(results)

@@ -58,16 +58,18 @@ def test_simulate_writes_log_to_file(corpus_dir: Path, tmp_path: Path, capsys) -
     assert out_path.read_text(encoding="utf-8").startswith('{"t_ms": 0, "type": "mode"')
 
 
-@pytest.mark.parametrize("spelling", ["same", "dotted", "symlink"])
+@pytest.mark.parametrize("spelling", ["same", "dotted", "symlink", "hard_link"])
 def test_simulate_refuses_to_overwrite_its_scenario(spelling: str, corpus_dir: Path,
                                                     tmp_path: Path, capsys) -> None:
     scenario = tmp_path / "quiet_parked.jsonl"
     shutil.copy(corpus_dir / "quiet_parked.jsonl", scenario)
     before = scenario.read_bytes()
     out = {"same": scenario, "dotted": tmp_path / "." / scenario.name,
-           "symlink": tmp_path / "link.jsonl"}[spelling]
+           "symlink": tmp_path / "link.jsonl", "hard_link": tmp_path / "hard.jsonl"}[spelling]
     if spelling == "symlink":
         out.symlink_to(scenario)
+    elif spelling == "hard_link":
+        os.link(scenario, out)
     # a missing --config shows that the refusal comes before anything is read
     code = main(["simulate", "--scenario", str(scenario), "--out", str(out),
                  "--config", str(tmp_path / "absent.cfg")])
@@ -90,6 +92,21 @@ def test_simulate_missing_scenario_is_io_error(tmp_path: Path, capsys) -> None:
     code = main(["simulate", "--scenario", str(missing)])
     assert code == 3
     assert str(missing) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["scenario", "config"])
+def test_simulate_missing_input_with_new_out_is_io_error(kind: str, corpus_dir: Path,
+                                                         tmp_path: Path, capsys) -> None:
+    # neither a missing input nor a new --out names a file, so the two are not the same
+    (tmp_path / "c.cfg").write_text("speed_limit_kph = 80\n", encoding="utf-8")
+    given = {"scenario": str(corpus_dir / "quiet_parked.jsonl"), "config": str(tmp_path / "c.cfg")}
+    given[kind] = str(tmp_path / "absent")
+    out = tmp_path / "out.jsonl"
+    code = main(["simulate", "--scenario", given["scenario"], "--config", given["config"],
+                 "--out", str(out)])
+    assert code == 3
+    assert capsys.readouterr() == ("", f"error: {kind} file not found: {given[kind]}\n")
+    assert not out.exists()
 
 
 def test_simulate_bad_schema_is_io_error(tmp_path: Path, capsys) -> None:
@@ -287,6 +304,16 @@ OVERWRITES = {
                           "--report", "c.txt"], "--report's .json twin", "config", "c.json"),
     "eval_twin_scenario": (["eval", "--scenario-dir", "{d}", "--report", "link.txt"],
                            "--report's .json twin", "scenario", "link.json"),
+    "simulate_out_scenario_also_config": (["simulate", "--scenario", "{s}", "--config", "{s}",
+                                           "--out", "{s}"], "--out", "scenario",
+                                          "d/quiet_parked.jsonl"),
+    "simulate_out_config_hard_link": (["simulate", "--scenario", "{s}", "--config", "{c}",
+                                       "--out", "h.cfg"], "--out", "config", "h.cfg"),
+    "eval_report_scenario_hard_link": (["eval", "--scenario-dir", "{d}", "--report", "h.txt"],
+                                       "--report", "scenario", "h.txt"),
+    "eval_twin_config_hard_link": (["eval", "--scenario-dir", "{d}", "--config", "{c}",
+                                    "--report", "hc.txt"], "--report's .json twin", "config",
+                                   "hc.json"),
 }
 
 
@@ -302,6 +329,10 @@ def test_no_output_overwrites_an_input(case: str, corpus_dir: Path, tmp_path: Pa
     shutil.copy(corpus_dir / "crash_fall.jsonl", tmp_path / "link.json")
     (tmp_path / "d" / "z_link.jsonl").symlink_to(tmp_path / "link.json")
     (tmp_path / "dlink").symlink_to(tmp_path / "d")
+    # hard links: h.cfg and hc.json to the config, h.txt to a listed scenario
+    os.link(tmp_path / "c.cfg", tmp_path / "h.cfg")
+    os.link(tmp_path / "c.cfg", tmp_path / "hc.json")
+    os.link(tmp_path / "d" / "quiet_parked.jsonl", tmp_path / "h.txt")
     argv, flag, kind, named = OVERWRITES[case]
     before = {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()}
     code = main([arg.format(c="c.cfg", d="d", s="d/quiet_parked.jsonl") for arg in argv])
