@@ -38,6 +38,16 @@ MODE_EDGES = frozenset({(Mode.PARKED, Mode.PRE_RIDE), (Mode.PARKED, Mode.THEFT_S
                         (Mode.CRASH_SUSPECTED, Mode.PARKED), (Mode.THEFT_SUSPECTED, Mode.PARKED)})
 
 
+# A member load through an Enum class goes through EnumType.__getattr__
+# (about 0.12 us on CPython 3.11, four times a plain class attribute), so the
+# members that routing, draining and the handlers test per event are bound once
+_PARKED, _PRE_RIDE, _RIDING = Mode.PARKED, Mode.PRE_RIDE, Mode.RIDING
+_CRASH_SUSPECTED, _THEFT_SUSPECTED = Mode.CRASH_SUSPECTED, Mode.THEFT_SUSPECTED
+_MEDIUM, _HIGH = Severity.MEDIUM, Severity.HIGH
+_BEACON, _CRASH, _THEFT = AlertKind.BEACON, AlertKind.CRASH, AlertKind.THEFT
+_READY = ModemPhase.READY
+
+
 @dataclass(frozen=True, slots=True)
 class PendingSms:
     to: str
@@ -79,10 +89,10 @@ def route(rs: RouterState, trigger: Trigger, t_ms: int,
     alert = Alert(t_ms, trigger.kind, sev, trigger.message)
     commands: list[ActuatorCommand] = []
     queue, dropped = rs.pending_sms, rs.dropped_count
-    if sev >= Severity.MEDIUM:
+    if sev >= _MEDIUM:
         commands.append(ActuatorCommand(t_ms, _BUZZER_ON))
-    if sev is Severity.HIGH or trigger.kind is AlertKind.BEACON:
-        to = cfg.police_number if trigger.kind is AlertKind.CRASH else cfg.owner_number
+    if sev is _HIGH or trigger.kind is _BEACON:
+        to = cfg.police_number if trigger.kind is _CRASH else cfg.owner_number
         sms = SmsSend(to=to, body=trigger.message)
         commands.append(ActuatorCommand(t_ms, sms))
         queue, dropped = _enqueue(queue, dropped, PendingSms(sms.to, sms.body, sev))
@@ -101,7 +111,7 @@ def drain_sms(rs: RouterState, client: ModemClient) -> tuple[RouterState, int, l
     sent = 0
     failures: list[str] = []
     try:
-        if client.phase is not ModemPhase.READY:
+        if client.phase is not _READY:
             client.modem_init()
         for msg in rs.pending_sms:
             client.send_sms(msg.to, msg.body)
@@ -150,13 +160,13 @@ def _emit(cfg: ControllerConfig, s: ControllerState, t_ms: int, trigger: Trigger
 def _theft_sync(cfg: ControllerConfig, s: ControllerState, t_ms: int,
                 alerts: list[Alert], commands: list[ActuatorCommand]) -> None:
     # evaluate arming against the latest fix on a new fix or an ignition/auth change
-    if s.last_fix is None or s.mode not in (Mode.PARKED, Mode.THEFT_SUSPECTED):
+    if s.last_fix is None or s.mode not in (_PARKED, _THEFT_SUSPECTED):
         return
     s.theft, triggers = theft_step(s.theft, s.last_fix, s.ignition_on, s.authorized, t_ms, cfg)
     for trig in triggers:
         _emit(cfg, s, t_ms, trig, alerts, commands)
-        if trig.kind is AlertKind.THEFT and s.mode is Mode.PARKED:
-            s.mode = Mode.THEFT_SUSPECTED
+        if trig.kind is _THEFT and s.mode is _PARKED:
+            s.mode = _THEFT_SUSPECTED
 
 
 def _overtake_eval(cfg: ControllerConfig, s: ControllerState, t_ms: int,
@@ -179,13 +189,13 @@ def _on_auth(cfg, s, t_ms, p: Auth, alerts, commands) -> None:
     s.authorized = p.authorized
     if p.authorized:
         s.theft = TheftState()
-        if s.mode in (Mode.CRASH_SUSPECTED, Mode.THEFT_SUSPECTED):
-            s.mode = Mode.PARKED
+        if s.mode in (_CRASH_SUSPECTED, _THEFT_SUSPECTED):
+            s.mode = _PARKED
     else:
-        if s.mode is Mode.PRE_RIDE:
+        if s.mode is _PRE_RIDE:
             # revoked before the window closed: end it as a failed
             # check does. A moving bike in RIDING keeps its ignition.
-            s.mode = Mode.PARKED
+            s.mode = _PARKED
             s.preride_start_ms = None
             s.preride_peak = None
             commands.append(ActuatorCommand(t_ms, IgnitionInhibit(on=True)))
@@ -195,25 +205,25 @@ def _on_auth(cfg, s, t_ms, p: Auth, alerts, commands) -> None:
 def _on_ignition(cfg, s, t_ms, p: Ignition, alerts, commands) -> None:
     s.ignition_on = p.on
     if p.on:
-        if s.mode is Mode.PARKED and s.authorized:
-            s.mode = Mode.PRE_RIDE
+        if s.mode is _PARKED and s.authorized:
+            s.mode = _PRE_RIDE
             s.preride_start_ms = t_ms
             s.preride_peak = None
-        elif s.mode in (Mode.PARKED, Mode.THEFT_SUSPECTED) and not s.authorized:
+        elif s.mode in (_PARKED, _THEFT_SUSPECTED) and not s.authorized:
             commands.append(ActuatorCommand(t_ms, SolenoidLock(engaged=True)))
-            _emit(cfg, s, t_ms, Trigger(AlertKind.THEFT, "THEFT unauthorized ignition attempt"),
+            _emit(cfg, s, t_ms, Trigger(_THEFT, "THEFT unauthorized ignition attempt"),
                   alerts, commands)
-            s.mode = Mode.THEFT_SUSPECTED
+            s.mode = _THEFT_SUSPECTED
     else:
-        if s.mode in (Mode.PRE_RIDE, Mode.RIDING):
-            s.mode = Mode.PARKED
+        if s.mode in (_PRE_RIDE, _RIDING):
+            s.mode = _PARKED
             s.preride_start_ms = None
             s.preride_peak = None
         _theft_sync(cfg, s, t_ms, alerts, commands)
 
 
 def _on_gas(cfg, s, t_ms, p: GasReading, alerts, commands) -> None:
-    if s.mode is Mode.PRE_RIDE:
+    if s.mode is _PRE_RIDE:
         # the verdict only reads per-gas peaks, so a running peak is all the
         # window needs to keep
         peak = p if s.preride_peak is None else s.preride_peak
@@ -221,7 +231,7 @@ def _on_gas(cfg, s, t_ms, p: GasReading, alerts, commands) -> None:
                                     max(peak.co_ppm, p.co_ppm), max(peak.lpg_ppm, p.lpg_ppm))
         if t_ms - s.preride_start_ms >= cfg.preride_window_ms:
             faults = preride_faults(s.preride_peak, cfg)
-            s.mode = Mode.PARKED if faults else Mode.RIDING
+            s.mode = _PARKED if faults else _RIDING
             commands.append(ActuatorCommand(t_ms, IgnitionInhibit(on=bool(faults))))
             for fault in faults:
                 _emit(cfg, s, t_ms, fault, alerts, commands)
@@ -236,7 +246,7 @@ def _on_gas(cfg, s, t_ms, p: GasReading, alerts, commands) -> None:
 
 
 def _on_lidar(cfg, s, t_ms, p: LidarRange, alerts, commands) -> None:
-    if s.mode is Mode.RIDING:
+    if s.mode is _RIDING:
         s.collision, trig = collision_step(s.collision, p.range_m, t_ms, cfg)
         if trig is not None:
             _emit(cfg, s, t_ms, trig, alerts, commands)
@@ -246,32 +256,32 @@ def _on_lidar(cfg, s, t_ms, p: LidarRange, alerts, commands) -> None:
 def _on_mag(cfg, s, t_ms, p: MagField, alerts, commands) -> None:
     # calibration accrues in every mode; proximity only matters riding
     s.mag, trig = mag_step(s.mag, p.b_ut, cfg)
-    if s.mode is Mode.RIDING:
+    if s.mode is _RIDING:
         if trig is not None:
             _emit(cfg, s, t_ms, trig, alerts, commands)
         _overtake_eval(cfg, s, t_ms, alerts, commands)
 
 
 def _on_pir(cfg, s, t_ms, p: PirMotion, alerts, commands) -> None:
-    if s.mode is Mode.RIDING:
+    if s.mode is _RIDING:
         trig = hazard_step(p.detected, _speed_kph(s.last_fix), cfg)
         if trig is not None:
             _emit(cfg, s, t_ms, trig, alerts, commands)
 
 
 def _on_tilt(cfg, s, t_ms, p: Tilt, alerts, commands) -> None:
-    if s.mode is Mode.RIDING:
+    if s.mode is _RIDING:
         s.crash, fired = crash_step(s.crash, p.angle_deg, _speed_kph(s.last_fix), t_ms, cfg)
         if fired:
-            _emit(cfg, s, t_ms, Trigger(AlertKind.CRASH, _crash_sms_text(s.last_fix, t_ms)),
+            _emit(cfg, s, t_ms, Trigger(_CRASH, _crash_sms_text(s.last_fix, t_ms)),
                   alerts, commands)
-            s.mode = Mode.CRASH_SUSPECTED
+            s.mode = _CRASH_SUSPECTED
 
 
 def _on_fix(cfg, s, t_ms, p: GpsFix, alerts, commands) -> None:
     if p.valid:
         s.last_fix = p
-        if s.mode is Mode.RIDING:
+        if s.mode is _RIDING:
             s.overspeed_active, trig = overspeed_step(s.overspeed_active, p.speed_kph, cfg)
             if trig is not None:
                 _emit(cfg, s, t_ms, trig, alerts, commands)

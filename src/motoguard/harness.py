@@ -156,7 +156,7 @@ def _scenario_from_header(header: object, line_no: int) -> Scenario:
     return Scenario(name=name, description=description, config=config, expected=expected)
 
 
-_scan = json.JSONDecoder().raw_decode
+_scan = json.JSONDecoder().scan_once
 
 
 def _decode_line(raw: str, line_no: int) -> object:
@@ -177,11 +177,12 @@ def loads_scenario(text: str) -> Scenario:
     # only LF ends a line: splitlines() would also break at U+2028, U+0085
     # and the like, which JSON allows raw inside a string
     for line_no, raw in enumerate(text.split("\n"), start=1):
-        # raw_decode takes a value that starts the line; a line it fails on
-        # or does not consume whole is blank or goes through the full decode
+        # the scanner takes a value that starts the line (StopIteration: none
+        # does); a line it fails on or does not consume whole is blank or goes
+        # through the full decode
         try:
-            obj, end = _scan(raw)
-        except (ValueError, RecursionError):
+            obj, end = _scan(raw, 0)
+        except (StopIteration, ValueError, RecursionError):
             end = -1
         if end != len(raw):
             if not raw.strip():
@@ -248,18 +249,24 @@ def run(sc: Scenario, cfg: ControllerConfig = DEFAULT_CONFIG) -> EventLog:
     client = ModemClient(modem)
     state = ControllerState()
     log = EventLog([ModeChange(0, Mode.PARKED)])
+    records = log.records
     for t_ms, group in groupby(sc.events, key=attrgetter("t_ms")):
-        clock.advance_to(t_ms)
         before = state.mode
         try:
             alerts, commands = advance(merged, state, t_ms, list(group))
         except ContractViolation as exc:
             raise ContractViolation(f"{sc.name}: at t={t_ms}: {exc}") from exc
-        log.records.extend(alerts)
-        log.records.extend(commands)
+        if alerts:
+            records.extend(alerts)
+        if commands:
+            records.extend(commands)
         if state.mode is not before:
-            log.records.append(ModeChange(t_ms, state.mode))
-        state.router, _, _ = drain_sms(state.router, client)
+            records.append(ModeChange(t_ms, state.mode))
+        if state.router.pending_sms:
+            # the modem is the clock's only reader, and t_ms never decreases,
+            # so bringing the clock up only before a drain reads the same
+            clock.advance_to(t_ms)
+            state.router, _, _ = drain_sms(state.router, client)
     return log
 
 

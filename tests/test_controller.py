@@ -19,7 +19,7 @@ from motoguard.core import (ActuatorCommand, AlertKind, Auth, Buzzer, ContractVi
 from motoguard.controller import (_HANDLERS, MODE_EDGES, SMS_QUEUE_MAX, ControllerState,
                                   Mode, PendingSms, RouterState, drain_sms, route, step)
 from motoguard.detectors import Trigger
-from motoguard.gsm import FakeModem, ModemClient, ModemPhase
+from motoguard.gsm import CTRL_Z, FakeModem, ModemClient, ModemPhase
 from motoguard.harness import Scenario, load_scenario, run
 from oracles import run_reference
 
@@ -476,15 +476,28 @@ def test_replay_matches_the_copying_loop_on_the_corpus() -> None:
         assert run(sc) == run_reference(sc), path.name
 
 
-def test_replay_matches_the_copying_loop_on_random_streams() -> None:
+def test_replay_matches_the_copying_loop_on_random_streams(monkeypatch) -> None:
     payloads = RANDOM_PAYLOADS + (
         lambda rng: MagField(rng.choice((50.0, 50.0, 400.0))),
         lambda rng: PirMotion(rng.random() < 0.5),
         lambda rng: SupplyVoltage(rng.choice((12.0, 24.0))),
     )
+    # the virtual time and bytes of every send header and message body; the
+    # init frames differ on purpose, as the reference brings the modem up at
+    # power-on and run only before its first send
+    frames: list[tuple[int, bytes]] = []
+    write = FakeModem.write
+
+    def recorded(modem: FakeModem, data: bytes) -> None:
+        if data.startswith(b"AT+CMGS=") or data.endswith(CTRL_Z):
+            frames.append((modem.clock.now_ms(), bytes(data)))
+        write(modem, data)
+
+    monkeypatch.setattr(FakeModem, "write", recorded)
     # short windows reach every mode; a 1 ms cooldown queues many SMS and a
     # 500 ms one suppresses repeats; a zero gap puts several events in one step
     rng = random.Random(1111)
+    sends = 0
     for _ in range(20):
         config = {"preride_window_ms": 300, "crash_hold_ms": 300,
                   "sms_cooldown_ms": rng.choice((1, 500))}
@@ -493,7 +506,14 @@ def test_replay_matches_the_copying_loop_on_random_streams() -> None:
             t_ms += rng.choice((0, 0, 50, 100, 200))
             events.append(ev(t_ms, rng.choice(payloads)(rng)))
         sc = Scenario("random", config=config, events=events)
-        assert run(sc) == run_reference(sc)
+        frames.clear()
+        log = run(sc)
+        traffic = frames[:]
+        frames.clear()
+        assert log == run_reference(sc)
+        assert traffic == frames
+        sends += len(traffic)
+    assert sends > 0
 
 
 # --- alert router ----------------------------------------------------------

@@ -10,7 +10,7 @@ from motoguard.core import (PHONE_PATTERN, ActuatorCommand, AlertKind, Auth, Buz
                             ContractViolation, ControllerConfig, GasReading, GpsFix, GeoPoint,
                             Ignition, IgnitionInhibit, LidarRange, PirMotion, SensorEvent,
                             Severity, SmsSend, SolenoidLock, ValidationError, severity_of)
-from motoguard.controller import Mode
+from motoguard.controller import Mode, drain_sms
 from motoguard.gsm import FakeModem, ModemClient
 from motoguard.harness import (Alert, CaseResult, ConfusionMatrix, EventLog,
                                ExpectedLabel, ModeChange, Scenario, SchemaError,
@@ -143,6 +143,14 @@ JSON_LINE_CASES = {
                           "invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig)"),
     "unclosed_object": (HEADER + "\n" + PIR + "\n{", 3,
                         "invalid JSON: Expecting property name enclosed in double quotes"),
+    # no value starts the line: the scanner's no-value path
+    "close_bracket": (HEADER + "\n]", 2, "invalid JSON: Expecting value"),
+    "lone_minus": (HEADER + "\n-", 2, "invalid JSON: Expecting value"),
+    # the non-finite literals JSON decoding accepts reach the payload bounds
+    "nan_range": (HEADER + '\n{"t_ms": 5, "sensor": "lidar", "range_m": NaN}', 2,
+                  "range_m must be >= 0: nan"),
+    "infinite_range": (HEADER + '\n{"t_ms": 5, "sensor": "lidar", "range_m": Infinity}', 2,
+                       "range_m must be >= 0: inf"),
     "label_kind_missing": (LABELED('{"start_ms": 0, "end_ms": 5}'), 1, "unknown alert kind None"),
     "label_kind_null": (LABELED('{"kind": null}'), 1, "unknown alert kind None"),
     "label_kind_int": (LABELED('{"kind": 1}'), 1, "unknown alert kind 1"),
@@ -268,22 +276,37 @@ def test_empty_scenario_logs_only_the_initial_mode(monkeypatch) -> None:
 
 def test_replay_brings_the_modem_up_only_to_send(corpus_dir: Path, monkeypatch) -> None:
     inits: list[ModemClient] = []
+    queued: list[int] = []  # the queue length at each drain
     modem_init = ModemClient.modem_init
 
     def counted(client: ModemClient) -> None:
         inits.append(client)
         modem_init(client)
 
+    def counted_drain(rs, client):
+        queued.append(len(rs.pending_sms))
+        return drain_sms(rs, client)
+
     monkeypatch.setattr(ModemClient, "modem_init", counted)
-    counts, expected = {}, {}
+    monkeypatch.setattr("motoguard.harness.drain_sms", counted_drain)
+    counts, expected, drains, sms_steps = {}, {}, {}, {}
     for path in sorted(corpus_dir.glob("*.jsonl")):
         inits.clear()
+        queued.clear()
         log = run(load_scenario(path))
         counts[path.stem] = len(inits)
-        expected[path.stem] = int(any(isinstance(c.action, SmsSend) for c in log.commands()))
+        sent_at = {c.t_ms for c in log.commands() if isinstance(c.action, SmsSend)}
+        expected[path.stem] = int(bool(sent_at))
+        assert 0 not in queued, path.stem  # no step drains an empty queue
+        # the compliant modem empties the queue at every drain, so exactly the
+        # steps that queue a message end with one queued
+        drains[path.stem] = len(queued)
+        sms_steps[path.stem] = len(sent_at)
     assert len(counts) == 22
     assert counts == expected
     assert sum(counts.values()) == 8
+    assert drains == sms_steps
+    assert sum(drains.values()) == 9  # theft_beacon_hourly sends at two steps
 
 
 def test_run_is_byte_deterministic(corpus_dir: Path) -> None:
