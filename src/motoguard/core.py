@@ -513,6 +513,8 @@ def apply_overrides(cfg: ControllerConfig, overrides: dict) -> ControllerConfig:
 
 def parse_config_text(text: str) -> dict:
     """Parse flat key=value lines ('#' starts a comment) into an override map."""
+    if text.startswith("\ufeff"):
+        raise ConfigError(1, "unexpected UTF-8 byte-order mark")
     overrides: dict = {}
     # only LF ends a line, as in scenario files: splitlines() would also break
     # a comment at U+2028 and the like; strip() below drops a stray CR

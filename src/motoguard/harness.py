@@ -343,12 +343,18 @@ def _match(log: EventLog, expected: list[ExpectedLabel]
            ) -> tuple[ConfusionMatrix, list[Alert], list[ExpectedLabel]]:
     """Greedy windowed matching: each alert satisfies at most one label.
 
-    A positive window is a true positive when some alert of its kind lands
-    inside it, matched earliest-window first. Alerts left over are false
-    positives and windows left over false negatives; both are returned in
-    input order. Negative labels count as true negatives unless violated.
+    Alerts come in time order, as every replay writes them; an alert earlier
+    than the one before it is a ContractViolation. A positive window is a
+    true positive when some alert of its kind lands inside it, matched
+    earliest-window first. Alerts left over are false positives and windows
+    left over false negatives; both are returned in input order. Negative
+    labels count as true negatives unless violated.
     """
     alerts = log.alerts()
+    for before, after in zip(alerts, alerts[1:]):
+        if after.t_ms < before.t_ms:
+            raise ContractViolation(
+                f"alerts out of time order: {after.t_ms} ms after {before.t_ms} ms")
     positives = [lab for lab in expected if not lab.negative]
     strays: list[Alert] = []
     matched: set[int] = set()
@@ -359,32 +365,17 @@ def _match(log: EventLog, expected: list[ExpectedLabel]
         unmatched.setdefault(lab.kind, []).append((lab.start_ms, lab.end_ms, idx))
     for windows in unmatched.values():
         windows.sort(reverse=True)
-    # reach[i]: the earliest time of alert i and every later alert of its kind
-    reach = [0] * len(alerts)
-    earliest: dict[AlertKind, int] = {}
-    for pos in range(len(alerts) - 1, -1, -1):
-        kind, t_ms = alerts[pos].kind, alerts[pos].t_ms
-        reach[pos] = earliest[kind] = min(t_ms, earliest.get(kind, t_ms))
-    for alert, reach_ms in zip(alerts, reach):
+    for alert in alerts:
         t_ms = alert.t_ms
         windows = unmatched.get(alert.kind, [])
-        # the windows that open by t_ms are put back only while some
-        # remaining alert of the kind can still land in them
-        kept: list[tuple[int, int, int]] = []
-        hit = None
-        while windows and windows[-1][0] <= t_ms:  # later windows open later still
-            window = windows.pop()
-            _, end, idx = window
-            if t_ms <= end:
-                hit = idx
-                break
-            if end >= reach_ms:
-                kept.append(window)
-        windows.extend(reversed(kept))
-        if hit is None:
-            strays.append(alert)
+        # a window that closed before t_ms is closed to every later alert too
+        while windows and windows[-1][1] < t_ms:
+            windows.pop()
+        # later windows open no earlier than the front one
+        if windows and windows[-1][0] <= t_ms:
+            matched.add(windows.pop()[2])
         else:
-            matched.add(hit)
+            strays.append(alert)
     missed = [lab for idx, lab in enumerate(positives) if idx not in matched]
     seen_kinds = {a.kind for a in alerts}
     tn = sum(1 for lab in expected if lab.negative and lab.kind not in seen_kinds)

@@ -6,11 +6,17 @@ A sentence is accepted only whole: every field well formed and in range,
 and the checksum matching. Anything else raises a ParseError and yields no
 data, so a corrupted sentence can never half-parse.
 
+The grammar of fields 1-9 is written once, in the table _FIELDS: each
+row names a field and gives its shape and, for a coordinate or the course,
+its limit. The accept pattern is built from those shapes, and the accept
+test and the rejection walk read the same limits.
+
 An accepted sentence is checked once. Its one pattern proves every field's
 shape, and one test bounds its minutes, coordinates and course, so its
 GeoPoint and RmcData are built directly, without the GeoPoint rule loop
-testing the same bounds again. Only the rejection walk, which names the
-first bad field, takes the checked constructors.
+testing the same bounds again. Every other sentence goes to the rejection
+walk, which only names the first fault: it builds no record, and a sentence
+it finds no fault in is an internal error.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ import re
 from dataclasses import dataclass
 from functools import reduce
 from operator import xor
+from typing import NoReturn
 
 from .core import _MAX, ContractViolation, GeoPoint, GpsFix, _new, _set
 
@@ -27,23 +34,34 @@ MAX_SENTENCE_CHARS = 80  # excluding CR/LF; 82 on the wire
 
 _SUPPORTED_TYPES = ("GPRMC", "GNRMC")
 
-_UTC_RE = re.compile(r"^\d{6}(\.\d+)?$")
-_LAT_RE = re.compile(r"^\d{4}(\.\d+)?$")
-_LON_RE = re.compile(r"^\d{5}(\.\d+)?$")
-_NUM_RE = re.compile(r"^\d+(\.\d+)?$")
-_DATE_RE = re.compile(r"^\d{6}$")
+# A coordinate's minutes stay below one degree; its value may reach its limit
+# (90 or 180 degrees), while the course stays below 360.
+_MINUTES_PER_DEGREE = 60.0
+_LAT_MAX = 90.0
+_LON_MAX = 180.0
+_COURSE_MAX = 360.0
 
-# The whole accepted shape in one pattern, in ASCII digits only: talker,
-# fields 1-9 with the shapes above, hemispheres split from degree and minute
-# groups, optional trailing fields of printable ASCII other than '$' and '*',
-# and an uppercase checksum.
+# RMC fields 1-9 in order: the name a rejection gives, the shape in ASCII
+# digits only, and the limit, if any. A coordinate's shape splits its degrees
+# from its minutes, and the shapes' groups are the ones parse_rmc unpacks.
+_FIELDS = (
+    ("utc_time", r"([0-9]{6}(?:\.[0-9]+)?)", None),
+    ("status", r"([AV])", None),
+    ("lat", r"([0-9]{2})([0-9]{2}(?:\.[0-9]+)?)", _LAT_MAX),
+    ("lat_hemisphere", r"([NS])", None),
+    ("lon", r"([0-9]{3})([0-9]{2}(?:\.[0-9]+)?)", _LON_MAX),
+    ("lon_hemisphere", r"([EW])", None),
+    ("speed_knots", r"([0-9]+(?:\.[0-9]+)?)", None),
+    ("course_deg", r"([0-9]+(?:\.[0-9]+)?)", _COURSE_MAX),
+    ("date", r"([0-9]{6})", None),
+)
+
+# The whole accepted shape in one pattern: talker, the fields above, optional
+# trailing fields of printable ASCII other than '$' and '*', and an uppercase
+# checksum.
 _RMC_RE = re.compile(
-    r"\$G[PN]RMC"
-    r",([0-9]{6}(?:\.[0-9]+)?),([AV])"
-    r",([0-9]{2})([0-9]{2}(?:\.[0-9]+)?),([NS])"
-    r",([0-9]{3})([0-9]{2}(?:\.[0-9]+)?),([EW])"
-    r",([0-9]+(?:\.[0-9]+)?),([0-9]+(?:\.[0-9]+)?),([0-9]{6})"
-    r"(?:,[\x20-\x23\x25-\x29\x2b-\x7e]*)?"
+    r"\$G[PN]RMC," + ",".join(shape for _, shape, _ in _FIELDS)
+    + r"(?:,[\x20-\x23\x25-\x29\x2b-\x7e]*)?"
     r"\*([0-9A-F]{2})")
 
 
@@ -113,28 +131,6 @@ def knots_to_kph(knots: float) -> float:
     return knots * KNOTS_TO_KPH
 
 
-def _coord(text: str, hemi: str, *, is_lat: bool) -> float:
-    name = "lat" if is_lat else "lon"
-    pattern = _LAT_RE if is_lat else _LON_RE
-    if not pattern.match(text):
-        raise MalformedNumber(name, text)
-    split = 2 if is_lat else 3
-    degrees = int(text[:split])
-    minutes = float(text[split:])
-    if minutes >= 60.0:
-        raise MalformedNumber(name, text)
-    value = degrees + minutes / 60.0
-    limit = 90.0 if is_lat else 180.0
-    if value > limit:
-        raise MalformedNumber(name, text)
-    positive, negative = ("N", "S") if is_lat else ("E", "W")
-    if hemi == negative:
-        return -value
-    if hemi != positive:
-        raise MalformedNumber(f"{name}_hemisphere", hemi)
-    return value
-
-
 def parse_rmc(line: str) -> RmcData:
     """Parse one RMC sentence; any rejection raises a ParseError subclass."""
     sentence = line.rstrip("\r\n")
@@ -143,11 +139,12 @@ def parse_rmc(line: str) -> RmcData:
          speed, course, date, found) = match.groups()
         lat_minutes = float(lat_min)
         lon_minutes = float(lon_min)
-        lat = int(lat_deg) + lat_minutes / 60.0
-        lon = int(lon_deg) + lon_minutes / 60.0
+        lat = int(lat_deg) + lat_minutes / _MINUTES_PER_DEGREE
+        lon = int(lon_deg) + lon_minutes / _MINUTES_PER_DEGREE
         course_deg = float(course)
-        if (lat_minutes < 60.0 and lon_minutes < 60.0 and lat <= 90.0 and lon <= 180.0
-                and course_deg < 360.0 and _xor_hex(sentence[1:-3]) == found):
+        if (lat_minutes < _MINUTES_PER_DEGREE and lon_minutes < _MINUTES_PER_DEGREE
+                and lat <= _LAT_MAX and lon <= _LON_MAX and course_deg < _COURSE_MAX
+                and _xor_hex(sentence[1:-3]) == found):
             # built the way a frozen dataclass __init__ builds them, minus the
             # GeoPoint rule loop: the test above holds its bounds
             point = _new(GeoPoint)
@@ -162,11 +159,11 @@ def parse_rmc(line: str) -> RmcData:
             _set(rmc, "date", date)
             return rmc
     # the field walk is the one source of rejection reasons
-    return _parse_fields(sentence)
+    _parse_fields(sentence)
 
 
-def _parse_fields(sentence: str) -> RmcData:
-    """Walk a stripped sentence field by field; raise the first ParseError it hits."""
+def _parse_fields(sentence: str) -> NoReturn:
+    """Walk a sentence parse_rmc refused, field by field; raise the first ParseError."""
     if len(sentence) > MAX_SENTENCE_CHARS:
         raise ParseError(f"sentence exceeds {MAX_SENTENCE_CHARS} characters")
     if not sentence.startswith("$"):
@@ -192,26 +189,22 @@ def _parse_fields(sentence: str) -> RmcData:
         if parts[index] == "":
             raise MissingField(index)
 
-    utc_time, status = parts[1], parts[2]
-    if not _UTC_RE.match(utc_time):
-        raise MalformedNumber("utc_time", utc_time)
-    if status not in ("A", "V"):
-        raise MalformedNumber("status", status)
-    lat = _coord(parts[3], parts[4], is_lat=True)
-    lon = _coord(parts[5], parts[6], is_lat=False)
-    if not _NUM_RE.match(parts[7]):
-        raise MalformedNumber("speed_knots", parts[7])
-    speed_knots = float(parts[7])
-    if not _NUM_RE.match(parts[8]):
-        raise MalformedNumber("course_deg", parts[8])
-    course_deg = float(parts[8])
-    if course_deg >= 360.0:
-        raise MalformedNumber("course_deg", parts[8])
-    if not _DATE_RE.match(parts[9]):
-        raise MalformedNumber("date", parts[9])
-
-    return RmcData(utc_time=utc_time, status=status, point=GeoPoint(lat, lon),
-                   speed_knots=speed_knots, course_deg=course_deg, date=parts[9])
+    for (name, shape, limit), text in zip(_FIELDS, parts[1:10]):
+        match = re.fullmatch(shape, text)
+        if match is None:
+            raise MalformedNumber(name, text)
+        if limit is None:
+            continue
+        if match.lastindex == 2:  # a coordinate: degrees, then minutes
+            minutes = float(match[2])
+            bad = (minutes >= _MINUTES_PER_DEGREE
+                   or int(match[1]) + minutes / _MINUTES_PER_DEGREE > limit)
+        else:
+            bad = float(text) >= limit
+        if bad:
+            raise MalformedNumber(name, text)
+    # parse_rmc accepts every sentence that has no fault above
+    raise ContractViolation(f"field walk found no fault in {sentence!r}")
 
 
 def to_gps_fix(rmc: RmcData) -> GpsFix:

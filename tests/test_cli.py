@@ -231,6 +231,15 @@ def test_config_file_splits_lines_only_at_lf(sep: str, corpus_dir: Path, tmp_pat
     assert capsys.readouterr().err == "error: bad config: line 2: unknown key 'bogus'\n"
 
 
+def test_config_file_with_a_byte_order_mark_is_named(corpus_dir: Path, tmp_path: Path,
+                                                     capsys) -> None:
+    cfg = tmp_path / "bom.cfg"
+    cfg.write_bytes("\ufeffttc_warn_s = 2.5\n".encode())
+    scenario = str(corpus_dir / "crash_fall.jsonl")
+    assert main(["simulate", "--scenario", scenario, "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == "error: bad config: line 1: unexpected UTF-8 byte-order mark\n"
+
+
 # --- eval ------------------------------------------------------------------
 
 def test_eval_full_corpus_passes(corpus_dir: Path, tmp_path: Path, capsys) -> None:

@@ -635,6 +635,10 @@ def test_parse_config_text_errors_carry_line_numbers() -> None:
         parse_config_text("crash_hold_ms=2.5")
     with pytest.raises(ConfigError):
         parse_config_text("speed_limit_kph=fast")
+    for text in ("\ufeffttc_warn_s=2.5\n", "\ufeff# a comment\n"):
+        with pytest.raises(ConfigError) as err:
+            parse_config_text(text)
+        assert (err.value.line_no, err.value.reason) == (1, "unexpected UTF-8 byte-order mark")
 
 
 def test_apply_overrides_without_overrides_returns_cfg_itself() -> None:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from operator import itemgetter
 from pathlib import Path
 
 import pytest
@@ -578,24 +579,35 @@ def label_lists(draw) -> list[ExpectedLabel]:
 # shape that made the matcher rescan every dead window for every alert
 @example([(100 + i, AlertKind.CRASH) for i in range(200)],
          [ExpectedLabel(AlertKind.CRASH, i, i) for i in range(200)])
-@example([(100 + i % 7, AlertKind.CRASH) for i in range(50)],
+@example(sorted((100 + i % 7, AlertKind.CRASH) for i in range(50)),
          [ExpectedLabel(AlertKind.CRASH, i, i + 3) for i in range(50)]
          + [ExpectedLabel(AlertKind.CRASH, 103, 103)])
-# a window passed over by a late alert must stay for an earlier one after it,
-# and windows passed over together must keep their order
-@example([(10, AlertKind.CRASH), (5, AlertKind.CRASH)], [ExpectedLabel(AlertKind.CRASH, 0, 6)])
-@example([(20, AlertKind.CRASH), (3, AlertKind.CRASH)],
-         [ExpectedLabel(AlertKind.CRASH, 1, 6), ExpectedLabel(AlertKind.CRASH, 0, 5)])
-@given(st.lists(st.tuples(st.integers(0, 60), st.sampled_from(MATCH_KINDS)), max_size=15),
+@given(st.lists(st.tuples(st.integers(0, 60), st.sampled_from(MATCH_KINDS)), max_size=15)
+       .map(lambda specs: sorted(specs, key=itemgetter(0))),
        label_lists())
 def test_match_agrees_with_the_quadratic_oracle(alert_specs, labels) -> None:
-    # alert times are drawn unsorted on purpose: the matcher must not rely on order
+    # alerts come in time order, as every log holds them; kinds and ties are mixed
     alerts = [alert(t, kind) for t, kind in alert_specs]
     cm, strays, missed = _match(EventLog(list(alerts)), labels)
     want_counts, want_strays, want_missed = greedy_match(alerts, labels)
     assert (cm.tp, cm.tn, cm.fp, cm.fn) == want_counts
     assert strays == want_strays
     assert missed == want_missed
+
+
+@pytest.mark.parametrize("alert_specs, labels, times", [
+    ([(10, AlertKind.CRASH), (5, AlertKind.CRASH)], [ExpectedLabel(AlertKind.CRASH, 0, 6)],
+     "5 ms after 10 ms"),
+    ([(20, AlertKind.CRASH), (3, AlertKind.CRASH)],
+     [ExpectedLabel(AlertKind.CRASH, 1, 6), ExpectedLabel(AlertKind.CRASH, 0, 5)],
+     "3 ms after 20 ms"),
+    # the order is the whole log's, not each kind's
+    ([(7, AlertKind.THEFT), (6, AlertKind.CRASH)], [], "6 ms after 7 ms"),
+])
+def test_match_refuses_alerts_out_of_time_order(alert_specs, labels, times) -> None:
+    log = EventLog([alert(t, kind) for t, kind in alert_specs])
+    with pytest.raises(ContractViolation, match=f"^alerts out of time order: {times}$"):
+        match_alerts(log, labels)
 
 
 def test_accuracy_and_error() -> None:

@@ -224,6 +224,9 @@ def outcome(parse, line: str):
 @example(good_with("4807.038,N", "0000.0000,S"))
 @example(good_with("01131.000,E", "18000.0000,E"))
 @example(good_with("01131.000,E", "18000.0001,E"))
+# a coordinate at its limit is in range in the walk too, so a later bad field is named
+@example(with_checksum(GOOD.replace("4807.038,N", "9000.0000,N").replace("230394", "23039")))
+@example(with_checksum(GOOD.replace("01131.000,E", "18000.0000,E").replace("230394", "23039")))
 @example(good_with("084.4", "359.9"))
 @example(good_with("084.4", "360.0"))
 @example(GOOD[:-2] + "6a")
@@ -262,6 +265,13 @@ def test_well_formed_sentences_skip_the_field_walk(line: str, monkeypatch) -> No
         raise AssertionError(f"field walk reached for {sentence!r}")
     monkeypatch.setattr(nmea, "_parse_fields", walk)
     assert parse_rmc(line) == parse_rmc_reference(line)
+
+
+@pytest.mark.parametrize("line", WELL_FORMED)
+def test_field_walk_finding_no_fault_is_an_internal_error(line: str) -> None:
+    # the walk only names faults; a sentence the accept path would take is a bug
+    with pytest.raises(ContractViolation, match="field walk found no fault"):
+        nmea._parse_fields(line.rstrip("\r\n"))
 
 
 @pytest.mark.parametrize("line", WELL_FORMED)
