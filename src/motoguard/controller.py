@@ -38,6 +38,17 @@ MODE_EDGES = frozenset({(Mode.PARKED, Mode.PRE_RIDE), (Mode.PARKED, Mode.THEFT_S
                         (Mode.CRASH_SUSPECTED, Mode.PARKED), (Mode.THEFT_SUSPECTED, Mode.PARKED)})
 
 
+@dataclass(frozen=True, slots=True)
+class ModeChange:
+    t_ms: int
+    mode: Mode
+
+    def __post_init__(self):
+        check_t_ms(self.t_ms)
+        if not isinstance(self.mode, Mode):
+            raise ContractViolation(f"mode must be a Mode: {self.mode!r}")
+
+
 # A member load through an Enum class goes through EnumType.__getattr__
 # (about 0.12 us on CPython 3.11, four times a plain class attribute), so the
 # members that routing, draining and the handlers test per event are bound once
@@ -137,6 +148,7 @@ class ControllerState:
     preride_start_ms: int | None = None
     preride_peak: GasReading | None = None
     router: RouterState = field(default_factory=RouterState)
+    changes: tuple[ModeChange, ...] = ()
 
 
 def _speed_kph(fix: GpsFix | None) -> float:
@@ -157,6 +169,25 @@ def _emit(cfg: ControllerConfig, s: ControllerState, t_ms: int, trigger: Trigger
     commands.extend(cmds)
 
 
+def _enter(s: ControllerState, mode: Mode, t_ms: int) -> None:
+    """Move s to mode along a MODE_EDGES edge: run the exit and entry actions
+    once and record the change. Entering the current mode does nothing."""
+    if mode is s.mode:
+        return
+    if (s.mode, mode) not in MODE_EDGES:
+        raise ContractViolation(f"no mode edge {s.mode.value} -> {mode.value}")
+    if s.mode is _PRE_RIDE:
+        s.preride_start_ms = s.preride_peak = None
+    if mode is _PRE_RIDE:
+        s.preride_start_ms = t_ms
+    elif mode is _RIDING:
+        # new ride: per-ride detector state must not leak across rides
+        s.collision, s.crash = CollisionState(), CrashState()
+        s.overspeed_active = s.overtake_unsafe = False
+    s.mode = mode
+    s.changes += (ModeChange(t_ms, mode),)
+
+
 def _theft_sync(cfg: ControllerConfig, s: ControllerState, t_ms: int,
                 alerts: list[Alert], commands: list[ActuatorCommand]) -> None:
     # evaluate arming against the latest fix on a new fix or an ignition/auth change
@@ -165,8 +196,8 @@ def _theft_sync(cfg: ControllerConfig, s: ControllerState, t_ms: int,
     s.theft, triggers = theft_step(s.theft, s.last_fix, s.ignition_on, s.authorized, t_ms, cfg)
     for trig in triggers:
         _emit(cfg, s, t_ms, trig, alerts, commands)
-        if trig.kind is _THEFT and s.mode is _PARKED:
-            s.mode = _THEFT_SUSPECTED
+        if trig.kind is _THEFT:
+            _enter(s, _THEFT_SUSPECTED, t_ms)
 
 
 def _overtake_eval(cfg: ControllerConfig, s: ControllerState, t_ms: int,
@@ -190,14 +221,12 @@ def _on_auth(cfg, s, t_ms, p: Auth, alerts, commands) -> None:
     if p.authorized:
         s.theft = TheftState()
         if s.mode in (_CRASH_SUSPECTED, _THEFT_SUSPECTED):
-            s.mode = _PARKED
+            _enter(s, _PARKED, t_ms)
     else:
         if s.mode is _PRE_RIDE:
             # revoked before the window closed: end it as a failed
             # check does. A moving bike in RIDING keeps its ignition.
-            s.mode = _PARKED
-            s.preride_start_ms = None
-            s.preride_peak = None
+            _enter(s, _PARKED, t_ms)
             commands.append(ActuatorCommand(t_ms, IgnitionInhibit(on=True)))
         _theft_sync(cfg, s, t_ms, alerts, commands)
 
@@ -206,19 +235,15 @@ def _on_ignition(cfg, s, t_ms, p: Ignition, alerts, commands) -> None:
     s.ignition_on = p.on
     if p.on:
         if s.mode is _PARKED and s.authorized:
-            s.mode = _PRE_RIDE
-            s.preride_start_ms = t_ms
-            s.preride_peak = None
+            _enter(s, _PRE_RIDE, t_ms)
         elif s.mode in (_PARKED, _THEFT_SUSPECTED) and not s.authorized:
             commands.append(ActuatorCommand(t_ms, SolenoidLock(engaged=True)))
             _emit(cfg, s, t_ms, Trigger(_THEFT, "THEFT unauthorized ignition attempt"),
                   alerts, commands)
-            s.mode = _THEFT_SUSPECTED
+            _enter(s, _THEFT_SUSPECTED, t_ms)
     else:
         if s.mode in (_PRE_RIDE, _RIDING):
-            s.mode = _PARKED
-            s.preride_start_ms = None
-            s.preride_peak = None
+            _enter(s, _PARKED, t_ms)
         _theft_sync(cfg, s, t_ms, alerts, commands)
 
 
@@ -231,18 +256,10 @@ def _on_gas(cfg, s, t_ms, p: GasReading, alerts, commands) -> None:
                                     max(peak.co_ppm, p.co_ppm), max(peak.lpg_ppm, p.lpg_ppm))
         if t_ms - s.preride_start_ms >= cfg.preride_window_ms:
             faults = preride_faults(s.preride_peak, cfg)
-            s.mode = _PARKED if faults else _RIDING
             commands.append(ActuatorCommand(t_ms, IgnitionInhibit(on=bool(faults))))
             for fault in faults:
                 _emit(cfg, s, t_ms, fault, alerts, commands)
-            if not faults:
-                # new ride: per-ride detector state must not leak across rides
-                s.collision = CollisionState()
-                s.crash = CrashState()
-                s.overspeed_active = False
-                s.overtake_unsafe = False
-            s.preride_start_ms = None
-            s.preride_peak = None
+            _enter(s, _PARKED if faults else _RIDING, t_ms)
 
 
 def _on_lidar(cfg, s, t_ms, p: LidarRange, alerts, commands) -> None:
@@ -275,7 +292,7 @@ def _on_tilt(cfg, s, t_ms, p: Tilt, alerts, commands) -> None:
         if fired:
             _emit(cfg, s, t_ms, Trigger(_CRASH, _crash_sms_text(s.last_fix, t_ms)),
                   alerts, commands)
-            s.mode = _CRASH_SUSPECTED
+            _enter(s, _CRASH_SUSPECTED, t_ms)
 
 
 def _on_fix(cfg, s, t_ms, p: GpsFix, alerts, commands) -> None:
@@ -302,13 +319,15 @@ _HANDLERS = {Auth: _on_auth, Ignition: _on_ignition, GasReading: _on_gas,
 
 def advance(cfg: ControllerConfig, state: ControllerState, t_ms: int,
             events: list[SensorEvent]) -> tuple[list[Alert], list[ActuatorCommand]]:
-    """Apply all events stamped t_ms to state, which the caller owns, in place."""
+    """Apply all events stamped t_ms to state, which the caller owns, in place;
+    state.changes holds the mode changes they make, in order."""
     check_t_ms(t_ms)
     if state.last_t_ms is not None and t_ms < state.last_t_ms:
         raise ContractViolation(f"step at t={t_ms} after t={state.last_t_ms}")
     for ev in events:
         if ev.t_ms != t_ms:
             raise ContractViolation(f"event stamped {ev.t_ms} passed to step at t={t_ms}")
+    state.changes = ()
     alerts: list[Alert] = []
     commands: list[ActuatorCommand] = []
     for ev in events:

@@ -14,11 +14,11 @@ from itertools import groupby
 from operator import attrgetter
 from pathlib import Path
 
-from .controller import ControllerState, Mode, advance, drain_sms
+from .controller import ControllerState, Mode, ModeChange, advance, drain_sms
 from .core import (Alert, ActuatorCommand, AlertKind, Buzzer, ContractViolation,
                    ControllerConfig, DEFAULT_CONFIG, IgnitionInhibit, SensorEvent,
                    Severity, SmsSend, SolenoidLock, ValidationError, VirtualClock,
-                   apply_overrides, check_t_ms, event_from_record, event_to_record,
+                   apply_overrides, event_from_record, event_to_record,
                    require_valid_config, severity_of, validate_config)
 from .gsm import FakeModem, ModemClient
 
@@ -65,17 +65,6 @@ class Scenario:
     config: dict = field(default_factory=dict)
     events: list[SensorEvent] = field(default_factory=list)
     expected: list[ExpectedLabel] = field(default_factory=list)
-
-
-@dataclass(frozen=True, slots=True)
-class ModeChange:
-    t_ms: int
-    mode: Mode
-
-    def __post_init__(self):
-        check_t_ms(self.t_ms)
-        if not isinstance(self.mode, Mode):
-            raise ContractViolation(f"mode must be a Mode: {self.mode!r}")
 
 
 LogRecord = Alert | ActuatorCommand | ModeChange
@@ -251,17 +240,13 @@ def run(sc: Scenario, cfg: ControllerConfig = DEFAULT_CONFIG) -> EventLog:
     log = EventLog([ModeChange(0, Mode.PARKED)])
     records = log.records
     for t_ms, group in groupby(sc.events, key=attrgetter("t_ms")):
-        before = state.mode
         try:
             alerts, commands = advance(merged, state, t_ms, list(group))
         except ContractViolation as exc:
             raise ContractViolation(f"{sc.name}: at t={t_ms}: {exc}") from exc
-        if alerts:
-            records.extend(alerts)
-        if commands:
-            records.extend(commands)
-        if state.mode is not before:
-            records.append(ModeChange(t_ms, state.mode))
+        records += alerts
+        records += commands
+        records += state.changes  # the mode changes, in the order the step made them
         if state.router.pending_sms:
             # the modem is the clock's only reader, and t_ms never decreases,
             # so bringing the clock up only before a drain reads the same
@@ -504,19 +489,13 @@ def render_report(results: list[CaseResult]) -> str:
         lines.append(f"Error {error_rate(agg):.2f}%")
 
     lines += ["", "TEST INCIDENT LOG"]
+    failures = [r for r in results if not r.passed]
     incident_rows = [["No.", "Description", "Test Case Reference", "Severity", "Priority"]]
-    counter = 0
-    for r in results:
-        if r.passed:
-            continue
-        counter += 1
+    for number, r in enumerate(failures, start=1):
         sev_text, priority = _INCIDENT_SEVERITY[r.worst_severity or Severity.MEDIUM]
-        incident_rows.append([str(counter), "; ".join(r.incidents),
+        incident_rows.append([str(number), "; ".join(r.incidents),
                               f"{r.case_id} {r.name}", sev_text, priority])
-    if counter == 0:
-        lines.append("(no incidents)")
-    else:
-        lines.extend(_table(incident_rows))
+    lines.extend(_table(incident_rows) if failures else ["(no incidents)"])
     return "\n".join(lines) + "\n"
 
 

@@ -429,7 +429,9 @@ CHECKED_PAYLOAD_REFERENCES = {
 
 
 # --- the replay loop, as it was before it advanced its own state: the public,
-# pure step copies the controller state at every timestamp
+# pure step copies the controller state at every event. Stepping each event of
+# a timestamp group alone finds the group's mode changes by comparing the mode
+# between events, without reading the changes the controller records.
 
 def run_reference(sc: Scenario, cfg: ControllerConfig = DEFAULT_CONFIG) -> EventLog:
     """Replay a scenario against a fresh controller and compliant fake modem."""
@@ -447,15 +449,18 @@ def run_reference(sc: Scenario, cfg: ControllerConfig = DEFAULT_CONFIG) -> Event
     log = EventLog([ModeChange(0, Mode.PARKED)])
     for t_ms, group in groupby(sc.events, key=attrgetter("t_ms")):
         clock.advance_to(t_ms)
-        before = state.mode
-        try:
-            state, alerts, commands = step(merged, state, t_ms, list(group))
-        except ContractViolation as exc:
-            raise ContractViolation(f"{sc.name}: at t={t_ms}: {exc}") from exc
-        log.records.extend(alerts)
-        log.records.extend(commands)
-        if state.mode is not before:
-            log.records.append(ModeChange(t_ms, state.mode))
+        alerts, commands, changes = [], [], []
+        for event in group:
+            before = state.mode
+            try:
+                state, event_alerts, event_commands = step(merged, state, t_ms, [event])
+            except ContractViolation as exc:
+                raise ContractViolation(f"{sc.name}: at t={t_ms}: {exc}") from exc
+            alerts += event_alerts
+            commands += event_commands
+            if state.mode is not before:
+                changes.append(ModeChange(t_ms, state.mode))
+        log.records.extend(alerts + commands + changes)
         state.router, _, _ = drain_sms(state.router, client)
     return log
 

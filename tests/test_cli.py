@@ -79,6 +79,31 @@ def test_simulate_refuses_to_overwrite_its_scenario(spelling: str, corpus_dir: P
     assert scenario.read_bytes() == before
 
 
+def test_simulate_overwrites_a_file_with_the_same_inode_on_another_device(
+        corpus_dir: Path, tmp_path: Path, monkeypatch, capsys) -> None:
+    # a file is its (device, inode) pair: inode numbers repeat across devices
+    scenario = tmp_path / "quiet_parked.jsonl"
+    shutil.copy(corpus_dir / "quiet_parked.jsonl", scenario)
+    out = tmp_path / "log.jsonl"
+    out.write_text("old\n", encoding="utf-8")
+    real_stat = os.stat
+    devices = {str(scenario): 1, str(out): 2}
+
+    def stat(path, *args, **kwargs):
+        st = real_stat(path, *args, **kwargs)
+        if str(path) not in devices:
+            return st
+        fields = list(st[:10])
+        fields[1:3] = [4242, devices[str(path)]]  # st_ino, st_dev
+        return os.stat_result(fields)
+
+    monkeypatch.setattr(os, "stat", stat)
+    code = main(["simulate", "--scenario", str(scenario), "--out", str(out)])
+    assert capsys.readouterr() == ("", "")
+    assert code == 0
+    assert out.read_text(encoding="utf-8").startswith('{"t_ms": 0, "type": "mode"')
+
+
 def test_simulate_unwritable_out_is_io_error(corpus_dir: Path, tmp_path: Path,
                                              capsys) -> None:
     code = main(["simulate", "--scenario", str(corpus_dir / "quiet_parked.jsonl"),

@@ -17,8 +17,9 @@ from motoguard.core import (ActuatorCommand, AlertKind, Auth, Buzzer, ContractVi
                             SensorEvent, Severity, SmsSend, SolenoidLock, SupplyVoltage,
                             Tilt, VirtualClock)
 from motoguard.controller import (_HANDLERS, MODE_EDGES, SMS_QUEUE_MAX, ControllerState,
-                                  Mode, PendingSms, RouterState, drain_sms, route, step)
-from motoguard.detectors import Trigger
+                                  Mode, ModeChange, PendingSms, RouterState, _enter, drain_sms,
+                                  route, step)
+from motoguard.detectors import CollisionState, CrashState, Trigger
 from motoguard.gsm import CTRL_Z, FakeModem, ModemClient, ModemPhase
 from motoguard.harness import Scenario, load_scenario, run
 from oracles import run_reference
@@ -464,6 +465,65 @@ def test_every_mode_change_is_a_readme_edge() -> None:
                 assert (before, state.mode) in MODE_EDGES, f"{before.value} -> {state.mode.value}"
                 seen.add((before, state.mode))
     assert seen == MODE_EDGES  # the table lists no edge that step never takes
+
+
+def test_every_logged_mode_change_is_a_readme_edge() -> None:
+    # as above, but run replays groups of several events stamped alike, and
+    # every pair of consecutive mode lines in its log must be an edge
+    config = {"preride_window_ms": 300, "crash_hold_ms": 300}
+    rng = random.Random(1105)
+    seen: set[tuple[Mode, Mode]] = set()
+    shared = 0  # mode lines that share their t_ms with the line before
+    for _ in range(20):
+        events, t_ms = [], 0
+        for _ in range(300):
+            t_ms += rng.choice((0, 0, 50, 100, 200))
+            events.append(ev(t_ms, rng.choice(RANDOM_PAYLOADS)(rng)))
+        changes = [rec for rec in run(Scenario("random", config=config, events=events)).records
+                   if isinstance(rec, ModeChange)]
+        assert changes[0] == ModeChange(0, Mode.PARKED)
+        for before, after in zip(changes, changes[1:]):
+            edge = (before.mode, after.mode)
+            assert edge in MODE_EDGES, f"{before.mode.value} -> {after.mode.value} at {after.t_ms}"
+            seen.add(edge)
+            shared += before.t_ms == after.t_ms
+    assert seen == MODE_EDGES
+    assert shared > 0  # some step made more than one change
+
+
+def test_enter_refuses_an_edge_outside_the_table(cfg: ControllerConfig) -> None:
+    state = to_riding(cfg)
+    with pytest.raises(ContractViolation, match="no mode edge riding -> pre_ride"):
+        _enter(state, Mode.PRE_RIDE, 3000)
+    assert state.mode is Mode.RIDING
+
+
+def test_entering_riding_resets_the_per_ride_detectors(cfg: ControllerConfig) -> None:
+    state = to_riding(cfg)
+    # end the first ride with every per-ride detector latched
+    ride = [ev(3000, LidarRange(50.0)), ev(3100, Tilt(85.0)), ev(3200, fix(speed=100.0)),
+            ev(3300, LidarRange(40.0))]
+    for event in ride:
+        state, _, _ = step(cfg, state, event.t_ms, [event])
+    assert state.collision.prev_t_ms == 3300 and state.crash.over_tilt_since_ms == 3100
+    assert state.overspeed_active and state.overtake_unsafe
+    state, _, _ = step(cfg, state, 4000, [ev(4000, Ignition(False))])
+    state, _, _ = step(cfg, state, 5000, [ev(5000, Ignition(True))])
+    state, _, _ = step(cfg, state, 5100, [ev(5100, CLEAN)])
+    state, _, _ = step(cfg, state, 7000, [ev(7000, CLEAN)])
+    assert state.changes == (ModeChange(7000, Mode.RIDING),)
+    assert (state.collision, state.crash) == (CollisionState(), CrashState())
+    assert not state.overspeed_active and not state.overtake_unsafe
+
+
+def test_entering_the_current_mode_records_nothing(cfg: ControllerConfig) -> None:
+    state, _, _ = step(cfg, ControllerState(), 0, [ev(0, Ignition(True))])
+    assert state.changes == (ModeChange(0, Mode.THEFT_SUSPECTED),)
+    # a second unauthorised ignition alarms again but is no mode change
+    state, alerts, _ = step(cfg, state, 40_000, [ev(40_000, Ignition(False)),
+                                                 ev(40_000, Ignition(True))])
+    assert [a.kind for a in alerts] == [AlertKind.THEFT]
+    assert (state.mode, state.changes) == (Mode.THEFT_SUSPECTED, ())
 
 
 # --- replay that advances its own state ------------------------------------

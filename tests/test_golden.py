@@ -13,6 +13,7 @@ versioned bump of the log or report schema, never to make a test pass.
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 import pytest
@@ -58,3 +59,17 @@ def test_nmea_file_output_matches_golden(capsys) -> None:
     # hemisphere failures included, valid A/V/GNRMC lines and a blank line
     assert main(["nmea", "--file", str(GOLDEN / "nmea_sentences.txt")]) == 1
     assert capsys.readouterr().out.encode("utf-8") == (GOLDEN / "nmea_report.txt").read_bytes()
+
+
+def test_no_corpus_step_logs_two_mode_changes() -> None:
+    # perfbench's Tracer.replay still logs a step's mode change by comparing
+    # the mode before and after the step, and its --trace 1 corpus gate needs
+    # its log byte-identical to run's. That holds only while no corpus step
+    # makes more than one change (ROADMAP item 4 deletes the copy).
+    for path in sorted(GOLDEN.glob("*.log.jsonl")):
+        records = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+        times = [rec["t_ms"] for rec in records if rec["type"] == "mode"][1:]
+        assert len(times) == len(set(times)), (
+            f"{path.name}: a step logs two mode lines, which Tracer.replay cannot "
+            "reproduce, so the --trace 1 corpus gate would fail")
+    assert len(list(GOLDEN.glob("*.log.jsonl"))) == 22

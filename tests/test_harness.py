@@ -335,6 +335,41 @@ def test_log_record_shapes() -> None:
     assert sms["action"] == "sms_send" and sms["to"] == "+639171234567"
 
 
+def mode_lines(log: EventLog) -> list[tuple[int, str]]:
+    return [(rec.t_ms, rec.mode.value) for rec in log.records if isinstance(rec, ModeChange)]
+
+
+# Several changes in one step each get a line, in order, after the step's
+# alerts and commands: none hides behind the step's net change.
+
+def test_ignition_cycled_in_one_step_while_riding_logs_both_changes() -> None:
+    sc = Scenario(name="t", events=preamble() + [ev(3000, Ignition(False)),
+                                                 ev(3000, Ignition(True))])
+    assert mode_lines(run(sc)) == [(0, "parked"), (0, "pre_ride"), (2100, "riding"),
+                                   (3000, "parked"), (3000, "pre_ride")]
+
+
+def test_a_ride_that_starts_and_ends_in_one_step_is_logged() -> None:
+    clean = GasReading(ethanol_ppm=0.0, co_ppm=0.0, lpg_ppm=0.0)
+    sc = Scenario(name="t", events=preamble()[:3] + [ev(2100, clean),
+                                                     ev(2100, Ignition(False))])
+    log = run(sc)
+    assert mode_lines(log) == [(0, "parked"), (0, "pre_ride"), (2100, "riding"),
+                               (2100, "parked")]
+    # the passing check's command comes before the step's mode lines
+    assert log.records[-3] == ActuatorCommand(2100, IgnitionInhibit(on=False))
+
+
+def test_ignition_cycled_in_one_step_during_pre_ride_restarts_the_window() -> None:
+    clean = GasReading(ethanol_ppm=0.0, co_ppm=0.0, lpg_ppm=0.0)
+    sc = Scenario(name="t", events=preamble()[:3] + [
+        ev(500, Ignition(False)), ev(500, Ignition(True)),
+        ev(2100, clean), ev(2500, clean)])
+    # the window reopened at 500, so it closes at 2500, not at 2100
+    assert mode_lines(run(sc)) == [(0, "parked"), (0, "pre_ride"), (500, "parked"),
+                                   (500, "pre_ride"), (2500, "riding")]
+
+
 # --- log serialization: the per-shape templates agree with json.dumps ---------
 
 class _Int(int):
