@@ -148,7 +148,10 @@ class ControllerState:
     preride_start_ms: int | None = None
     preride_peak: GasReading | None = None
     router: RouterState = field(default_factory=RouterState)
-    changes: tuple[ModeChange, ...] = ()
+    # what the last advance did, in order; advance starts each list empty
+    alerts: list[Alert] = field(default_factory=list)
+    commands: list[ActuatorCommand] = field(default_factory=list)
+    changes: list[ModeChange] = field(default_factory=list)
 
 
 def _speed_kph(fix: GpsFix | None) -> float:
@@ -161,12 +164,13 @@ def _crash_sms_text(fix: GpsFix | None, t_ms: int) -> str:
     return f"CRASH {fix.point.lat_deg:.6f},{fix.point.lon_deg:.6f} t={t_ms}"
 
 
-def _emit(cfg: ControllerConfig, s: ControllerState, t_ms: int, trigger: Trigger,
-          alerts: list[Alert], commands: list[ActuatorCommand]) -> None:
+def _emit(cfg: ControllerConfig, s: ControllerState, t_ms: int, trigger: Trigger | None) -> None:
+    if trigger is None:
+        return
     s.router, alert, cmds = route(s.router, trigger, t_ms, cfg)
     if alert is not None:
-        alerts.append(alert)
-    commands.extend(cmds)
+        s.alerts.append(alert)
+    s.commands.extend(cmds)
 
 
 def _enter(s: ControllerState, mode: Mode, t_ms: int) -> None:
@@ -185,23 +189,21 @@ def _enter(s: ControllerState, mode: Mode, t_ms: int) -> None:
         s.collision, s.crash = CollisionState(), CrashState()
         s.overspeed_active = s.overtake_unsafe = False
     s.mode = mode
-    s.changes += (ModeChange(t_ms, mode),)
+    s.changes.append(ModeChange(t_ms, mode))
 
 
-def _theft_sync(cfg: ControllerConfig, s: ControllerState, t_ms: int,
-                alerts: list[Alert], commands: list[ActuatorCommand]) -> None:
+def _theft_sync(cfg: ControllerConfig, s: ControllerState, t_ms: int) -> None:
     # evaluate arming against the latest fix on a new fix or an ignition/auth change
     if s.last_fix is None or s.mode not in (_PARKED, _THEFT_SUSPECTED):
         return
     s.theft, triggers = theft_step(s.theft, s.last_fix, s.ignition_on, s.authorized, t_ms, cfg)
     for trig in triggers:
-        _emit(cfg, s, t_ms, trig, alerts, commands)
+        _emit(cfg, s, t_ms, trig)
         if trig.kind is _THEFT:
             _enter(s, _THEFT_SUSPECTED, t_ms)
 
 
-def _overtake_eval(cfg: ControllerConfig, s: ControllerState, t_ms: int,
-                   alerts: list[Alert], commands: list[ActuatorCommand]) -> None:
+def _overtake_eval(cfg: ControllerConfig, s: ControllerState, t_ms: int) -> None:
     side = s.mag.consecutive_deviant >= cfg.mag_persist_samples
     rear = s.collision.last_ttc_s
     unsafe = overtake_assist(rear, side, cfg)
@@ -209,14 +211,14 @@ def _overtake_eval(cfg: ControllerConfig, s: ControllerState, t_ms: int,
         rear_text = f"{rear:.2f}s" if rear is not None else "none"
         _emit(cfg, s, t_ms, Trigger(AlertKind.OVERTAKE_UNSAFE,
                                     f"OVERTAKE UNSAFE side_vehicle={'yes' if side else 'no'} "
-                                    f"rear_ttc={rear_text}"), alerts, commands)
+                                    f"rear_ttc={rear_text}"))
     s.overtake_unsafe = unsafe
 
 
-# One handler per payload class: handler(cfg, state, t_ms, payload, alerts,
-# commands) applies one event to state in place and appends its outputs.
+# One handler per payload class: handler(cfg, state, t_ms, payload) applies
+# one event to state in place and appends its outputs to the state's records.
 
-def _on_auth(cfg, s, t_ms, p: Auth, alerts, commands) -> None:
+def _on_auth(cfg, s, t_ms, p: Auth) -> None:
     s.authorized = p.authorized
     if p.authorized:
         s.theft = TheftState()
@@ -227,27 +229,26 @@ def _on_auth(cfg, s, t_ms, p: Auth, alerts, commands) -> None:
             # revoked before the window closed: end it as a failed
             # check does. A moving bike in RIDING keeps its ignition.
             _enter(s, _PARKED, t_ms)
-            commands.append(ActuatorCommand(t_ms, IgnitionInhibit(on=True)))
-        _theft_sync(cfg, s, t_ms, alerts, commands)
+            s.commands.append(ActuatorCommand(t_ms, IgnitionInhibit(on=True)))
+        _theft_sync(cfg, s, t_ms)
 
 
-def _on_ignition(cfg, s, t_ms, p: Ignition, alerts, commands) -> None:
+def _on_ignition(cfg, s, t_ms, p: Ignition) -> None:
     s.ignition_on = p.on
     if p.on:
         if s.mode is _PARKED and s.authorized:
             _enter(s, _PRE_RIDE, t_ms)
         elif s.mode in (_PARKED, _THEFT_SUSPECTED) and not s.authorized:
-            commands.append(ActuatorCommand(t_ms, SolenoidLock(engaged=True)))
-            _emit(cfg, s, t_ms, Trigger(_THEFT, "THEFT unauthorized ignition attempt"),
-                  alerts, commands)
+            s.commands.append(ActuatorCommand(t_ms, SolenoidLock(engaged=True)))
+            _emit(cfg, s, t_ms, Trigger(_THEFT, "THEFT unauthorized ignition attempt"))
             _enter(s, _THEFT_SUSPECTED, t_ms)
     else:
         if s.mode in (_PRE_RIDE, _RIDING):
             _enter(s, _PARKED, t_ms)
-        _theft_sync(cfg, s, t_ms, alerts, commands)
+        _theft_sync(cfg, s, t_ms)
 
 
-def _on_gas(cfg, s, t_ms, p: GasReading, alerts, commands) -> None:
+def _on_gas(cfg, s, t_ms, p: GasReading) -> None:
     if s.mode is _PRE_RIDE:
         # the verdict only reads per-gas peaks, so a running peak is all the
         # window needs to keep
@@ -256,60 +257,54 @@ def _on_gas(cfg, s, t_ms, p: GasReading, alerts, commands) -> None:
                                     max(peak.co_ppm, p.co_ppm), max(peak.lpg_ppm, p.lpg_ppm))
         if t_ms - s.preride_start_ms >= cfg.preride_window_ms:
             faults = preride_faults(s.preride_peak, cfg)
-            commands.append(ActuatorCommand(t_ms, IgnitionInhibit(on=bool(faults))))
+            s.commands.append(ActuatorCommand(t_ms, IgnitionInhibit(on=bool(faults))))
             for fault in faults:
-                _emit(cfg, s, t_ms, fault, alerts, commands)
+                _emit(cfg, s, t_ms, fault)
             _enter(s, _PARKED if faults else _RIDING, t_ms)
 
 
-def _on_lidar(cfg, s, t_ms, p: LidarRange, alerts, commands) -> None:
+def _on_lidar(cfg, s, t_ms, p: LidarRange) -> None:
     if s.mode is _RIDING:
         s.collision, trig = collision_step(s.collision, p.range_m, t_ms, cfg)
-        if trig is not None:
-            _emit(cfg, s, t_ms, trig, alerts, commands)
-        _overtake_eval(cfg, s, t_ms, alerts, commands)
+        _emit(cfg, s, t_ms, trig)
+        _overtake_eval(cfg, s, t_ms)
 
 
-def _on_mag(cfg, s, t_ms, p: MagField, alerts, commands) -> None:
+def _on_mag(cfg, s, t_ms, p: MagField) -> None:
     # calibration accrues in every mode; proximity only matters riding
     s.mag, trig = mag_step(s.mag, p.b_ut, cfg)
     if s.mode is _RIDING:
-        if trig is not None:
-            _emit(cfg, s, t_ms, trig, alerts, commands)
-        _overtake_eval(cfg, s, t_ms, alerts, commands)
+        _emit(cfg, s, t_ms, trig)
+        _overtake_eval(cfg, s, t_ms)
 
 
-def _on_pir(cfg, s, t_ms, p: PirMotion, alerts, commands) -> None:
+def _on_pir(cfg, s, t_ms, p: PirMotion) -> None:
     if s.mode is _RIDING:
-        trig = hazard_step(p.detected, _speed_kph(s.last_fix), cfg)
-        if trig is not None:
-            _emit(cfg, s, t_ms, trig, alerts, commands)
+        _emit(cfg, s, t_ms, hazard_step(p.detected, _speed_kph(s.last_fix), cfg))
 
 
-def _on_tilt(cfg, s, t_ms, p: Tilt, alerts, commands) -> None:
+def _on_tilt(cfg, s, t_ms, p: Tilt) -> None:
     if s.mode is _RIDING:
         s.crash, fired = crash_step(s.crash, p.angle_deg, _speed_kph(s.last_fix), t_ms, cfg)
         if fired:
-            _emit(cfg, s, t_ms, Trigger(_CRASH, _crash_sms_text(s.last_fix, t_ms)),
-                  alerts, commands)
+            _emit(cfg, s, t_ms, Trigger(_CRASH, _crash_sms_text(s.last_fix, t_ms)))
             _enter(s, _CRASH_SUSPECTED, t_ms)
 
 
-def _on_fix(cfg, s, t_ms, p: GpsFix, alerts, commands) -> None:
+def _on_fix(cfg, s, t_ms, p: GpsFix) -> None:
     if p.valid:
         s.last_fix = p
         if s.mode is _RIDING:
             s.overspeed_active, trig = overspeed_step(s.overspeed_active, p.speed_kph, cfg)
-            if trig is not None:
-                _emit(cfg, s, t_ms, trig, alerts, commands)
+            _emit(cfg, s, t_ms, trig)
         else:
-            _theft_sync(cfg, s, t_ms, alerts, commands)
+            _theft_sync(cfg, s, t_ms)
 
 
-def _on_voltage(cfg, s, t_ms, p: SupplyVoltage, alerts, commands) -> None:
+def _on_voltage(cfg, s, t_ms, p: SupplyVoltage) -> None:
     if p.volts < cfg.undervoltage_v:
         _emit(cfg, s, t_ms, Trigger(AlertKind.UNDERVOLTAGE, f"UNDERVOLTAGE {p.volts:.1f}V "
-                                    f"limit={cfg.undervoltage_v:.1f}V"), alerts, commands)
+                                    f"limit={cfg.undervoltage_v:.1f}V"))
 
 
 _HANDLERS = {Auth: _on_auth, Ignition: _on_ignition, GasReading: _on_gas,
@@ -318,30 +313,28 @@ _HANDLERS = {Auth: _on_auth, Ignition: _on_ignition, GasReading: _on_gas,
 
 
 def advance(cfg: ControllerConfig, state: ControllerState, t_ms: int,
-            events: list[SensorEvent]) -> tuple[list[Alert], list[ActuatorCommand]]:
+            events: list[SensorEvent]) -> None:
     """Apply all events stamped t_ms to state, which the caller owns, in place;
-    state.changes holds the mode changes they make, in order."""
+    state.alerts, state.commands and state.changes record what they made, in order."""
     check_t_ms(t_ms)
     if state.last_t_ms is not None and t_ms < state.last_t_ms:
         raise ContractViolation(f"step at t={t_ms} after t={state.last_t_ms}")
     for ev in events:
         if ev.t_ms != t_ms:
             raise ContractViolation(f"event stamped {ev.t_ms} passed to step at t={t_ms}")
-    state.changes = ()
-    alerts: list[Alert] = []
-    commands: list[ActuatorCommand] = []
+    state.alerts, state.commands, state.changes = [], [], []
     for ev in events:
         p = ev.payload
-        _HANDLERS[type(p)](cfg, state, t_ms, p, alerts, commands)
+        _HANDLERS[type(p)](cfg, state, t_ms, p)
     state.last_t_ms = t_ms
-    return alerts, commands
 
 
 def step(cfg: ControllerConfig, state: ControllerState, t_ms: int,
          events: list[SensorEvent]) -> tuple[ControllerState, list[Alert], list[ActuatorCommand]]:
-    """Process all events stamped t_ms and return the follow-on state/outputs."""
-    # a shallow copy keeps step pure: advance reassigns fields, never mutates them
+    """Process all events stamped t_ms; return the new state and its alerts and commands."""
+    # a shallow copy keeps step pure: advance gives the copy fresh record lists
+    # before it appends to them, and reassigns every other field, never mutating it
     work = object.__new__(ControllerState)
     work.__dict__.update(state.__dict__)
-    alerts, commands = advance(cfg, work, t_ms, events)
-    return work, alerts, commands
+    advance(cfg, work, t_ms, events)
+    return work, work.alerts, work.commands

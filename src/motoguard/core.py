@@ -202,7 +202,14 @@ def check_t_ms(t_ms: int) -> None:
         raise ContractViolation(f"t_ms must be a non-negative int: {t_ms!r}")
 
 
+def _must_be_one_of(name: str, union) -> str:
+    """'name must be a A, B or C' for the classes of union, in declared order."""
+    *head, last = (cls.__name__ for cls in union.__args__)
+    return f"{name} must be a {', '.join(head)} or {last}"
+
+
 _PAYLOAD_TYPES = frozenset(Payload.__args__)
+_PAYLOAD_TEXT = _must_be_one_of("payload", Payload)
 
 
 @dataclass(frozen=True, slots=True)
@@ -214,9 +221,7 @@ class SensorEvent:
         check_t_ms(self.t_ms)
         # exact: step dispatches on type(payload), so a subclass has no handler
         if type(self.payload) not in _PAYLOAD_TYPES:
-            raise ContractViolation(f"payload must be a LidarRange, MagField, PirMotion, "
-                                    f"GasReading, Tilt, GpsFix, Ignition, Auth or "
-                                    f"SupplyVoltage: {self.payload!r}")
+            raise ContractViolation(f"{_PAYLOAD_TEXT}: {self.payload!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -274,6 +279,7 @@ class SmsSend:
 
 
 Action = Buzzer | IgnitionInhibit | SolenoidLock | SmsSend
+_ACTION_TEXT = _must_be_one_of("action", Action)
 
 
 @dataclass(frozen=True, slots=True)
@@ -284,8 +290,7 @@ class ActuatorCommand:
     def __post_init__(self):
         check_t_ms(self.t_ms)
         if type(self.action) not in Action.__args__:
-            raise ContractViolation(f"action must be a Buzzer, IgnitionInhibit, SolenoidLock "
-                                    f"or SmsSend: {self.action!r}")
+            raise ContractViolation(f"{_ACTION_TEXT}: {self.action!r}")
 
 
 # Each rule-checked field's contract, written once: (exact type, the other
@@ -531,6 +536,9 @@ def parse_config_text(text: str) -> dict:
             raise ConfigError(line_no, f"unknown key {key!r}")
         kind = _CONFIG_RULES[key].kind
         try:
+            # int() and float() also read "_" separators and non-ASCII digits
+            if kind is not str and (not value.isascii() or "_" in value):
+                raise ValueError(value)
             overrides[key] = kind(value)
         except ValueError:
             raise ConfigError(line_no, f"{key} must be {_KIND_TEXT[kind]}, got {value!r}") from None

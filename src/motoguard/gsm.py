@@ -88,7 +88,7 @@ class FakeModem:
         self._closed = True
 
     def inject(self, data: bytes) -> None:
-        """Push unsolicited bytes at the client, for recovery tests."""
+        """Queue bytes for the client to read: a reply, or unsolicited bytes."""
         self._buffer.extend(data)
 
     def write(self, data: bytes) -> None:
@@ -110,25 +110,22 @@ class FakeModem:
         del self._buffer[:end]
         return out
 
-    def _emit(self, data: bytes) -> None:
-        self._buffer.extend(data)
-
     def _respond(self, frame: bytes) -> None:
         name = self._normalize(frame)
         if name is None or name in self.silent_commands:
             return
         if name in self.fail_commands:
-            self._emit(b"\r\nERROR\r\n")
+            self.inject(b"\r\nERROR\r\n")
             return
         if name == "SEND":
-            self._emit(f"\r\n+CMGS: {self._next_ref}\r\nOK\r\n".encode("ascii"))
+            self.inject(f"\r\n+CMGS: {self._next_ref}\r\nOK\r\n".encode("ascii"))
             self._next_ref += 1
         elif name == "AT+CMGS":
-            self._emit(b"\r\n> ")
+            self.inject(b"\r\n> ")
         elif name in INIT_SEQUENCE:
-            self._emit(b"\r\nOK\r\n")
+            self.inject(b"\r\nOK\r\n")
         else:
-            self._emit(b"\r\nERROR\r\n")
+            self.inject(b"\r\nERROR\r\n")
 
     @staticmethod
     def _normalize(frame: bytes) -> str | None:

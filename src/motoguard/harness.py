@@ -241,12 +241,12 @@ def run(sc: Scenario, cfg: ControllerConfig = DEFAULT_CONFIG) -> EventLog:
     records = log.records
     for t_ms, group in groupby(sc.events, key=attrgetter("t_ms")):
         try:
-            alerts, commands = advance(merged, state, t_ms, list(group))
+            advance(merged, state, t_ms, list(group))
         except ContractViolation as exc:
             raise ContractViolation(f"{sc.name}: at t={t_ms}: {exc}") from exc
-        records += alerts
-        records += commands
-        records += state.changes  # the mode changes, in the order the step made them
+        records += state.alerts
+        records += state.commands
+        records += state.changes
         if state.router.pending_sms:
             # the modem is the clock's only reader, and t_ms never decreases,
             # so bringing the clock up only before a drain reads the same

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import ast
 import copy
+import inspect
 import random
 import re
 import typing
@@ -387,6 +388,9 @@ def test_every_payload_class_has_exactly_one_handler() -> None:
     assert len(classes) == 9
     assert set(_HANDLERS) == set(classes)
     assert len(set(_HANDLERS.values())) == len(classes)
+    # a handler appends its outputs to the state's records, never to lists passed in
+    for handler in _HANDLERS.values():
+        assert list(inspect.signature(handler).parameters) == ["cfg", "s", "t_ms", "p"]
 
 
 class LowVoltage(SupplyVoltage):
@@ -511,19 +515,32 @@ def test_entering_riding_resets_the_per_ride_detectors(cfg: ControllerConfig) ->
     state, _, _ = step(cfg, state, 5000, [ev(5000, Ignition(True))])
     state, _, _ = step(cfg, state, 5100, [ev(5100, CLEAN)])
     state, _, _ = step(cfg, state, 7000, [ev(7000, CLEAN)])
-    assert state.changes == (ModeChange(7000, Mode.RIDING),)
+    assert state.changes == [ModeChange(7000, Mode.RIDING)]
     assert (state.collision, state.crash) == (CollisionState(), CrashState())
     assert not state.overspeed_active and not state.overtake_unsafe
 
 
+def test_each_step_starts_its_three_records_empty(cfg: ControllerConfig) -> None:
+    # an unauthorised ignition sounds a HIGH theft alarm and changes the mode
+    state, alerts, commands = step(cfg, ControllerState(), 0, [ev(0, Ignition(True))])
+    assert alerts is state.alerts and commands is state.commands
+    assert [(a.kind, a.severity) for a in alerts] == [(AlertKind.THEFT, Severity.HIGH)]
+    assert commands and state.changes == [ModeChange(0, Mode.THEFT_SUSPECTED)]
+    new, new_alerts, new_commands = step(cfg, state, 100, [])
+    assert new_alerts is new.alerts and new_commands is new.commands
+    assert (new.alerts, new.commands, new.changes) == ([], [], [])
+    # the earlier step's records are its own: the later step did not clear them
+    assert alerts and commands and state.changes
+
+
 def test_entering_the_current_mode_records_nothing(cfg: ControllerConfig) -> None:
     state, _, _ = step(cfg, ControllerState(), 0, [ev(0, Ignition(True))])
-    assert state.changes == (ModeChange(0, Mode.THEFT_SUSPECTED),)
+    assert state.changes == [ModeChange(0, Mode.THEFT_SUSPECTED)]
     # a second unauthorised ignition alarms again but is no mode change
     state, alerts, _ = step(cfg, state, 40_000, [ev(40_000, Ignition(False)),
                                                  ev(40_000, Ignition(True))])
     assert [a.kind for a in alerts] == [AlertKind.THEFT]
-    assert (state.mode, state.changes) == (Mode.THEFT_SUSPECTED, ())
+    assert (state.mode, state.changes) == (Mode.THEFT_SUSPECTED, [])
 
 
 # --- replay that advances its own state ------------------------------------
@@ -664,7 +681,7 @@ class BrittleModem(FakeModem):
     def _respond(self, frame: bytes) -> None:
         if self._normalize(frame) == "SEND":
             if self.good_sends <= 0:
-                self._emit(b"\r\nERROR\r\n")
+                self.inject(b"\r\nERROR\r\n")
                 return
             self.good_sends -= 1
         super()._respond(frame)

@@ -635,6 +635,20 @@ def test_parse_config_text_errors_carry_line_numbers() -> None:
         parse_config_text("crash_hold_ms=2.5")
     with pytest.raises(ConfigError):
         parse_config_text("speed_limit_kph=fast")
+    # int() and float() take these; a config file may not
+    for text, reason in (
+            ("# ok\ncrash_hold_ms = 3_000\n", "crash_hold_ms must be an integer, got '3_000'"),
+            ("# ok\nttc_warn_s = 2_0.5\n", "ttc_warn_s must be a number, got '2_0.5'"),
+            ("# ok\nttc_warn_s = ٢\n", "ttc_warn_s must be a number, got '٢'"),
+            ("# ok\nmag_calib_samples = ２０\n",
+             "mag_calib_samples must be an integer, got '２０'")):
+        with pytest.raises(ConfigError) as err:
+            parse_config_text(text)
+        assert (err.value.line_no, err.value.reason) == (2, reason)
+    # nan and inf parse as numbers and fail validation, not the grammar
+    for value in ("nan", "inf", "-Infinity"):
+        cfg = apply_overrides(DEFAULT_CONFIG, parse_config_text(f"ttc_warn_s = {value}"))
+        assert validate_config(cfg) == [("ttc_warn_s", "must be a finite number")]
     for text in ("\ufeffttc_warn_s=2.5\n", "\ufeff# a comment\n"):
         with pytest.raises(ConfigError) as err:
             parse_config_text(text)

@@ -35,7 +35,7 @@ class NoRefModem(FakeModem):
 
     def _respond(self, frame: bytes) -> None:
         if self._normalize(frame) == "SEND":
-            self._emit(b"\r\nOK\r\n")
+            self.inject(b"\r\nOK\r\n")
             return
         super()._respond(frame)
 
