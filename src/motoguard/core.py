@@ -297,9 +297,8 @@ class ActuatorCommand:
 # exact type taken, lowest, highest, error text), both ends inclusive. The
 # constructors take an int or float subclass too (never a bool) and test a
 # non-negative field, whose highest is _MAX, from below only; a non-number
-# field by isinstance. The direct decoder of the one-field tags (all but gas
-# and gps) takes only the exact types; its lo <= x <= hi rejects nan, +-inf
-# and an int too large for a float.
+# field by isinstance. The direct decoders take only the exact types; their
+# lo <= x <= hi rejects nan, +-inf and an int too large for a float.
 _MAX = sys.float_info.max
 _NON_NEGATIVE = (float, int, 0.0, _MAX, "{} must be >= 0: {!r}")
 _BOOL = (bool, bool, False, True, "{} must be a bool")
@@ -364,39 +363,90 @@ def _decoder(cls: type) -> tuple:
 
 _DECODERS = {tag: _decoder(cls) for tag, cls in _SENSOR_TAGS.items()}
 
-# The direct decoder of a one-field tag: (payload class, its field, and the
-# field's exact types and bounds from _FIELD_RULES). It makes the payload and
-# the event the way a frozen dataclass __init__ does, object.__new__ then
-# object.__setattr__ per field, and skips __post_init__. The records are
-# slotted, so each field goes straight into its slot.
-_ONE_FIELD = {tag: (cls, name, *_FIELD_RULES[name][:4])
-              for tag, cls in _SENSOR_TAGS.items() if len(cls.__match_args__) == 1
-              for name in cls.__match_args__}
+
+def _slot_setters(cls: type) -> tuple:
+    """The __set__ of each field's slot descriptor, in declaration order.
+
+    Each stores its field the way object.__setattr__ does in a frozen
+    dataclass __init__, without looking the slot up by name on every call."""
+    return tuple(cls.__dict__[f.name].__set__ for f in fields(cls))
+
+
+# The direct decoders make the payload and the event the way a frozen
+# dataclass __init__ does, object.__new__ then one store per field, but
+# through the slot setters bound here and without __post_init__: every field
+# has passed its rule's exact types and bounds from _FIELD_RULES. A field
+# added to a class joins its rows below, or stops an unpacking here at import,
+# so no direct build leaves a slot empty.
 _new = object.__new__
-_set = object.__setattr__
+_set_t_ms, _set_payload = _slot_setters(SensorEvent)
+_set_lat_deg, _set_lon_deg = _slot_setters(GeoPoint)
+_set_point, _set_speed_kph, _set_valid = _slot_setters(GpsFix)
+
+
+def _rows(cls: type, *names: str) -> tuple:
+    """(field, its slot setter, exact types and bounds) of each named field of cls."""
+    setters = dict(zip(cls.__match_args__, _slot_setters(cls)))
+    return tuple((name, setters[name], *_FIELD_RULES[name][:4]) for name in names)
+
+
+# a one-field tag's row: (payload class, field, setter, exact types and bounds)
+_ONE_FIELD = {tag: (cls, *row) for tag, cls in _SENSOR_TAGS.items()
+              if len(cls.__match_args__) == 1 for row in _rows(cls, *cls.__match_args__)}
+_GAS_ROWS = _rows(GasReading, *GasReading.__match_args__)
+_POINT_ROWS = _rows(GeoPoint, *GeoPoint.__match_args__)
+_FIX_ROWS = _rows(GpsFix, "speed_kph", "valid")  # and the point from _POINT_ROWS
+
+
+def _filled(cls: type, rows: tuple, rec: dict):
+    """A cls with each row's field from rec, or None once a value breaks its rule."""
+    obj = _new(cls)
+    for name, set_field, kind, also, lo, hi in rows:
+        value = rec.get(name)
+        if not ((type(value) is kind or type(value) is also) and lo <= value <= hi):
+            return None
+        set_field(obj, value)
+    return obj
 
 
 def event_from_record(rec: dict) -> SensorEvent:
     """Inverse of event_to_record; raises ContractViolation on bad shapes.
 
-    A well-formed record of a one-field tag is built directly. Any other
-    record, gas and gps included, goes through _checked_event, so every error
-    text comes from the checked constructors."""
+    A well-formed record is built directly. Any other record goes through
+    _checked_event, so every error text comes from the checked constructors.
+    In each direct path a missing key reads None, which no rule accepts, so a
+    record of the right length whose values pass has exactly its tag's keys."""
     if type(rec) is dict:
         tag = rec.get("sensor")
         row = _ONE_FIELD.get(tag) if type(tag) is str else None
         if row is not None:
-            cls, name, kind, also, lo, hi = row
-            # a missing key reads None, which no rule accepts, so three keys
-            # that pass are exactly "sensor", "t_ms" and `name`
+            cls, name, set_value, kind, also, lo, hi = row
             t_ms, value = rec.get("t_ms"), rec.get(name)
             if (len(rec) == 3 and type(t_ms) is int and t_ms >= 0
                     and (type(value) is kind or type(value) is also) and lo <= value <= hi):
                 payload = _new(cls)
-                _set(payload, name, value)
+                set_value(payload, value)
                 event = _new(SensorEvent)
-                _set(event, "t_ms", t_ms)
-                _set(event, "payload", payload)
+                _set_t_ms(event, t_ms)
+                _set_payload(event, payload)
+                return event
+        elif tag == "gps":
+            t_ms = rec.get("t_ms")
+            if (len(rec) == 6 and type(t_ms) is int and t_ms >= 0
+                    and (point := _filled(GeoPoint, _POINT_ROWS, rec)) is not None
+                    and (payload := _filled(GpsFix, _FIX_ROWS, rec)) is not None):
+                _set_point(payload, point)
+                event = _new(SensorEvent)
+                _set_t_ms(event, t_ms)
+                _set_payload(event, payload)
+                return event
+        elif tag == "gas":
+            t_ms = rec.get("t_ms")
+            if (len(rec) == 5 and type(t_ms) is int and t_ms >= 0
+                    and (payload := _filled(GasReading, _GAS_ROWS, rec)) is not None):
+                event = _new(SensorEvent)
+                _set_t_ms(event, t_ms)
+                _set_payload(event, payload)
                 return event
     return _checked_event(rec)
 
@@ -516,22 +566,27 @@ def apply_overrides(cfg: ControllerConfig, overrides: dict) -> ControllerConfig:
     return dataclasses.replace(cfg, **coerced) if coerced else cfg
 
 
+_ASCII_WHITESPACE = " \t\n\r\v\f"
+
+
 def parse_config_text(text: str) -> dict:
     """Parse flat key=value lines ('#' starts a comment) into an override map."""
     if text.startswith("\ufeff"):
         raise ConfigError(1, "unexpected UTF-8 byte-order mark")
     overrides: dict = {}
     # only LF ends a line, as in scenario files: splitlines() would also break
-    # a comment at U+2028 and the like; strip() below drops a stray CR
+    # a comment at U+2028 and the like. Only ASCII whitespace is stripped
+    # (a stray CR included): str.strip() would also drop U+3000 or U+00A0
+    # between a key and its '='
     for line_no, raw in enumerate(text.split("\n"), start=1):
-        line = raw.strip()
+        line = raw.strip(_ASCII_WHITESPACE)
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise ConfigError(line_no, f"expected key=value, got {line!r}")
         key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
+        key = key.strip(_ASCII_WHITESPACE)
+        value = value.strip(_ASCII_WHITESPACE)
         if key not in _CONFIG_RULES:
             raise ConfigError(line_no, f"unknown key {key!r}")
         kind = _CONFIG_RULES[key].kind

@@ -12,22 +12,24 @@ its limit. The accept pattern is built from those shapes, and the accept
 test and the rejection walk read the same limits.
 
 An accepted sentence is checked once. Its one pattern proves every field's
-shape, and one test bounds its minutes, coordinates and course, so its
-GeoPoint and RmcData are built directly, without the GeoPoint rule loop
-testing the same bounds again. Every other sentence goes to the rejection
-walk, which only names the first fault: it builds no record, and a sentence
-it finds no fault in is an internal error.
+shape, and one test bounds its minutes, coordinates and course and compares
+the checksum, so its GeoPoint and RmcData are built directly: each field goes
+into its slot through the setter bound at import, without the GeoPoint rule
+loop testing the same bounds again. to_gps_fix builds the GpsFix of such a
+record the same way. The checksum XORs the body's bytes by folding them as
+one int, not byte by byte. Every other sentence goes to the rejection walk,
+which only names the first fault: it builds no record, and a sentence it
+finds no fault in is an internal error.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import reduce
-from operator import xor
 from typing import NoReturn
 
-from .core import _MAX, ContractViolation, GeoPoint, GpsFix, _new, _set
+from .core import (_MAX, ContractViolation, GeoPoint, GpsFix, _new, _set_lat_deg, _set_lon_deg,
+                   _set_point, _set_speed_kph, _set_valid, _slot_setters)
 
 KNOTS_TO_KPH = 1.852
 MAX_SENTENCE_CHARS = 80  # excluding CR/LF; 82 on the wire
@@ -105,6 +107,10 @@ class RmcData:
     date: str
 
 
+(_set_utc_time, _set_status, _set_rmc_point, _set_speed_knots, _set_course_deg,
+ _set_date) = _slot_setters(RmcData)
+
+
 def checksum(body: str) -> str:
     """XOR of the characters between '$' and '*', as two uppercase hex digits.
 
@@ -120,9 +126,26 @@ def checksum(body: str) -> str:
     return _xor_hex(body)
 
 
+_LOW_512_BITS = (1 << 512) - 1
+
+
 def _xor_hex(body: str) -> str:
-    # the caller guarantees an ASCII body
-    return "%02X" % reduce(xor, body.encode("ascii"), 0)
+    """checksum() of an ASCII body, by folding: the body's bytes read as one
+    int, whose halves are XORed together until one byte is left.
+
+    Every shift is a whole number of bytes, so each fold keeps the XOR of all
+    the bytes. The loop folds whatever lies above the low 512 bits onto them,
+    so a body of any length ends in the six fixed folds below."""
+    n = int.from_bytes(body.encode("ascii"), "little")
+    while high := n >> 512:
+        n = high ^ (n & _LOW_512_BITS)
+    n ^= n >> 256
+    n ^= n >> 128
+    n ^= n >> 64
+    n ^= n >> 32
+    n ^= n >> 16
+    n ^= n >> 8
+    return "%02X" % (n & 0xFF)
 
 
 def knots_to_kph(knots: float) -> float:
@@ -145,18 +168,19 @@ def parse_rmc(line: str) -> RmcData:
         if (lat_minutes < _MINUTES_PER_DEGREE and lon_minutes < _MINUTES_PER_DEGREE
                 and lat <= _LAT_MAX and lon <= _LON_MAX and course_deg < _COURSE_MAX
                 and _xor_hex(sentence[1:-3]) == found):
-            # built the way a frozen dataclass __init__ builds them, minus the
-            # GeoPoint rule loop: the test above holds its bounds
+            # built the way a frozen dataclass __init__ builds them, through
+            # the slot setters and minus the GeoPoint rule loop: the test
+            # above holds its bounds
             point = _new(GeoPoint)
-            _set(point, "lat_deg", -lat if ns == "S" else lat)
-            _set(point, "lon_deg", -lon if ew == "W" else lon)
+            _set_lat_deg(point, -lat if ns == "S" else lat)
+            _set_lon_deg(point, -lon if ew == "W" else lon)
             rmc = _new(RmcData)
-            _set(rmc, "utc_time", utc_time)
-            _set(rmc, "status", status)
-            _set(rmc, "point", point)
-            _set(rmc, "speed_knots", float(speed))
-            _set(rmc, "course_deg", course_deg)
-            _set(rmc, "date", date)
+            _set_utc_time(rmc, utc_time)
+            _set_status(rmc, status)
+            _set_rmc_point(rmc, point)
+            _set_speed_knots(rmc, float(speed))
+            _set_course_deg(rmc, course_deg)
+            _set_date(rmc, date)
             return rmc
     # the field walk is the one source of rejection reasons
     _parse_fields(sentence)
@@ -222,8 +246,8 @@ def to_gps_fix(rmc: RmcData) -> GpsFix:
         kph = knots * KNOTS_TO_KPH
         if 0.0 <= kph <= _MAX:
             fix = _new(GpsFix)
-            _set(fix, "point", point)
-            _set(fix, "speed_kph", kph)
-            _set(fix, "valid", valid)
+            _set_point(fix, point)
+            _set_speed_kph(fix, kph)
+            _set_valid(fix, valid)
             return fix
     return GpsFix(point=point, speed_kph=knots_to_kph(knots), valid=valid)

@@ -265,11 +265,6 @@ WELL_FORMED = {
 
 TAGS = ("lidar", "mag", "pir", "gas", "tilt", "gps", "ignition", "auth", "supply")
 RECORD_FIELDS = {tag: tuple(WELL_FORMED[tag])[2:] for tag in TAGS}  # after t_ms, sensor
-# the multi-field tags: rare in a ride (gps at 1 Hz, gas only before it), so
-# they are not worth a direct decoder of their own
-CHECKED_TAGS = {"gas", "gps"}
-DIRECT = {name: r for name, r in WELL_FORMED.items() if r["sensor"] not in CHECKED_TAGS}
-CHECKED = {name: r for name, r in WELL_FORMED.items() if r["sensor"] in CHECKED_TAGS}
 
 
 def _tracked_checked_path(monkeypatch) -> list:
@@ -284,7 +279,7 @@ def _tracked_checked_path(monkeypatch) -> list:
     return reached
 
 
-@pytest.mark.parametrize("record", DIRECT.values(), ids=DIRECT.keys())
+@pytest.mark.parametrize("record", WELL_FORMED.values(), ids=WELL_FORMED.keys())
 def test_well_formed_records_skip_the_checked_path(record: dict, monkeypatch) -> None:
     want = event_from_record_reference(record)
     reached = _tracked_checked_path(monkeypatch)
@@ -292,21 +287,28 @@ def test_well_formed_records_skip_the_checked_path(record: dict, monkeypatch) ->
     assert reached == []
 
 
-@pytest.mark.parametrize("record", CHECKED.values(), ids=CHECKED.keys())
-def test_gas_and_gps_records_take_the_checked_path(record: dict, monkeypatch) -> None:
-    want = event_from_record_reference(record)
-    reached = _tracked_checked_path(monkeypatch)
-    assert repr(event_from_record(record)) == repr(want)
-    assert reached == [record]
+@pytest.mark.parametrize("record", WELL_FORMED.values(), ids=WELL_FORMED.keys())
+def test_well_formed_records_skip_the_rule_loop(record: dict, monkeypatch) -> None:
+    # every payload, a gps record's GeoPoint and the event are built directly
+    want = repr(event_from_record_reference(record))
+
+    def rule_loop(obj):
+        raise AssertionError(f"__post_init__ reached for {type(obj).__name__}")
+    monkeypatch.setattr(core._RuleChecked, "__post_init__", rule_loop)
+    monkeypatch.setattr(SensorEvent, "__post_init__", rule_loop)
+    assert repr(event_from_record(record)) == want
 
 
 def test_corpus_records_skip_the_checked_path(corpus_dir: Path, monkeypatch) -> None:
     texts = [path.read_text(encoding="utf-8") for path in sorted(corpus_dir.glob("*.jsonl"))]
     want = [repr(loads_scenario(text).events) for text in texts]
+    tags = {event_to_record(event)["sensor"] for text in texts
+            for event in loads_scenario(text).events}
     reached = _tracked_checked_path(monkeypatch)
     assert [repr(loads_scenario(text).events) for text in texts] == want
-    # only gas and gps records reach the checked path, and the corpus has both
-    assert {record["sensor"] for record in reached} == CHECKED_TAGS
+    # every corpus record is well formed, and the corpus holds every tag
+    assert reached == []
+    assert tags == set(TAGS)
 
 
 def _decode_outcome(decode, record) -> tuple:
@@ -409,6 +411,25 @@ def sensor_records(draw) -> object:
 @example({"t_ms": 0, "sensor": "auth", "on": True})
 @example({"t_ms": 0, "sensor": "pir", "detected": None})
 @example({"t_ms": 0, "sensor": "gas", "ethanol_ppm": 1.0})
+# the edges of the gas and gps direct decoders
+@example(rec("gps", **dict(GPS, lat_deg=14, lon_deg=-121)))
+@example(rec("gps", **dict(GPS, speed_kph=int(MAX) + 1)))
+@example(rec("gps", **dict(GPS, valid=1)))
+@example(rec("gps", **dict(GPS, lat_deg=_Float(14.5))))
+@example(rec("gps", **dict(GPS, lon_deg=float("nan"))))
+@example(rec("gas", ethanol_ppm=int(MAX) + 1, co_ppm=0.0, lpg_ppm=0.0))
+@example(rec("gas", ethanol_ppm=1.0, co_ppm=_Float(2.0), lpg_ppm=3.0))
+@example(rec("gas", ethanol_ppm=1.0, co_ppm=2.0, lpg_ppm=True))
+@example(dict(rec("gps", **GPS), t_ms=-1))
+@example(dict(rec("gas", ethanol_ppm=1.0, co_ppm=2.0, lpg_ppm=3.0), t_ms=True))
+# the right length with a key wrong or missing
+@example({"t_ms": 0, "sensor": "gps", "lat_deg": 1.0, "lon_deg": 1.0, "speed_kph": 1.0,
+          "x": True})
+@example({"sensor": "gps", "lat_deg": 1.0, "lon_deg": 1.0, "speed_kph": 1.0, "valid": True,
+          "x": 0})
+@example({"t_ms": 0, "sensor": "gas", "ethanol_ppm": 1.0, "co_ppm": 1.0, "lpg": 1.0})
+@example(rec("gas", ethanol_ppm=1.0, co_ppm=2.0, lpg_ppm=3.0, zeta=0))
+@example(rec("gps", **GPS, zeta=0))
 def test_event_from_record_agrees_with_the_checked_decoder(record) -> None:
     assert _decode_outcome(event_from_record, record) == \
         _decode_outcome(event_from_record_reference, record)
@@ -620,6 +641,8 @@ def test_parse_config_text() -> None:
     overrides = parse_config_text(text)
     assert overrides == {"speed_limit_kph": 95.0, "crash_hold_ms": 2500,
                          "owner_number": "+639998887766"}
+    # every ASCII whitespace character around a key or a value is stripped
+    assert parse_config_text(" \tttc_warn_s\v=\f2.5 \r\n") == {"ttc_warn_s": 2.5}
     merged = apply_overrides(DEFAULT_CONFIG, overrides)
     assert merged.speed_limit_kph == 95.0
     assert merged.crash_hold_ms == 2500
@@ -641,7 +664,14 @@ def test_parse_config_text_errors_carry_line_numbers() -> None:
             ("# ok\nttc_warn_s = 2_0.5\n", "ttc_warn_s must be a number, got '2_0.5'"),
             ("# ok\nttc_warn_s = ٢\n", "ttc_warn_s must be a number, got '٢'"),
             ("# ok\nmag_calib_samples = ２０\n",
-             "mag_calib_samples must be an integer, got '２０'")):
+             "mag_calib_samples must be an integer, got '２０'"),
+            # only ASCII whitespace is stripped around a key or a value
+            ("# ok\nttc_warn_s\u3000= 2.5 \n", "unknown key 'ttc_warn_s\\u3000'"),
+            ("# ok\n\xa0ttc_warn_s = 2.5\n", "unknown key '\\xa0ttc_warn_s'"),
+            ("# ok\nttc_warn_s\x1c= 2.5\n", "unknown key 'ttc_warn_s\\x1c'"),
+            ("# ok\nttc_warn_s = 2.5\u3000\n", "ttc_warn_s must be a number, got '2.5\\u3000'"),
+            ("# ok\ncrash_hold_ms =\u20033000\n",
+             "crash_hold_ms must be an integer, got '\\u20033000'")):
         with pytest.raises(ConfigError) as err:
             parse_config_text(text)
         assert (err.value.line_no, err.value.reason) == (2, reason)

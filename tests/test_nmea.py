@@ -22,6 +22,22 @@ def test_checksum_against_independent_xor() -> None:
         assert checksum(body) == xor_checksum(body)
 
 
+BODY_CHARS = st.characters(min_codepoint=0x20, max_codepoint=0x7E, exclude_characters="$*")
+
+
+@settings(max_examples=500)
+# lengths drawn evenly, so most bodies pass 128 characters and the fold loops
+@given(st.integers(0, 300).flatmap(lambda size: st.text(BODY_CHARS, min_size=size,
+                                                        max_size=size)))
+@example("~" * 64)
+@example("~" * 65)
+@example("~" * 299)
+@example("A" * 64 + "B" * 64 + "C")
+def test_checksum_folds_any_body_to_the_independent_xor(body: str) -> None:
+    # a body past 64 characters takes the fold's loop over 512-bit halves
+    assert checksum(body) == xor_checksum(body)
+
+
 def test_checksum_output_shape() -> None:
     assert checksum("") == "00"
     assert len(checksum("GPRMC")) == 2

@@ -6,13 +6,14 @@ import types
 import typing
 from pathlib import Path
 
-from motoguard import core
+import pytest
+
+from motoguard import core, nmea
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 MODULES = [importlib.import_module(f"motoguard.{path.stem}")
            for path in sorted((REPO_ROOT / "src" / "motoguard").glob("*.py"))
            if path.stem not in ("__init__", "__main__")]
-
 
 
 def unslotted_frozen_dataclasses(module: types.ModuleType) -> list[str]:
@@ -51,3 +52,30 @@ def test_every_payload_field_is_checked_by_its_rule_alone() -> None:
                                   for f in dataclasses.fields(cls))
         assert "__post_init__" not in vars(cls)
         assert cls.__post_init__ is core._RuleChecked.__post_init__
+
+
+# every class that event_from_record, parse_rmc or to_gps_fix builds directly
+DIRECTLY_BUILT = [*typing.get_args(core.Payload), core.GeoPoint, core.SensorEvent, nmea.RmcData]
+
+
+@pytest.mark.parametrize("cls", DIRECTLY_BUILT, ids=lambda cls: cls.__name__)
+def test_slot_setters_cover_every_field_in_order(cls: type) -> None:
+    # every direct build takes its setters from _slot_setters, so these are
+    # the stores it can make: one per field, each into that class's own slot
+    setters = core._slot_setters(cls)
+    assert [(s.__self__.__objclass__, s.__self__.__name__) for s in setters] == \
+        [(cls, f.name) for f in dataclasses.fields(cls)]
+    assert all(type(s.__self__) is types.MemberDescriptorType for s in setters)
+
+
+def test_each_direct_row_sets_the_field_it_reads() -> None:
+    rows = [(cls, name, setter) for cls, name, setter, *_ in core._ONE_FIELD.values()]
+    rows += [(cls, name, setter) for cls, table in ((core.GasReading, core._GAS_ROWS),
+                                                    (core.GeoPoint, core._POINT_ROWS),
+                                                    (core.GpsFix, core._FIX_ROWS))
+             for name, setter, *_ in table]
+    assert [(s.__self__.__objclass__, s.__self__.__name__) for _, _, s in rows] == \
+        [(cls, name) for cls, name, _ in rows]
+    # together the rows read every field of every record
+    assert sorted(name for _, name, _ in rows) == sorted(
+        name for tag in core._SENSOR_TAGS for name in core._DECODERS[tag][1])
