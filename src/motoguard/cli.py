@@ -16,8 +16,8 @@ from pathlib import Path
 from . import nmea
 from .core import (ContractViolation, ConfigError, DEFAULT_CONFIG, ValidationError,
                    load_config_file)
-from .harness import (SchemaError, evaluate_scenarios, load_scenario, log_to_jsonl,
-                      render_report, report_json, run)
+from .harness import (BLANK, SchemaError, evaluate_scenarios, line_chunks, load_scenario,
+                      log_to_jsonl, render_report, report_json, run)
 
 EXIT_OK = 0
 EXIT_FAILURES = 1
@@ -96,7 +96,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     base = _load_base_config(args.config)
     scenario = _guarded("scenario", args.scenario, load_scenario, args.scenario)
     log = _guarded("scenario", args.scenario, run, scenario, base)
+    del scenario  # each stage frees what it consumed before the next one allocates
     text = log_to_jsonl(log)
+    del log
     if args.out is None:
         sys.stdout.write(text)
     else:
@@ -152,10 +154,10 @@ def cmd_nmea(args: argparse.Namespace) -> int:
         return EXIT_OK if _print_parsed(args.line) else EXIT_FAILURES
     text = _guarded("nmea", args.file, Path(args.file).read_text, "utf-8", "replace")
     ok = True
-    for raw in text.split("\n"):  # not splitlines(): a stray \x1c is a bad body character
-        if not raw.strip():
-            continue
-        ok = _print_parsed(raw) and ok
+    for lines in line_chunks(text):  # not splitlines(): a stray \x1c is a bad body character
+        for raw in lines:
+            if raw.strip(BLANK):
+                ok = _print_parsed(raw) and ok
     return EXIT_OK if ok else EXIT_FAILURES
 
 

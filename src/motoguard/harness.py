@@ -159,37 +159,57 @@ def _decode_line(raw: str, line_no: int) -> object:
     raise SchemaError(line_no, f"invalid JSON: {reason}")
 
 
+# long enough that a chunk's split costs no more per line than a whole-file
+# split, short enough that its lines are a small share of a long ride's text
+_CHUNK_CHARS = 1 << 16
+# what a blank line may hold: JSON's whitespace, less the LF that ends a line
+BLANK = " \t\r"
+
+
+def line_chunks(text: str):
+    """text.split("\\n") one chunk at a time: lists of lines, in order, each cut
+    from about _CHUNK_CHARS characters ending at the next LF, so a reader holds
+    one chunk's lines, never the whole file's. A text shorter than one chunk is
+    one list. Only LF ends a line: splitlines() would also break at U+2028,
+    U+0085 and the like, which JSON allows raw inside a string."""
+    start = 0
+    while (cut := text.find("\n", start + _CHUNK_CHARS)) >= 0:
+        yield text[start:cut].split("\n")
+        start = cut + 1
+    yield text[start:].split("\n")
+
+
 def loads_scenario(text: str) -> Scenario:
     """Parse a scenario file; the first bad line in file order is the one reported."""
     sc = None
     prev_ms = 0
-    # only LF ends a line: splitlines() would also break at U+2028, U+0085
-    # and the like, which JSON allows raw inside a string
-    for line_no, raw in enumerate(text.split("\n"), start=1):
-        # the scanner takes a value that starts the line (StopIteration: none
-        # does); a line it fails on or does not consume whole is blank or goes
-        # through the full decode
-        try:
-            obj, end = _scan(raw, 0)
-        except (StopIteration, ValueError, RecursionError):
-            end = -1
-        if end != len(raw):
-            if not raw.strip():
+    line_no = 0
+    for lines in line_chunks(text):
+        for line_no, raw in enumerate(lines, start=line_no + 1):
+            # the scanner takes a value that starts the line (StopIteration: none
+            # does); a line it fails on or does not consume whole is blank or goes
+            # through the full decode
+            try:
+                obj, end = _scan(raw, 0)
+            except (StopIteration, ValueError, RecursionError):
+                end = -1
+            if end != len(raw):
+                if not raw.strip(BLANK):
+                    continue
+                obj = _decode_line(raw, line_no)
+            if sc is None:
+                sc = _scenario_from_header(obj, line_no)
+                events = sc.events
                 continue
-            obj = _decode_line(raw, line_no)
-        if sc is None:
-            sc = _scenario_from_header(obj, line_no)
-            events = sc.events
-            continue
-        try:
-            event = event_from_record(obj)
-        except ContractViolation as exc:
-            raise SchemaError(line_no, str(exc)) from None
-        if event.t_ms < prev_ms:
-            raise SchemaError(line_no, f"t_ms {event.t_ms} is earlier than "
-                                       f"the event before it ({prev_ms})")
-        prev_ms = event.t_ms
-        events.append(event)
+            try:
+                event = event_from_record(obj)
+            except ContractViolation as exc:
+                raise SchemaError(line_no, str(exc)) from None
+            if event.t_ms < prev_ms:
+                raise SchemaError(line_no, f"t_ms {event.t_ms} is earlier than "
+                                           f"the event before it ({prev_ms})")
+            prev_ms = event.t_ms
+            events.append(event)
     if sc is None:
         raise SchemaError(1, "missing header record")
     return sc

@@ -232,7 +232,7 @@ def json_lines_reference(text: str) -> list:
     header = None
     events = []
     for line_no, raw in enumerate(text.split("\n"), start=1):
-        if not raw.strip():
+        if not raw.strip(" \t\r"):  # JSON whitespace, less LF
             continue
         try:
             obj = json.loads(raw)

@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -56,6 +57,35 @@ def test_simulate_writes_log_to_file(corpus_dir: Path, tmp_path: Path, capsys) -
     assert code == 0
     assert capsys.readouterr().out == ""
     assert out_path.read_text(encoding="utf-8").startswith('{"t_ms": 0, "type": "mode"')
+
+
+def test_simulate_frees_each_stage_before_the_next(corpus_dir: Path, tmp_path: Path,
+                                                  monkeypatch) -> None:
+    # the scenario is gone before the log is rendered, and the log before the
+    # text is written, so no two of them peak together
+    refs, seen = {}, []
+
+    def kept(name, fn):
+        def call(*args):
+            result = fn(*args)
+            refs[name] = weakref.ref(result)
+            return result
+        return call
+
+    def write(path, text):
+        seen.append(("write", sorted(name for name, ref in refs.items() if ref() is not None)))
+
+    def render(log):
+        seen.append(("render", sorted(name for name, ref in refs.items() if ref() is not None)))
+        return log_to_jsonl(log)
+
+    monkeypatch.setattr(cli, "load_scenario", kept("scenario", load_scenario))
+    monkeypatch.setattr(cli, "run", kept("log", run))
+    monkeypatch.setattr(cli, "log_to_jsonl", render)
+    monkeypatch.setattr(cli, "_write", write)
+    assert main(["simulate", "--scenario", str(corpus_dir / "crash_fall.jsonl"),
+                 "--out", str(tmp_path / "log.jsonl")]) == 0
+    assert seen == [("render", ["log"]), ("write", [])]
 
 
 @pytest.mark.parametrize("spelling", ["same", "dotted", "symlink", "hard_link"])
@@ -539,6 +569,19 @@ def test_nmea_file_splits_sentences_only_at_lf(sep: str, tmp_path: Path, capsys)
     lines = capsys.readouterr().out.splitlines()
     assert [line.split()[0] for line in lines] == ["OK", "REJECTED", "OK"]
     assert lines[1] == f"REJECTED ParseError: invalid body character: {sep!r}"
+
+
+def test_nmea_file_skips_only_space_tab_and_cr_lines(tmp_path: Path, capsys) -> None:
+    # str.isspace() holds for every one of these, but only space, tab and CR
+    # (a CR LF line end) make a line blank; the rest are rejected sentences
+    not_blank = ["\x0b", "\x0c", "\x1c", "\x1f", "\x85", "\xa0", "\u3000"]
+    source = tmp_path / "spaces.nmea"
+    source.write_text("\n".join([GOOD_RMC, " \t\r", *not_blank, "", GOOD_RMC]) + "\n",
+                      encoding="utf-8")
+    assert main(["nmea", "--file", str(source)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1:-1] == ["REJECTED ParseError: sentence must start with '$'"] * len(not_blank)
+    assert [lines[0].split()[0], lines[-1].split()[0]] == ["OK", "OK"]
 
 
 # --- argparse plumbing -----------------------------------------------------

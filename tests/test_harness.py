@@ -1,12 +1,16 @@
 from __future__ import annotations
 
 import json
+import random
+import tracemalloc
 from operator import itemgetter
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from motoguard import harness
 from motoguard.core import (PHONE_PATTERN, ActuatorCommand, AlertKind, Auth, Buzzer,
                             ContractViolation, ControllerConfig, GasReading, GpsFix, GeoPoint,
                             Ignition, IgnitionInhibit, LidarRange, PirMotion, SensorEvent,
@@ -16,9 +20,9 @@ from motoguard.gsm import FakeModem, ModemClient
 from motoguard.harness import (Alert, CaseResult, ConfusionMatrix, EventLog,
                                ExpectedLabel, ModeChange, Scenario, SchemaError,
                                UndefinedMetric, _match, accuracy,
-                               dumps_scenario, error_rate, evaluate_scenarios, load_scenario,
-                               loads_scenario, log_to_jsonl, match_alerts, render_report,
-                               report_json, run, save_scenario)
+                               dumps_scenario, error_rate, evaluate_scenarios, line_chunks,
+                               load_scenario, loads_scenario, log_to_jsonl, match_alerts,
+                               render_report, report_json, run, save_scenario)
 from oracles import greedy_match, json_lines_reference, log_to_jsonl_reference
 
 HEADER = '{"name": "t"}'
@@ -188,6 +192,13 @@ JSON_LINE_CASES = {
                         "label has extra fields: ['tag']"),
     "negative_label_extra_key": (LABELED('{"kind": "crash", "negative": true, "end_ms": 5}'), 1,
                                  "negative label has extra fields: ['end_ms']"),
+    # only space, tab and CR make a line blank; str.isspace() holds for these
+    # too, but none is JSON whitespace
+    **{f"only_{ord(c):x}_line": (HEADER + "\n" + c + "\n" + PIR, 2,
+                                 "invalid JSON: Expecting value")
+       for c in ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0", "\u2028",
+                 "\u3000"]},
+    "space_tab_cr_line": (HEADER + "\n \t\r\n" + PIR, None, None),
 }
 
 
@@ -248,6 +259,55 @@ def test_loads_scenario_agrees_with_json_loads_per_line(lines, header) -> None:
         assert (err.value.line_no, err.value.reason) == (exc.line_no, exc.reason)
     else:
         assert loads_scenario(text).events == want
+
+
+CHUNKED_LINES = [
+    HEADER, '{"name": "t", "description": "a\u2028b"}', PIR_AT.format(5), PIR_AT.format(9),
+    '{"t_ms": 7, "sensor": "lidar", "range_m": 1.' + "0" * 150 + "}",  # longer than some chunks
+    "", " ", "\t", "\r", " \t\r", "{", "\x1c", "\u3000", "[]", '{"t_ms": 1, "sensor": "sonar"}']
+
+
+@st.composite
+def chunked_texts(draw) -> str:
+    """A scenario text of headers, events (some out of order), blank lines and
+    bad lines, with LF or CR LF line ends and with or without a final LF."""
+    lines = draw(st.lists(st.sampled_from(CHUNKED_LINES), max_size=30))
+    lines = [line + draw(st.sampled_from(["", "\r"])) for line in lines]
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+def _decode_outcome(text: str):
+    try:
+        return loads_scenario(text)
+    except SchemaError as exc:
+        return exc.line_no, exc.reason
+
+
+@given(chunked_texts(), st.integers(1, 200))
+def test_chunked_decode_agrees_with_one_split(text: str, chunk_chars: int) -> None:
+    assert list(line_chunks(text)) == [text.split("\n")]  # shorter than one chunk: one split
+    whole = _decode_outcome(text)
+    with mock.patch.object(harness, "_CHUNK_CHARS", chunk_chars):
+        assert [line for lines in line_chunks(text) for line in lines] == text.split("\n")
+        assert _decode_outcome(text) == whole
+
+
+def test_decode_holds_one_chunk_of_lines_not_the_whole_file() -> None:
+    # a split of the whole file holds about 2 bytes per input character
+    # beside the decoded events; one chunk's lines are a small fraction of that
+    rng = random.Random(1)
+    text = "\n".join([HEADER] + [f'{{"t_ms": {t}, "sensor": "lidar", "range_m": '
+                                 f'{rng.uniform(0, 40):.3f}}}' for t in range(22_000)]) + "\n"
+    assert len(text) > 1_000_000
+    loads_scenario(text[:text.index("\n", 1000)])  # first calls fill the interpreter's caches
+    tracemalloc.start()
+    try:
+        sc = loads_scenario(text)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(sc.events) == 22_000
+    assert (peak - held) / len(text) < 0.5
 
 
 def test_unsorted_events_name_the_offender() -> None:
