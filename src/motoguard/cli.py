@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import json
 import os
 import sys
 from pathlib import Path
@@ -17,7 +16,7 @@ from . import nmea
 from .core import (ContractViolation, ConfigError, DEFAULT_CONFIG, ValidationError,
                    load_config_file)
 from .harness import (BLANK, SchemaError, evaluate_scenarios, line_chunks, load_scenario,
-                      log_to_jsonl, render_report, report_json, run)
+                      log_to_jsonl, render_report, report_json, report_json_text, run)
 
 EXIT_OK = 0
 EXIT_FAILURES = 1
@@ -131,8 +130,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     sys.stdout.write(text)
     if args.report is not None:
         _write(args.report, text)
-        _write(Path(args.report).with_suffix(".json"),
-               json.dumps(report_json(results), indent=2) + "\n")
+        _write(Path(args.report).with_suffix(".json"), report_json_text(report_json(results)))
     return EXIT_OK if all(r.passed for r in results) else EXIT_FAILURES
 
 
@@ -171,31 +169,35 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--scenario", required=True, help="scenario .jsonl file")
     p_sim.add_argument("--config", help="key=value config file")
     p_sim.add_argument("--out", help="write the log here instead of stdout")
-    p_sim.set_defaults(func=cmd_simulate)
 
     p_eval = sub.add_parser("eval", help="run a scenario corpus and score it")
     p_eval.add_argument("--scenario-dir", required=True, help="directory of .jsonl scenarios")
     p_eval.add_argument("--config", help="key=value config file")
     p_eval.add_argument("--report", help="also write the text report (and .json twin) here")
-    p_eval.set_defaults(func=cmd_eval)
 
     p_nmea = sub.add_parser("nmea", help="parse RMC sentences")
     src = p_nmea.add_mutually_exclusive_group(required=True)
     src.add_argument("--line", help="one sentence")
     src.add_argument("--file", help="file of sentences, one per line")
-    p_nmea.set_defaults(func=cmd_nmea)
     return parser
+
+
+_parser: argparse.ArgumentParser | None = None  # main builds it once, on first use
 
 
 def main(argv: list[str] | None = None) -> int:
     # A command makes no reference cycles (tests/test_cli.py pins this), so a
     # collection would only traverse live events: pause the collector for the
     # command and hand it back as found. Reference counting still frees at once.
+    global _parser
     enabled = gc.isenabled()
     gc.disable()
     try:
-        args = build_parser().parse_args(argv)
-        return args.func(args)
+        if _parser is None:  # not at import: a command that never runs pays nothing
+            _parser = build_parser()
+        args = _parser.parse_args(argv)
+        # looked up per call, so a cmd_<name> replaced on the module is the one that runs
+        return globals()[f"cmd_{args.command}"](args)
     except _Exit as exc:
         return exc.code
     finally:

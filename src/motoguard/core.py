@@ -548,6 +548,11 @@ def require_valid_config(cfg: ControllerConfig) -> ControllerConfig:
     return cfg
 
 
+# proven once here, so a replay whose merged config is DEFAULT_CONFIG itself
+# skips the check (harness.run)
+require_valid_config(DEFAULT_CONFIG)
+
+
 def apply_overrides(cfg: ControllerConfig, overrides: dict) -> ControllerConfig:
     """Overlay a key-value mapping onto cfg; unknown keys are a hard error."""
     coerced: dict = {}

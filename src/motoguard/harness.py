@@ -245,7 +245,10 @@ def save_scenario(sc: Scenario, path: str | Path) -> None:
 def run(sc: Scenario, cfg: ControllerConfig = DEFAULT_CONFIG) -> EventLog:
     """Replay a scenario against a fresh controller and compliant fake modem."""
     try:
-        merged = require_valid_config(apply_overrides(cfg, sc.config))
+        merged = apply_overrides(cfg, sc.config)
+        # identity, not ==: an equal config can hold a value of the wrong type
+        if merged is not DEFAULT_CONFIG:  # which core proved valid at import
+            require_valid_config(merged)
     except ValidationError as exc:
         # a breach the header brings is the scenario's fault: one of a key it
         # sets, or one that cfg alone does not have; any other is cfg's
@@ -533,3 +536,35 @@ def report_json(results: list[CaseResult]) -> dict:
               "passed": r.passed, "incidents": r.incidents}
              for r in results]
     return {"schema": "motoguard-eval-v1", "summary": summary, "cases": cases}
+
+
+def _case_json(case: dict) -> str:
+    """One report_json case as json.dumps(..., indent=2) lays it out in the cases list."""
+    incidents = case["incidents"]
+    listed = ("[\n" + ",\n".join(["        " + _encode_str(text) for text in incidents])
+              + "\n      ]") if incidents else "[]"
+    return (f'    {{\n      "id": {_encode_str(case["id"])},\n'
+            f'      "name": {_encode_str(case["name"])},\n'
+            f'      "objective": {_encode_str(case["objective"])},\n'
+            f'      "events": {case["events"]},\n'
+            f'      "expected": {_encode_str(case["expected"])},\n'
+            f'      "tp": {case["tp"]},\n      "tn": {case["tn"]},\n'
+            f'      "fp": {case["fp"]},\n      "fn": {case["fn"]},\n'
+            f'      "passed": {_JSON_BOOL[case["passed"]]},\n'
+            f'      "incidents": {listed}\n    }}')
+
+
+def report_json_text(doc: dict) -> str:
+    """json.dumps(doc, indent=2) + "\\n" for a report_json document, byte for byte.
+
+    indent sends json to its pure-Python encoder, so each line shape is one
+    template here, with strings through the encoder json.dumps itself uses,
+    as in log_to_jsonl.
+    """
+    # every summary value is an int, a finite float or None
+    summary = ",\n".join([f"    {_encode_str(key)}: {'null' if value is None else repr(value)}"
+                          for key, value in doc["summary"].items()])
+    cases = ",\n".join(map(_case_json, doc["cases"]))
+    listed = f"[\n{cases}\n  ]" if cases else "[]"
+    return (f'{{\n  "schema": {_encode_str(doc["schema"])},\n'
+            f'  "summary": {{\n{summary}\n  }},\n  "cases": {listed}\n}}\n')

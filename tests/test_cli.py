@@ -594,6 +594,76 @@ def test_usage_errors_exit_2(capsys) -> None:
         assert err.value.code == 2
 
 
+def _usage_outcome(parse, argv: list[str], capsys) -> tuple:
+    """The exit code, stdout and stderr of a parse that ends in SystemExit."""
+    with pytest.raises(SystemExit) as err:
+        parse(argv)
+    captured = capsys.readouterr()
+    return err.value.code, captured.out, captured.err
+
+
+def test_main_builds_the_parser_once_on_first_use(monkeypatch, capsys) -> None:
+    built = []
+    real = cli.build_parser
+
+    def build():
+        built.append(True)
+        return real()
+
+    monkeypatch.setattr(cli, "build_parser", build)
+    monkeypatch.setattr(cli, "_parser", None)
+    for _ in range(3):
+        assert main(["nmea", "--line", GOOD_RMC]) == 0
+    assert built == [True]
+
+
+def test_importing_the_cli_builds_no_parser() -> None:
+    package_parent = str(Path(motoguard.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_parent, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c",
+                           "import motoguard.cli as cli; assert cli._parser is None"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+
+
+@pytest.mark.parametrize("argv", [[], ["bogus"], ["eval"], ["simulate", "--scenario"],
+                                  ["nmea", "--line", "x", "--file", "y"]])
+def test_a_usage_error_after_a_command_reads_as_from_a_fresh_parser(argv: list[str],
+                                                                   monkeypatch, capsys) -> None:
+    monkeypatch.setattr(cli, "_parser", None)
+    first = _usage_outcome(main, argv, capsys)
+    assert main(["nmea", "--line", GOOD_RMC]) == 0
+    capsys.readouterr()
+    assert first[0] == 2 and first[2].startswith("usage: motoguard")
+    assert _usage_outcome(main, argv, capsys) == first
+    assert _usage_outcome(cli.build_parser().parse_args, argv, capsys) == first
+
+
+@pytest.mark.parametrize("command", [None, "simulate", "eval", "nmea"])
+def test_help_reads_as_from_a_fresh_parser(command: str | None, capsys) -> None:
+    argv = ([command] if command else []) + ["--help"]
+    assert main(["nmea", "--line", GOOD_RMC]) == 0
+    capsys.readouterr()
+    outcome = _usage_outcome(main, argv, capsys)
+    assert outcome[0] == 0 and outcome[1].startswith("usage: motoguard") and outcome[2] == ""
+    assert _usage_outcome(cli.build_parser().parse_args, argv, capsys) == outcome
+    if command is None:
+        assert outcome[1] == cli.build_parser().format_help()
+
+
+def test_consecutive_commands_each_reach_their_own_handler(corpus_dir: Path, capsys) -> None:
+    golden = Path(__file__).parent / "golden"
+    assert main(["nmea", "--line", GOOD_RMC]) == 0
+    assert capsys.readouterr().out.startswith("OK lat=48.117300 ")
+    assert main(["simulate", "--scenario", str(corpus_dir / "quiet_parked.jsonl")]) == 0
+    assert capsys.readouterr().out == (golden / "quiet_parked.log.jsonl").read_text(encoding="utf-8")
+    assert main(["eval", "--scenario-dir", str(corpus_dir)]) == 0
+    assert capsys.readouterr().out == (golden / "corpus_report.txt").read_text(encoding="utf-8")
+    assert main(["nmea", "--line", "x"]) == 1
+    assert capsys.readouterr().out.startswith("REJECTED ")
+
+
 # --- the cyclic collector --------------------------------------------------
 
 @pytest.mark.parametrize("caller_enabled", [True, False], ids=["gc_on", "gc_off"])
@@ -659,3 +729,32 @@ def test_replay_and_decode_make_no_reference_cycles(corpus_dir: Path) -> None:
         if was_enabled:
             gc.enable()
     assert unreachable == 0
+
+
+@pytest.mark.parametrize("command", ["simulate", "eval", "nmea_line", "nmea_file",
+                                     "missing_scenario"])
+def test_a_repeated_command_leaves_no_cyclic_garbage(command: str, corpus_dir: Path,
+                                                     tmp_path: Path, capsys) -> None:
+    # the whole command, not only the replay: parsing, reading, reporting,
+    # writing, and reporting an error
+    argv, code = {
+        "simulate": (["simulate", "--scenario", str(corpus_dir / "crash_fall.jsonl"),
+                      "--out", str(tmp_path / "log.jsonl")], 0),
+        "eval": (["eval", "--scenario-dir", str(corpus_dir),
+                  "--report", str(tmp_path / "report.txt")], 0),
+        "nmea_line": (["nmea", "--line", GOOD_RMC], 0),
+        "nmea_file": (["nmea", "--file",
+                       str(Path(__file__).parent / "golden" / "nmea_sentences.txt")], 1),
+        "missing_scenario": (["simulate", "--scenario", str(tmp_path / "absent.jsonl")], 3),
+    }[command]
+    assert main(argv) == code  # the first call builds the parser that later calls reuse
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        second = main(argv)
+        unreachable = gc.collect()
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert (second, unreachable) == (code, 0)

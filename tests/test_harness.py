@@ -13,8 +13,9 @@ from hypothesis import example, given, settings, strategies as st
 from motoguard import harness
 from motoguard.core import (PHONE_PATTERN, ActuatorCommand, AlertKind, Auth, Buzzer,
                             ContractViolation, ControllerConfig, GasReading, GpsFix, GeoPoint,
-                            Ignition, IgnitionInhibit, LidarRange, PirMotion, SensorEvent,
-                            Severity, SmsSend, SolenoidLock, ValidationError, severity_of)
+                            DEFAULT_CONFIG, Ignition, IgnitionInhibit, LidarRange, PirMotion,
+                            SensorEvent, Severity, SmsSend, SolenoidLock, ValidationError,
+                            severity_of)
 from motoguard.controller import Mode, drain_sms
 from motoguard.gsm import FakeModem, ModemClient
 from motoguard.harness import (Alert, CaseResult, ConfusionMatrix, EventLog,
@@ -22,8 +23,8 @@ from motoguard.harness import (Alert, CaseResult, ConfusionMatrix, EventLog,
                                UndefinedMetric, _match, accuracy,
                                dumps_scenario, error_rate, evaluate_scenarios, line_chunks,
                                load_scenario, loads_scenario, log_to_jsonl, match_alerts,
-                               render_report, report_json, run, save_scenario)
-from oracles import greedy_match, json_lines_reference, log_to_jsonl_reference
+                               render_report, report_json, report_json_text, run, save_scenario)
+from oracles import greedy_match, json_lines_reference, log_to_jsonl_reference, run_reference
 
 HEADER = '{"name": "t"}'
 
@@ -609,6 +610,47 @@ def test_cross_field_breach_names_the_scenario_only_when_its_header_brings_it() 
     assert err.value.violations == [("short: sms_cooldown_ms", "must be < beacon_period_ms")]
 
 
+def _replay_outcome(replay, sc: Scenario, cfg: ControllerConfig) -> tuple:
+    try:
+        return "log", log_to_jsonl(replay(sc, cfg))
+    except ValidationError as exc:
+        return "refused", exc.violations
+
+
+def test_a_config_equal_to_the_default_is_still_checked(corpus_dir: Path) -> None:
+    # run skips the check only for DEFAULT_CONFIG itself; this one compares and
+    # hashes equal to it, yet holds a float where an int belongs
+    sc = load_scenario(corpus_dir / "quiet_parked.jsonl")
+    equal = ControllerConfig(mag_persist_samples=3.0)
+    assert equal == DEFAULT_CONFIG and hash(equal) == hash(DEFAULT_CONFIG)
+    refused = ("refused", [("mag_persist_samples", "must be an integer")])
+    replayed = _replay_outcome(run_reference, sc, DEFAULT_CONFIG)
+    assert replayed[0] == "log"
+    for _ in range(2):  # also right after a DEFAULT_CONFIG replay, which skips the check
+        assert _replay_outcome(run, sc, DEFAULT_CONFIG) == replayed
+        assert _replay_outcome(run, sc, equal) == refused
+    assert _replay_outcome(run_reference, sc, equal) == refused  # it checks every replay
+
+
+def test_an_invalid_base_is_refused_case_by_case_in_name_order() -> None:
+    base = ControllerConfig(mag_persist_samples=3.0)
+    fixed = Scenario(name="a_fixed", config={"mag_persist_samples": 3},
+                     events=[ev(0, Ignition(True))], expected=[ExpectedLabel(AlertKind.THEFT, 0, 0)])
+    plain = Scenario(name="b_plain", events=[ev(0, Auth(True))])
+    faster = Scenario(name="c_faster", config={"speed_limit_kph": 60.0})
+    cases = [faster, plain, fixed]
+    # per case, in name order: the one that sets the bad key replays, the others are refused
+    outcomes = [_replay_outcome(run, sc, base) for sc in (fixed, plain, faster)]
+    assert [kind for kind, _ in outcomes] == ["log", "refused", "refused"]
+    assert outcomes == [_replay_outcome(run_reference, sc, base) for sc in (fixed, plain, faster)]
+    [result] = evaluate_scenarios([fixed], base)
+    assert result.passed
+    with pytest.raises(ValidationError) as err:
+        evaluate_scenarios(cases, base)  # b_plain is the first case refused
+    assert str(err.value) == "mag_persist_samples: must be an integer"
+    assert err.value.violations == outcomes[1][1]
+
+
 def test_sms_commands_are_drained_every_step() -> None:
     # an unauthorized ignition queues a message; the log shows the command
     # and the queue must not carry it into later steps
@@ -786,6 +828,37 @@ def test_report_json_mirrors_the_text() -> None:
     assert len(obj["cases"]) == 2
     assert obj["cases"][1]["incidents"] == ["missed crash alert in [0..5000]ms"]
     json.dumps(obj)  # must be serializable as-is
+
+
+def _indented_dump(results: list[CaseResult]) -> str:
+    return json.dumps(report_json(results), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("directory", [Path(__file__).parent.parent / "scenarios",
+                                       Path(__file__).parent / "golden" / "failing_set", None],
+                         ids=["corpus", "failing_set", "no_cases"])
+def test_report_json_text_is_the_indented_dump(directory: Path | None) -> None:
+    paths = sorted(directory.glob("*.jsonl")) if directory else []
+    results = evaluate_scenarios([load_scenario(p) for p in paths])
+    assert report_json_text(report_json(results)) == _indented_dump(results)
+
+
+case_results = st.builds(
+    CaseResult, case_id=texts, name=texts, objective=texts, event_count=st.integers(0, 10**9),
+    expected_summary=texts, cm=st.builds(ConfusionMatrix, *[st.integers(0, 10**6)] * 4),
+    passed=st.booleans(), incidents=st.lists(texts, max_size=3),
+    worst_severity=st.none() | st.sampled_from(Severity))
+
+
+@settings(max_examples=300)
+@given(st.lists(case_results, max_size=4))
+@example([])
+@example([CaseResult(text, text, text, 0, text, ConfusionMatrix(0, 0, 0, 0), True, [], None)
+          for text in ODD_TEXTS])
+@example([CaseResult("TC-01", "x", "y", 1, "none", ConfusionMatrix(1, 2, 3, 4), False,
+                     ODD_TEXTS, Severity.HIGH)])
+def test_report_json_text_agrees_with_json_dumps(results: list[CaseResult]) -> None:
+    assert report_json_text(report_json(results)) == _indented_dump(results)
 
 
 # --- corpus-wide invariants ------------------------------------------------
