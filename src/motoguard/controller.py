@@ -13,7 +13,7 @@ from enum import Enum
 
 from .core import (Alert, ActuatorCommand, AlertKind, Auth, Buzzer, ContractViolation,
                    ControllerConfig, GasReading, GpsFix, Ignition, IgnitionInhibit,
-                   LidarRange, MagField, PirMotion, Severity, SensorEvent, SmsSend,
+                   LidarRange, MagField, PirMotion, Record, Severity, SensorEvent, SmsSend,
                    SolenoidLock, SupplyVoltage, Tilt, check_t_ms, severity_of)
 from .detectors import (CollisionState, CrashState, MagState, TheftState, Trigger,
                         collision_step, crash_step, hazard_step, mag_step, overspeed_step,
@@ -38,8 +38,7 @@ MODE_EDGES = frozenset({(Mode.PARKED, Mode.PRE_RIDE), (Mode.PARKED, Mode.THEFT_S
                         (Mode.CRASH_SUSPECTED, Mode.PARKED), (Mode.THEFT_SUSPECTED, Mode.PARKED)})
 
 
-@dataclass(frozen=True, slots=True)
-class ModeChange:
+class ModeChange(Record):
     t_ms: int
     mode: Mode
 
@@ -59,15 +58,13 @@ _BEACON, _CRASH, _THEFT = AlertKind.BEACON, AlertKind.CRASH, AlertKind.THEFT
 _READY = ModemPhase.READY
 
 
-@dataclass(frozen=True, slots=True)
-class PendingSms:
+class PendingSms(Record):
     to: str
     body: str
     severity: Severity
 
 
-@dataclass(frozen=True, slots=True)
-class RouterState:
+class RouterState(Record):
     # route replaces this map on each emit and never mutates it, so a
     # RouterState can be shared between controller states
     last_emit: dict[AlertKind, int] = field(default_factory=dict)
@@ -92,9 +89,11 @@ def _enqueue(queue: tuple[PendingSms, ...], dropped: int, msg: PendingSms) -> tu
 
 def route(rs: RouterState, trigger: Trigger, t_ms: int,
           cfg: ControllerConfig) -> tuple[RouterState, Alert | None, list[ActuatorCommand]]:
-    """Apply the per-kind cooldown, then fan a trigger out to alert/buzzer/SMS."""
+    """Apply the per-kind cooldown, then fan a trigger out to alert/buzzer/SMS.
+
+    A beacon is never cooled down: its schedule in theft_step already spaces it."""
     last = rs.last_emit.get(trigger.kind)
-    if last is not None and t_ms - last < cfg.sms_cooldown_ms:
+    if last is not None and t_ms - last < cfg.sms_cooldown_ms and trigger.kind is not _BEACON:
         return rs, None, []
     sev = severity_of(trigger.kind)
     alert = Alert(t_ms, trigger.kind, sev, trigger.message)

@@ -11,10 +11,11 @@ import math
 import re
 import sys
 from collections import namedtuple
-from dataclasses import dataclass, fields
+from dataclasses import FrozenInstanceError, dataclass, fields
 from enum import Enum, IntEnum
-from operator import itemgetter, lt
+from operator import eq, itemgetter, lt
 from pathlib import Path
+from reprlib import recursive_repr
 
 SMS_MAX_CHARS = 160
 PHONE_PATTERN = re.compile(r"\+?[0-9]{7,15}")  # use with fullmatch
@@ -117,13 +118,121 @@ def _finite(x: float) -> bool:
         return False
 
 
-class _RuleChecked:
+_FACTORY = object()  # the default of a field whose default comes from a factory
+_new = object.__new__
+
+
+def _stores(values: list) -> str:
+    """Source lines storing each value through the setter of its position."""
+    return "".join(f"\n _s{i}(self, {value})" for i, value in enumerate(values))
+
+
+def _record_functions(cls: type, defaults: dict) -> tuple:
+    """The three functions of cls that one exec makes, each with its fields in
+    order: __init__, whose parameters keep the fields' defaults, stores every
+    field through the setter table and then runs __post_init__ where cls has
+    one; _unchecked(*fields) makes a cls the same way but without
+    __post_init__; and _values() gives the fields as a tuple."""
+    names = cls.__match_args__
+    env = {"_FACTORY": _FACTORY, "_new": _new, "_cls": cls}
+    params, values = list(names), list(names)
+    for i, name in enumerate(names):
+        env[f"_s{i}"] = cls._setters[i]
+        if name in defaults:
+            default = env[f"_d{i}"] = defaults[name]
+            if isinstance(default, dataclasses.Field):  # field(default_factory=...)
+                env[f"_d{i}"], env[f"_f{i}"] = _FACTORY, default.default_factory
+                values[i] = f"_f{i}() if {name} is _FACTORY else {name}"
+            params[i] += f"=_d{i}"
+    post = "\n self.__post_init__()" if hasattr(cls, "__post_init__") else ""
+    exec(f"def __init__(self, {', '.join(params)}):{_stores(values)}{post}\n"
+         f"def _unchecked({', '.join(names)}):\n self = _new(_cls){_stores(names)}\n return self\n"
+         f"def _values(self):\n return ({''.join(f'self.{name}, ' for name in names)})", env)
+    functions = env["__init__"], env["_unchecked"], env["_values"]
+    for function in functions:
+        function.__qualname__ = f"{cls.__qualname__}.{function.__name__}"
+    return functions
+
+
+class _RecordType(type):
+    """Turns the annotated fields of a Record subclass's body into its
+    __slots__ and __match_args__, and gives the class its setter table,
+    _setters (each field slot's __set__, in order), and the functions
+    _record_functions makes."""
+
+    def __new__(mcls, name: str, bases: tuple, ns: dict):
+        names = tuple(ns.get("__annotations__", ()))
+        if not names:  # Record itself, or a subclass that adds no field
+            return super().__new__(mcls, name, bases, ns)
+        defaults = {field: ns.pop(field) for field in names if field in ns}
+        ns.update(__slots__=names, __match_args__=names)
+        cls = super().__new__(mcls, name, bases, ns)
+        cls._setters = tuple(vars(cls)[field].__set__ for field in names)
+        cls.__init__, unchecked, cls._values = _record_functions(cls, defaults)
+        cls._unchecked = staticmethod(unchecked)
+        return cls
+
+
+# dataclasses compare two records' fields as tuples before Python 3.13, in
+# which an identical nan equals itself, and one by one from 3.13 on
+_fields_equal = (lambda a, b: all(map(eq, a, b))) if sys.version_info >= (3, 13) else eq
+
+
+class Record(metaclass=_RecordType):
+    """Base of the frozen records: each behaves as @dataclass(frozen=True,
+    slots=True) would make it, with its methods written once here. Only
+    __init__, _unchecked and _values are made per class, by one exec.
+
+    A subclass declares its fields as annotations, with a default or a
+    dataclasses.field(default_factory=...) where it has one; _RecordType
+    makes the rest. Every field is stored through the class's setter table:
+    by __init__, by __setstate__ (copy and pickle), and by _unchecked, which
+    the direct decoders call with values that already pass the class's rules."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __getstate__(self) -> list:
+        return list(self._values())
+
+    def __setstate__(self, state) -> None:
+        for set_field, value in zip(self._setters, state):
+            set_field(self, value)
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is self.__class__:
+            return _fields_equal(self._values(), other._values())
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    @recursive_repr()
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def _replace(self, **changes):
+        """A copy with changes, made through __init__ as dataclasses.replace does:
+        each field by position, changed or kept, and any other name by keyword."""
+        fields = tuple(map(changes.pop, self.__match_args__, self._values()))
+        return self.__class__(*fields, **changes)
+
+
+class _RuleChecked(Record):
     """Base of the records whose constructor tests every field against its row in _rows."""
 
     __slots__ = ()
 
     def __post_init__(self):
-        for name, kind, _, lo, hi, text in self._rows:
+        for name, _, kind, _, lo, hi, text in self._rows:
             value = getattr(self, name)
             if kind is not float:
                 ok = isinstance(value, kind)
@@ -135,59 +244,49 @@ class _RuleChecked:
                 raise ContractViolation(text.format(name, value))
 
 
-@dataclass(frozen=True, slots=True)
 class GeoPoint(_RuleChecked):
     lat_deg: float
     lon_deg: float
 
 
-@dataclass(frozen=True, slots=True)
 class LidarRange(_RuleChecked):
     range_m: float
 
 
-@dataclass(frozen=True, slots=True)
 class MagField(_RuleChecked):
     """Ambient magnetic field magnitude in microtesla."""
 
     b_ut: float
 
 
-@dataclass(frozen=True, slots=True)
 class PirMotion(_RuleChecked):
     detected: bool
 
 
-@dataclass(frozen=True, slots=True)
 class GasReading(_RuleChecked):
     ethanol_ppm: float
     co_ppm: float
     lpg_ppm: float
 
 
-@dataclass(frozen=True, slots=True)
 class Tilt(_RuleChecked):
     angle_deg: float
 
 
-@dataclass(frozen=True, slots=True)
 class GpsFix(_RuleChecked):
     point: GeoPoint
     speed_kph: float
     valid: bool
 
 
-@dataclass(frozen=True, slots=True)
 class Ignition(_RuleChecked):
     on: bool
 
 
-@dataclass(frozen=True, slots=True)
 class Auth(_RuleChecked):
     authorized: bool
 
 
-@dataclass(frozen=True, slots=True)
 class SupplyVoltage(_RuleChecked):
     volts: float
 
@@ -212,8 +311,7 @@ _PAYLOAD_TYPES = frozenset(Payload.__args__)
 _PAYLOAD_TEXT = _must_be_one_of("payload", Payload)
 
 
-@dataclass(frozen=True, slots=True)
-class SensorEvent:
+class SensorEvent(Record):
     t_ms: int
     payload: Payload
 
@@ -224,8 +322,7 @@ class SensorEvent:
             raise ContractViolation(f"{_PAYLOAD_TEXT}: {self.payload!r}")
 
 
-@dataclass(frozen=True, slots=True)
-class Alert:
+class Alert(Record):
     t_ms: int
     kind: AlertKind
     severity: Severity
@@ -248,23 +345,19 @@ def truncate_sms(body: str) -> str:
     return body[: SMS_MAX_CHARS - 3] + "..."
 
 
-@dataclass(frozen=True, slots=True)
 class Buzzer(_RuleChecked):
     on: bool
 
 
-@dataclass(frozen=True, slots=True)
 class IgnitionInhibit(_RuleChecked):
     on: bool
 
 
-@dataclass(frozen=True, slots=True)
 class SolenoidLock(_RuleChecked):
     engaged: bool
 
 
-@dataclass(frozen=True, slots=True)
-class SmsSend:
+class SmsSend(Record):
     to: str
     body: str
 
@@ -282,8 +375,7 @@ Action = Buzzer | IgnitionInhibit | SolenoidLock | SmsSend
 _ACTION_TEXT = _must_be_one_of("action", Action)
 
 
-@dataclass(frozen=True, slots=True)
-class ActuatorCommand:
+class ActuatorCommand(Record):
     t_ms: int
     action: Action
 
@@ -312,9 +404,11 @@ _FIELD_RULES = {
     "speed_kph": _NON_NEGATIVE, "valid": _BOOL,
     "on": _BOOL, "authorized": _BOOL, "volts": _NON_NEGATIVE, "engaged": _BOOL,
 }
-# each rule-checked class's fields with their rows, in declaration order
+# each rule-checked class's fields in declaration order, each with its
+# setter and its rule: the one table of the checked and the direct builds
 for _cls in (GeoPoint, *Payload.__args__, Buzzer, IgnitionInhibit, SolenoidLock):
-    _cls._rows = tuple((name, *_FIELD_RULES[name]) for name in _cls.__match_args__)
+    _cls._rows = tuple((name, set_field, *_FIELD_RULES[name])
+                       for name, set_field in zip(_cls.__match_args__, _cls._setters))
 
 
 # --- sensor event serialization -------------------------------------------
@@ -342,8 +436,8 @@ def event_to_record(ev: SensorEvent) -> dict:
         rec["speed_kph"] = ev.payload.speed_kph
         rec["valid"] = ev.payload.valid
     else:
-        for f in fields(ev.payload):
-            rec[f.name] = getattr(ev.payload, f.name)
+        for name in ev.payload.__match_args__:
+            rec[name] = getattr(ev.payload, name)
     return rec
 
 
@@ -357,51 +451,28 @@ def _decoder(cls: type) -> tuple:
     if cls is GpsFix:
         build, names = _gps_from_fields, ("lat_deg", "lon_deg", "speed_kph", "valid")
     else:
-        build, names = cls, tuple(f.name for f in fields(cls))
+        build, names = cls, cls.__match_args__
     return build, names, frozenset(names) | {"t_ms", "sensor"}, itemgetter(*names)
 
 
 _DECODERS = {tag: _decoder(cls) for tag, cls in _SENSOR_TAGS.items()}
 
-
-def _slot_setters(cls: type) -> tuple:
-    """The __set__ of each field's slot descriptor, in declaration order.
-
-    Each stores its field the way object.__setattr__ does in a frozen
-    dataclass __init__, without looking the slot up by name on every call."""
-    return tuple(cls.__dict__[f.name].__set__ for f in fields(cls))
-
-
-# The direct decoders make the payload and the event the way a frozen
-# dataclass __init__ does, object.__new__ then one store per field, but
-# through the slot setters bound here and without __post_init__: every field
-# has passed its rule's exact types and bounds from _FIELD_RULES. A field
-# added to a class joins its rows below, or stops an unpacking here at import,
-# so no direct build leaves a slot empty.
-_new = object.__new__
-_set_t_ms, _set_payload = _slot_setters(SensorEvent)
-_set_lat_deg, _set_lon_deg = _slot_setters(GeoPoint)
-_set_point, _set_speed_kph, _set_valid = _slot_setters(GpsFix)
-
-
-def _rows(cls: type, *names: str) -> tuple:
-    """(field, its slot setter, exact types and bounds) of each named field of cls."""
-    setters = dict(zip(cls.__match_args__, _slot_setters(cls)))
-    return tuple((name, setters[name], *_FIELD_RULES[name][:4]) for name in names)
-
-
-# a one-field tag's row: (payload class, field, setter, exact types and bounds)
-_ONE_FIELD = {tag: (cls, *row) for tag, cls in _SENSOR_TAGS.items()
-              if len(cls.__match_args__) == 1 for row in _rows(cls, *cls.__match_args__)}
-_GAS_ROWS = _rows(GasReading, *GasReading.__match_args__)
-_POINT_ROWS = _rows(GeoPoint, *GeoPoint.__match_args__)
-_FIX_ROWS = _rows(GpsFix, "speed_kph", "valid")  # and the point from _POINT_ROWS
+# The direct decoders make the payload and the event without __post_init__,
+# through the classes' _unchecked or the setters in _rows: every field has
+# passed its rule's exact types and bounds.
+_unchecked_event = SensorEvent._unchecked
+# a one-field tag's row: (its payload class's _unchecked, field, exact types and bounds)
+_ONE_FIELD = {tag: (cls._unchecked, name, kind, also, lo, hi)
+              for tag, cls in _SENSOR_TAGS.items() if len(cls._rows) == 1
+              for name, _, kind, also, lo, hi, _ in cls._rows}
+_GAS_ROWS, _POINT_ROWS = GasReading._rows, GeoPoint._rows
+_FIX_ROWS = GpsFix._rows[1:]  # and the point, from _POINT_ROWS
 
 
 def _filled(cls: type, rows: tuple, rec: dict):
     """A cls with each row's field from rec, or None once a value breaks its rule."""
     obj = _new(cls)
-    for name, set_field, kind, also, lo, hi in rows:
+    for name, set_field, kind, also, lo, hi, _ in rows:
         value = rec.get(name)
         if not ((type(value) is kind or type(value) is also) and lo <= value <= hi):
             return None
@@ -420,34 +491,23 @@ def event_from_record(rec: dict) -> SensorEvent:
         tag = rec.get("sensor")
         row = _ONE_FIELD.get(tag) if type(tag) is str else None
         if row is not None:
-            cls, name, set_value, kind, also, lo, hi = row
+            make, name, kind, also, lo, hi = row
             t_ms, value = rec.get("t_ms"), rec.get(name)
             if (len(rec) == 3 and type(t_ms) is int and t_ms >= 0
                     and (type(value) is kind or type(value) is also) and lo <= value <= hi):
-                payload = _new(cls)
-                set_value(payload, value)
-                event = _new(SensorEvent)
-                _set_t_ms(event, t_ms)
-                _set_payload(event, payload)
-                return event
+                return _unchecked_event(t_ms, make(value))
         elif tag == "gps":
             t_ms = rec.get("t_ms")
             if (len(rec) == 6 and type(t_ms) is int and t_ms >= 0
                     and (point := _filled(GeoPoint, _POINT_ROWS, rec)) is not None
                     and (payload := _filled(GpsFix, _FIX_ROWS, rec)) is not None):
-                _set_point(payload, point)
-                event = _new(SensorEvent)
-                _set_t_ms(event, t_ms)
-                _set_payload(event, payload)
-                return event
+                GpsFix._setters[0](payload, point)  # the point's setter
+                return _unchecked_event(t_ms, payload)
         elif tag == "gas":
             t_ms = rec.get("t_ms")
             if (len(rec) == 5 and type(t_ms) is int and t_ms >= 0
                     and (payload := _filled(GasReading, _GAS_ROWS, rec)) is not None):
-                event = _new(SensorEvent)
-                _set_t_ms(event, t_ms)
-                _set_payload(event, payload)
-                return event
+                return _unchecked_event(t_ms, payload)
     return _checked_event(rec)
 
 

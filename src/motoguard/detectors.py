@@ -13,23 +13,21 @@ lets the brute-force oracle tests compare whole trigger sequences.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 
-from .core import AlertKind, ContractViolation, ControllerConfig, GasReading, GeoPoint, GpsFix
+from .core import (AlertKind, ContractViolation, ControllerConfig, GasReading, GeoPoint, GpsFix,
+                   Record)
 
 EARTH_RADIUS_M = 6_371_000.0
 
 
-@dataclass(frozen=True, slots=True)
-class Trigger:
+class Trigger(Record):
     kind: AlertKind
     message: str
 
 
 # --- forward collision (rear-facing lidar) --------------------------------
 
-@dataclass(frozen=True, slots=True)
-class CollisionState:
+class CollisionState(Record):
     prev_range_m: float | None = None
     prev_t_ms: int | None = None
     last_ttc_s: float | None = None
@@ -71,8 +69,7 @@ def collision_step(state: CollisionState, range_m: float, t_ms: int,
 
 # --- vehicle presence (magnetometer) --------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class MagState:
+class MagState(Record):
     calib: tuple[float, ...] = ()
     baseline_ut: float | None = None
     consecutive_deviant: int = 0
@@ -95,13 +92,13 @@ def mag_step(state: MagState, b_ut: float,
     if deviation <= cfg.mag_deviation_ut:
         if state.consecutive_deviant == 0:
             return state, None
-        return replace(state, consecutive_deviant=0), None
+        return state._replace(consecutive_deviant=0), None
     trigger = None
     if state.consecutive_deviant == cfg.mag_persist_samples - 1:
         trigger = Trigger(AlertKind.VEHICLE_PROXIMITY,
                           f"VEHICLE NEAR deviation={deviation:.1f}uT")
     count = min(state.consecutive_deviant + 1, cfg.mag_persist_samples)
-    return replace(state, consecutive_deviant=count), trigger
+    return state._replace(consecutive_deviant=count), trigger
 
 
 # --- road hazard (PIR, speed gated) ---------------------------------------
@@ -156,8 +153,7 @@ def overspeed_step(active: bool, speed_kph: float,
 
 # --- crash (tilt held while stopped) --------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class CrashState:
+class CrashState(Record):
     over_tilt_since_ms: int | None = None
     fired: bool = False
 
@@ -189,8 +185,7 @@ def overtake_assist(rear_ttc_s: float | None, side_vehicle: bool,
 
 # --- anti-theft geofence and hourly beacon --------------------------------
 
-@dataclass(frozen=True, slots=True)
-class TheftState:
+class TheftState(Record):
     armed: bool = False
     parked_point: GeoPoint | None = None
     last_beacon_t_ms: int | None = None
@@ -234,10 +229,10 @@ def theft_step(state: TheftState, fix: GpsFix, ignition_on: bool, authorized: bo
                 f"THEFT moved {distance:.1f}m from "
                 f"{state.parked_point.lat_deg:.6f},{state.parked_point.lon_deg:.6f} to "
                 f"{fix.point.lat_deg:.6f},{fix.point.lon_deg:.6f}"))
-            new = replace(new, alarmed=True)
+            new = new._replace(alarmed=True)
     if t_ms - new.last_beacon_t_ms >= cfg.beacon_period_ms:
         triggers.append(Trigger(
             AlertKind.BEACON,
             f"BEACON at {fix.point.lat_deg:.6f},{fix.point.lon_deg:.6f} t={t_ms}"))
-        new = replace(new, last_beacon_t_ms=new.last_beacon_t_ms + cfg.beacon_period_ms)
+        new = new._replace(last_beacon_t_ms=new.last_beacon_t_ms + cfg.beacon_period_ms)
     return new, triggers

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .controller import ControllerState, Mode, ModeChange, advance, drain_sms
 from .core import (Alert, ActuatorCommand, AlertKind, Buzzer, ContractViolation,
-                   ControllerConfig, DEFAULT_CONFIG, IgnitionInhibit, SensorEvent,
+                   ControllerConfig, DEFAULT_CONFIG, IgnitionInhibit, Record, SensorEvent,
                    Severity, SmsSend, SolenoidLock, ValidationError, VirtualClock,
                    apply_overrides, event_from_record, event_to_record,
                    require_valid_config, severity_of, validate_config)
@@ -34,8 +34,7 @@ class UndefinedMetric(ArithmeticError):
     pass
 
 
-@dataclass(frozen=True, slots=True)
-class ExpectedLabel:
+class ExpectedLabel(Record):
     """A positive label is a kind plus a time window; a negative label
     declares that no alert of the kind may appear anywhere in the run."""
 
@@ -335,8 +334,7 @@ def log_to_jsonl(log: EventLog) -> str:
 
 # --- expected-label matching and metrics ----------------------------------
 
-@dataclass(frozen=True, slots=True)
-class ConfusionMatrix:
+class ConfusionMatrix(Record):
     tp: int
     tn: int
     fp: int

@@ -14,22 +14,20 @@ test and the rejection walk read the same limits.
 An accepted sentence is checked once. Its one pattern proves every field's
 shape, and one test bounds its minutes, coordinates and course and compares
 the checksum, so its GeoPoint and RmcData are built directly: each field goes
-into its slot through the setter bound at import, without the GeoPoint rule
-loop testing the same bounds again. to_gps_fix builds the GpsFix of such a
-record the same way. The checksum XORs the body's bytes by folding them as
-one int, not byte by byte. Every other sentence goes to the rejection walk,
-which only names the first fault: it builds no record, and a sentence it
+into its slot through the class's _unchecked (see core.Record), without the
+GeoPoint rule loop testing the same bounds again. to_gps_fix builds the GpsFix
+of such a record the same way. The checksum XORs the body's bytes by folding
+them as one int, not byte by byte. Every other sentence goes to the rejection
+walk, which only names the first fault: it builds no record, and a sentence it
 finds no fault in is an internal error.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import NoReturn
 
-from .core import (_MAX, ContractViolation, GeoPoint, GpsFix, _new, _set_lat_deg, _set_lon_deg,
-                   _set_point, _set_speed_kph, _set_valid, _slot_setters)
+from .core import _MAX, ContractViolation, GeoPoint, GpsFix, Record
 
 KNOTS_TO_KPH = 1.852
 MAX_SENTENCE_CHARS = 80  # excluding CR/LF; 82 on the wire
@@ -97,18 +95,13 @@ class UnsupportedSentence(ParseError):
         super().__init__(f"unsupported sentence type: {sentence_type!r}")
 
 
-@dataclass(frozen=True, slots=True)
-class RmcData:
+class RmcData(Record):
     utc_time: str
     status: str
     point: GeoPoint
     speed_knots: float
     course_deg: float
     date: str
-
-
-(_set_utc_time, _set_status, _set_rmc_point, _set_speed_knots, _set_course_deg,
- _set_date) = _slot_setters(RmcData)
 
 
 def checksum(body: str) -> str:
@@ -168,20 +161,9 @@ def parse_rmc(line: str) -> RmcData:
         if (lat_minutes < _MINUTES_PER_DEGREE and lon_minutes < _MINUTES_PER_DEGREE
                 and lat <= _LAT_MAX and lon <= _LON_MAX and course_deg < _COURSE_MAX
                 and _xor_hex(sentence[1:-3]) == found):
-            # built the way a frozen dataclass __init__ builds them, through
-            # the slot setters and minus the GeoPoint rule loop: the test
-            # above holds its bounds
-            point = _new(GeoPoint)
-            _set_lat_deg(point, -lat if ns == "S" else lat)
-            _set_lon_deg(point, -lon if ew == "W" else lon)
-            rmc = _new(RmcData)
-            _set_utc_time(rmc, utc_time)
-            _set_status(rmc, status)
-            _set_rmc_point(rmc, point)
-            _set_speed_knots(rmc, float(speed))
-            _set_course_deg(rmc, course_deg)
-            _set_date(rmc, date)
-            return rmc
+            # built without the GeoPoint rule loop: the test above holds its bounds
+            point = GeoPoint._unchecked(-lat if ns == "S" else lat, -lon if ew == "W" else lon)
+            return RmcData._unchecked(utc_time, status, point, float(speed), course_deg, date)
     # the field walk is the one source of rejection reasons
     _parse_fields(sentence)
 
@@ -245,9 +227,5 @@ def to_gps_fix(rmc: RmcData) -> GpsFix:
     if type(point) is GeoPoint and type(knots) is float and type(valid) is bool:
         kph = knots * KNOTS_TO_KPH
         if 0.0 <= kph <= _MAX:
-            fix = _new(GpsFix)
-            _set_point(fix, point)
-            _set_speed_kph(fix, kph)
-            _set_valid(fix, valid)
-            return fix
+            return GpsFix._unchecked(point, kph, valid)
     return GpsFix(point=point, speed_kph=knots_to_kph(knots), valid=valid)

@@ -276,7 +276,7 @@ def _decoder(cls: type) -> tuple:
     if cls is GpsFix:
         build, names = _gps_from_fields, ("lat_deg", "lon_deg", "speed_kph", "valid")
     else:
-        build, names = cls, tuple(f.name for f in fields(cls))
+        build, names = cls, cls.__match_args__
     return build, names, frozenset(names) | {"t_ms", "sensor"}, itemgetter(*names)
 
 
@@ -479,7 +479,7 @@ def _record_to_obj(rec: LogRecord) -> dict:
     if isinstance(rec, ActuatorCommand):
         return {"t_ms": rec.t_ms, "type": "command",
                 "action": _ACTION_TAGS[type(rec.action)],
-                **{f.name: getattr(rec.action, f.name) for f in fields(rec.action)}}
+                **{name: getattr(rec.action, name) for name in rec.action.__match_args__}}
     return {"t_ms": rec.t_ms, "type": "mode", "mode": rec.mode.value}
 
 

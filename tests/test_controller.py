@@ -194,6 +194,17 @@ def test_theft_geofence_path(cfg: ControllerConfig) -> None:
     assert Buzzer(on=True) not in actions(commands)
 
 
+def test_beacons_are_never_cooled_down() -> None:
+    # a cooldown just under the beacon period used to hold back the beacon due
+    # 3 541 000 ms after the one before it, and the schedule moved on without it
+    cfg = ControllerConfig(sms_cooldown_ms=3_599_999)
+    state, beacons = ControllerState(), []
+    for t_ms in (0, 3_659_000, 7_200_000, 10_800_000):
+        state, alerts, _ = step(cfg, state, t_ms, [ev(t_ms, fix())])
+        beacons += [a.t_ms for a in alerts if a.kind is AlertKind.BEACON]
+    assert beacons == [3_659_000, 7_200_000, 10_800_000]
+
+
 def test_owner_return_disarms(cfg: ControllerConfig) -> None:
     state, _, _ = step(cfg, ControllerState(), 0, [ev(0, fix())])
     state, _, _ = step(cfg, state, 1000, [ev(1000, Auth(True))])
@@ -771,7 +782,9 @@ class RouterMachine(RuleBasedStateMachine):
           message=st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=200))
     def route_trigger(self, kind: AlertKind, dt: int, message: str) -> None:
         self.t_ms += dt
-        cooling = self.last_emit.get(kind) == self.t_ms
+        # the 1 ms cooldown holds back a repeat of a kind in the same ms, but never a
+        # beacon, whose schedule alone spaces it
+        cooling = self.last_emit.get(kind) == self.t_ms and kind is not AlertKind.BEACON
         self.rs, alert, commands = route(self.rs, Trigger(kind, message), self.t_ms, self.cfg)
         if cooling:
             assert alert is None and commands == []

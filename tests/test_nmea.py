@@ -1,6 +1,6 @@
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, fields
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -315,14 +315,14 @@ def test_accepted_sentences_build_the_checked_records(line: str) -> None:
     assert repr(fix) == repr(checked)
     assert hash(fix) == hash(checked)
     assert repr(rmc.point) == repr(GeoPoint(rmc.point.lat_deg, rmc.point.lon_deg))
-    assert [type(getattr(rmc, f.name)) for f in fields(rmc)] == [
+    assert [type(getattr(rmc, name)) for name in rmc.__match_args__] == [
         str, str, GeoPoint, float, float, str]
-    assert [type(getattr(rmc.point, f.name)) for f in fields(rmc.point)] == [float, float]
-    assert [type(getattr(fix, f.name)) for f in fields(fix)] == [GeoPoint, float, bool]
+    assert [type(getattr(rmc.point, name)) for name in rmc.point.__match_args__] == [float, float]
+    assert [type(getattr(fix, name)) for name in fix.__match_args__] == [GeoPoint, float, bool]
     for record in (rmc.point, rmc, fix):
-        for f in fields(record):
+        for name in record.__match_args__:
             with pytest.raises(FrozenInstanceError):
-                setattr(record, f.name, getattr(record, f.name))
+                setattr(record, name, getattr(record, name))
 
 
 class PointSubclass(GeoPoint):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import importlib
+import inspect
 import types
 import typing
 from pathlib import Path
@@ -16,29 +17,57 @@ MODULES = [importlib.import_module(f"motoguard.{path.stem}")
            if path.stem not in ("__init__", "__main__")]
 
 
-def unslotted_frozen_dataclasses(module: types.ModuleType) -> list[str]:
-    """Qualified names of the frozen dataclasses a module defines without
+def unslotted_records(module: types.ModuleType) -> list[str]:
+    """Qualified names of the frozen records a module defines without
     __slots__ of their own, so that each object is two allocations."""
     return [f"{module.__name__}.{name}" for name, obj in vars(module).items()
             if isinstance(obj, type) and obj.__module__ == module.__name__
-            and dataclasses.is_dataclass(obj) and obj.__dataclass_params__.frozen
-            and "__slots__" not in vars(obj)]
+            and issubclass(obj, core.Record) and "__slots__" not in vars(obj)]
 
 
 def test_every_frozen_record_is_slotted() -> None:
-    found = {name for module in MODULES for name in unslotted_frozen_dataclasses(module)}
+    found = {name for module in MODULES for name in unslotted_records(module)}
     assert found == set()
 
 
-def test_the_slot_check_sees_only_unslotted_frozen_dataclasses() -> None:
+def test_the_slot_check_sees_only_unslotted_records() -> None:
     module = types.ModuleType("fake")
     source = ("from dataclasses import dataclass\n"
-              "@dataclass(frozen=True)\nclass Bare:\n    x: int\n"
-              "@dataclass(frozen=True, slots=True)\nclass Slotted:\n    x: int\n"
+              "from motoguard.core import Record\n"
+              "class Bare(Record):\n    pass\n"
+              "class Fielded(Record):\n    x: int\n"
+              "class Slotted(Record):\n    __slots__ = ()\n"
               "@dataclass\nclass Mutable:\n    x: int\n"
               "class Plain:\n    pass\n")
     exec(compile(source, "fake", "exec", dont_inherit=True), vars(module))
-    assert unslotted_frozen_dataclasses(module) == ["fake.Bare"]
+    assert unslotted_records(module) == ["fake.Bare"]
+
+
+# the classes that stay dataclasses: ControllerConfig, because CI writes a
+# defaults file from dataclasses.fields(ControllerConfig), and the four
+# mutable ones
+DATACLASSES = {"ControllerConfig", "ControllerState", "Scenario", "EventLog", "CaseResult"}
+RECORDS = {"GeoPoint", "LidarRange", "MagField", "PirMotion", "GasReading", "Tilt", "GpsFix",
+           "Ignition", "Auth", "SupplyVoltage", "SensorEvent", "Alert", "Buzzer",
+           "IgnitionInhibit", "SolenoidLock", "SmsSend", "ActuatorCommand", "ModeChange",
+           "PendingSms", "RouterState", "Trigger", "CollisionState", "MagState", "CrashState",
+           "TheftState", "ExpectedLabel", "ConfusionMatrix", "RmcData"}
+
+
+def test_records_subclass_the_base_and_five_classes_stay_dataclasses() -> None:
+    classes = [obj for module in MODULES for obj in vars(module).values()
+               if isinstance(obj, type) and obj.__module__ == module.__name__]
+    assert {cls.__name__ for cls in classes if dataclasses.is_dataclass(cls)} == DATACLASSES
+    with_fields = {cls.__name__ for cls in classes if vars(cls).get("__annotations__")}
+    records = {cls.__name__ for cls in classes
+               if issubclass(cls, core.Record) and "__match_args__" in vars(cls)}
+    assert records == RECORDS and with_fields == RECORDS | DATACLASSES
+    for cls in classes:
+        if cls.__name__ in RECORDS:
+            # one __init__ per class, with the fields as its parameters
+            init = vars(cls)["__init__"]
+            assert init.__code__.co_varnames[1:init.__code__.co_argcount] == cls.__match_args__
+            assert not init.__code__.co_flags & inspect.CO_VARARGS
 
 
 def test_every_payload_field_is_checked_by_its_rule_alone() -> None:
@@ -47,9 +76,9 @@ def test_every_payload_field_is_checked_by_its_rule_alone() -> None:
     payloads = [core.GeoPoint, *typing.get_args(core.Payload)]
     assert len(payloads) == 10
     for cls in payloads:
-        assert [f.name for f in dataclasses.fields(cls) if f.name not in core._FIELD_RULES] == []
-        assert cls._rows == tuple((f.name, *core._FIELD_RULES[f.name])
-                                  for f in dataclasses.fields(cls))
+        assert [name for name in cls.__match_args__ if name not in core._FIELD_RULES] == []
+        assert cls._rows == tuple((name, set_field, *core._FIELD_RULES[name])
+                                  for name, set_field in zip(cls.__match_args__, cls._setters))
         assert "__post_init__" not in vars(cls)
         assert cls.__post_init__ is core._RuleChecked.__post_init__
 
@@ -60,22 +89,26 @@ DIRECTLY_BUILT = [*typing.get_args(core.Payload), core.GeoPoint, core.SensorEven
 
 @pytest.mark.parametrize("cls", DIRECTLY_BUILT, ids=lambda cls: cls.__name__)
 def test_slot_setters_cover_every_field_in_order(cls: type) -> None:
-    # every direct build takes its setters from _slot_setters, so these are
+    # every build takes its setters from the class's table, so these are
     # the stores it can make: one per field, each into that class's own slot
-    setters = core._slot_setters(cls)
+    setters = cls._setters
     assert [(s.__self__.__objclass__, s.__self__.__name__) for s in setters] == \
-        [(cls, f.name) for f in dataclasses.fields(cls)]
+        [(cls, name) for name in cls.__match_args__]
     assert all(type(s.__self__) is types.MemberDescriptorType for s in setters)
 
 
 def test_each_direct_row_sets_the_field_it_reads() -> None:
-    rows = [(cls, name, setter) for cls, name, setter, *_ in core._ONE_FIELD.values()]
-    rows += [(cls, name, setter) for cls, table in ((core.GasReading, core._GAS_ROWS),
-                                                    (core.GeoPoint, core._POINT_ROWS),
-                                                    (core.GpsFix, core._FIX_ROWS))
-             for name, setter, *_ in table]
+    # a one-field row's builder makes a record of that one field, holding the value
+    value = object()
+    for make, name, *_ in core._ONE_FIELD.values():
+        assert make(value).__match_args__ == (name,) and getattr(make(value), name) is value
+    rows = [(cls, name, setter) for cls, table in ((core.GasReading, core._GAS_ROWS),
+                                                   (core.GeoPoint, core._POINT_ROWS),
+                                                   (core.GpsFix, core._FIX_ROWS))
+            for name, setter, *_ in table]
     assert [(s.__self__.__objclass__, s.__self__.__name__) for _, _, s in rows] == \
         [(cls, name) for cls, name, _ in rows]
     # together the rows read every field of every record
-    assert sorted(name for _, name, _ in rows) == sorted(
+    names = [row[1] for row in core._ONE_FIELD.values()] + [name for _, name, _ in rows]
+    assert sorted(names) == sorted(
         name for tag in core._SENSOR_TAGS for name in core._DECODERS[tag][1])
