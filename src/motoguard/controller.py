@@ -8,13 +8,12 @@ only in PreRide, and the anti-theft logic only while Parked or TheftSuspected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 
 from .core import (Alert, ActuatorCommand, AlertKind, Auth, Buzzer, ContractViolation,
-                   ControllerConfig, GasReading, GpsFix, Ignition, IgnitionInhibit,
-                   LidarRange, MagField, PirMotion, Record, Severity, SensorEvent, SmsSend,
-                   SolenoidLock, SupplyVoltage, Tilt, check_t_ms, severity_of)
+                   ControllerConfig, GasReading, GpsFix, Ignition, IgnitionInhibit, LidarRange,
+                   MagField, MutableRecord, PirMotion, Record, Severity, SensorEvent, SmsSend,
+                   SolenoidLock, SupplyVoltage, Tilt, check_t_ms, factory, severity_of)
 from .detectors import (CollisionState, CrashState, MagState, TheftState, Trigger,
                         collision_step, crash_step, hazard_step, mag_step, overspeed_step,
                         overtake_assist, preride_faults, theft_step)
@@ -67,7 +66,7 @@ class PendingSms(Record):
 class RouterState(Record):
     # route replaces this map on each emit and never mutates it, so a
     # RouterState can be shared between controller states
-    last_emit: dict[AlertKind, int] = field(default_factory=dict)
+    last_emit: dict[AlertKind, int] = factory(dict)
     pending_sms: tuple[PendingSms, ...] = ()
     dropped_count: int = 0
 
@@ -131,26 +130,25 @@ def drain_sms(rs: RouterState, client: ModemClient) -> tuple[RouterState, int, l
     return RouterState(rs.last_emit, rs.pending_sms[sent:], rs.dropped_count), sent, failures
 
 
-@dataclass
-class ControllerState:
+class ControllerState(MutableRecord):
     mode: Mode = Mode.PARKED
     last_t_ms: int | None = None
     authorized: bool = False
     ignition_on: bool = False
     last_fix: GpsFix | None = None
-    collision: CollisionState = field(default_factory=CollisionState)
-    mag: MagState = field(default_factory=MagState)
-    crash: CrashState = field(default_factory=CrashState)
-    theft: TheftState = field(default_factory=TheftState)
+    collision: CollisionState = factory(CollisionState)
+    mag: MagState = factory(MagState)
+    crash: CrashState = factory(CrashState)
+    theft: TheftState = factory(TheftState)
     overspeed_active: bool = False
     overtake_unsafe: bool = False
     preride_start_ms: int | None = None
     preride_peak: GasReading | None = None
-    router: RouterState = field(default_factory=RouterState)
+    router: RouterState = factory(RouterState)
     # what the last advance did, in order; advance starts each list empty
-    alerts: list[Alert] = field(default_factory=list)
-    commands: list[ActuatorCommand] = field(default_factory=list)
-    changes: list[ModeChange] = field(default_factory=list)
+    alerts: list[Alert] = factory(list)
+    commands: list[ActuatorCommand] = factory(list)
+    changes: list[ModeChange] = factory(list)
 
 
 def _speed_kph(fix: GpsFix | None) -> float:
@@ -333,7 +331,6 @@ def step(cfg: ControllerConfig, state: ControllerState, t_ms: int,
     """Process all events stamped t_ms; return the new state and its alerts and commands."""
     # a shallow copy keeps step pure: advance gives the copy fresh record lists
     # before it appends to them, and reassigns every other field, never mutating it
-    work = object.__new__(ControllerState)
-    work.__dict__.update(state.__dict__)
+    work = ControllerState._unchecked(*state._values())
     advance(cfg, work, t_ms, events)
     return work, work.alerts, work.commands

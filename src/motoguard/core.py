@@ -6,12 +6,10 @@ same input is reproducible without wall-clock sleeps.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import re
 import sys
 from collections import namedtuple
-from dataclasses import FrozenInstanceError, dataclass, fields
 from enum import Enum, IntEnum
 from operator import eq, itemgetter, lt
 from pathlib import Path
@@ -118,6 +116,9 @@ def _finite(x: float) -> bool:
         return False
 
 
+# a field default made fresh for each record by calling make(), as
+# dataclasses.field(default_factory=make) does
+factory = namedtuple("factory", "make")
 _FACTORY = object()  # the default of a field whose default comes from a factory
 _new = object.__new__
 
@@ -140,8 +141,8 @@ def _record_functions(cls: type, defaults: dict) -> tuple:
         env[f"_s{i}"] = cls._setters[i]
         if name in defaults:
             default = env[f"_d{i}"] = defaults[name]
-            if isinstance(default, dataclasses.Field):  # field(default_factory=...)
-                env[f"_d{i}"], env[f"_f{i}"] = _FACTORY, default.default_factory
+            if type(default) is factory:
+                env[f"_d{i}"], env[f"_f{i}"] = _FACTORY, default.make
                 values[i] = f"_f{i}() if {name} is _FACTORY else {name}"
             params[i] += f"=_d{i}"
     post = "\n self.__post_init__()" if hasattr(cls, "__post_init__") else ""
@@ -174,8 +175,10 @@ class _RecordType(type):
 
 
 # dataclasses compare two records' fields as tuples before Python 3.13, in
-# which an identical nan equals itself, and one by one from 3.13 on
-_fields_equal = (lambda a, b: all(map(eq, a, b))) if sys.version_info >= (3, 13) else eq
+# which an identical nan equals itself, and from 3.13 on a record equals
+# itself and any other compares its fields one by one
+_fields_equal = ((lambda a, b: a is b or all(map(eq, a._values(), b._values())))
+                 if sys.version_info >= (3, 13) else lambda a, b: a._values() == b._values())
 
 
 class Record(metaclass=_RecordType):
@@ -184,17 +187,20 @@ class Record(metaclass=_RecordType):
     __init__, _unchecked and _values are made per class, by one exec.
 
     A subclass declares its fields as annotations, with a default or a
-    dataclasses.field(default_factory=...) where it has one; _RecordType
-    makes the rest. Every field is stored through the class's setter table:
-    by __init__, by __setstate__ (copy and pickle), and by _unchecked, which
-    the direct decoders call with values that already pass the class's rules."""
+    factory(make) where it has one; _RecordType makes the rest. Every field
+    is stored through the class's setter table: by __init__, by __setstate__
+    (copy and pickle), and by _unchecked, which the direct decoders call with
+    values that already pass the class's rules. The frozen error is the one
+    dataclasses raises, imported only when it is raised."""
 
     __slots__ = ()
 
     def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __getstate__(self) -> list:
@@ -205,10 +211,8 @@ class Record(metaclass=_RecordType):
             set_field(self, value)
 
     def __eq__(self, other):
-        if self is other:
-            return True
         if other.__class__ is self.__class__:
-            return _fields_equal(self._values(), other._values())
+            return _fields_equal(self, other)
         return NotImplemented
 
     def __hash__(self) -> int:
@@ -224,6 +228,17 @@ class Record(metaclass=_RecordType):
         each field by position, changed or kept, and any other name by keyword."""
         fields = tuple(map(changes.pop, self.__match_args__, self._values()))
         return self.__class__(*fields, **changes)
+
+
+class MutableRecord(Record):
+    """Base of the mutable records: each behaves as @dataclass(slots=True)
+    would make it, with a weakref slot. Its fields can be set and deleted,
+    and, as it defines __eq__, it is unhashable."""
+
+    __slots__ = ("__weakref__",)
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
 
 
 class _RuleChecked(Record):
@@ -534,8 +549,7 @@ def _checked_event(rec: dict) -> SensorEvent:
 
 # --- configuration ---------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class ControllerConfig:
+class ControllerConfig(Record):
     ttc_warn_s: float = 2.0
     mag_deviation_ut: float = 5.0
     mag_persist_samples: int = 3
@@ -570,8 +584,9 @@ _INT = _Rule(int, lambda v: isinstance(v, int) and not isinstance(v, bool), 0, m
              "must be an integer", "must be > 0", None, 1)
 _PHONE = _Rule(str, lambda v: isinstance(v, str) and PHONE_PATTERN.fullmatch(v) is not None,
                None, None, "must match +?[0-9]{7,15}", None, None, 3)
-_CONFIG_RULES = {f.name: {float: _FLOAT, int: _INT, str: _PHONE}[type(f.default)]
-                 for f in fields(ControllerConfig)} | {
+_CONFIG_RULES = {name: {float: _FLOAT, int: _INT, str: _PHONE}[type(default)]
+                 for name, default in zip(ControllerConfig.__match_args__,
+                                          DEFAULT_CONFIG._values())} | {
     # MiCS-5524 detection ranges: ethanol is only readable between 10 and 500 ppm,
     # LPG-class gases only from about 1000 ppm upward.
     "ethanol_lockout_ppm": _FLOAT._replace(hi=500.0, hi_text="exceeds sensor range 500 ppm"),
@@ -628,7 +643,7 @@ def apply_overrides(cfg: ControllerConfig, overrides: dict) -> ControllerConfig:
         except OverflowError:  # an int too large for a float
             raise ValidationError([(key, "must be a finite number")]) from None
     # cfg is frozen, so with nothing to overlay it is its own result
-    return dataclasses.replace(cfg, **coerced) if coerced else cfg
+    return cfg._replace(**coerced) if coerced else cfg
 
 
 _ASCII_WHITESPACE = " \t\n\r\v\f"

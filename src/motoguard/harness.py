@@ -9,16 +9,15 @@ serialized event log for a given scenario is byte-identical on every run.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from itertools import groupby
 from operator import attrgetter
 from pathlib import Path
 
 from .controller import ControllerState, Mode, ModeChange, advance, drain_sms
 from .core import (Alert, ActuatorCommand, AlertKind, Buzzer, ContractViolation,
-                   ControllerConfig, DEFAULT_CONFIG, IgnitionInhibit, Record, SensorEvent,
-                   Severity, SmsSend, SolenoidLock, ValidationError, VirtualClock,
-                   apply_overrides, event_from_record, event_to_record,
+                   ControllerConfig, DEFAULT_CONFIG, IgnitionInhibit, MutableRecord, Record,
+                   SensorEvent, Severity, SmsSend, SolenoidLock, ValidationError, VirtualClock,
+                   apply_overrides, event_from_record, event_to_record, factory,
                    require_valid_config, severity_of, validate_config)
 from .gsm import FakeModem, ModemClient
 
@@ -57,21 +56,19 @@ class ExpectedLabel(Record):
                 raise ContractViolation(f"bad window [{self.start_ms}, {self.end_ms}]")
 
 
-@dataclass
-class Scenario:
+class Scenario(MutableRecord):
     name: str
     description: str = ""
-    config: dict = field(default_factory=dict)
-    events: list[SensorEvent] = field(default_factory=list)
-    expected: list[ExpectedLabel] = field(default_factory=list)
+    config: dict = factory(dict)
+    events: list[SensorEvent] = factory(list)
+    expected: list[ExpectedLabel] = factory(list)
 
 
 LogRecord = Alert | ActuatorCommand | ModeChange
 
 
-@dataclass
-class EventLog:
-    records: list[LogRecord] = field(default_factory=list)
+class EventLog(MutableRecord):
+    records: list[LogRecord] = factory(list)
 
     def alerts(self) -> list[Alert]:
         return [r for r in self.records if isinstance(r, Alert)]
@@ -410,8 +407,7 @@ def error_rate(cm: ConfusionMatrix) -> float:
 
 # --- corpus evaluation and reporting ---------------------------------------
 
-@dataclass
-class CaseResult:
+class CaseResult(MutableRecord):
     case_id: str
     name: str
     objective: str

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import reduce
 from itertools import groupby
 from operator import attrgetter, itemgetter, xor
@@ -186,7 +186,8 @@ def finite_reference(x) -> bool:
 # name, ints by name, the ethanol and tilt upper bounds, then phone numbers
 
 ETHANOL_SENSOR_MAX_PPM = 500.0  # the sensor's range, once a core constant
-_FIELD_KINDS: dict[str, type] = {f.name: type(f.default) for f in fields(ControllerConfig)}
+_FIELD_KINDS: dict[str, type] = {name: type(getattr(DEFAULT_CONFIG, name))
+                                 for name in ControllerConfig.__match_args__}
 _FLOAT_FIELDS, _INT_FIELDS, _STR_FIELDS = (
     tuple(sorted(name for name, k in _FIELD_KINDS.items() if k is kind))
     for kind in (float, int, str))

@@ -11,7 +11,6 @@ import math
 import random
 import string
 import time
-from dataclasses import replace
 from pathlib import Path
 
 from motoguard.cli import main
@@ -223,7 +222,7 @@ def test_detectors_agree_with_brute_force_oracles() -> None:
     start = time.perf_counter()
     problems: list[str] = []
     rng = random.Random(31)
-    short_hold = replace(CFG, crash_hold_ms=1500)
+    short_hold = CFG._replace(crash_hold_ms=1500)
 
     for trial in range(1000):
         speeds = [rng.uniform(60.0, 100.0) for _ in range(40)]

@@ -5,7 +5,6 @@ import math
 import re
 import sys
 import tracemalloc
-from dataclasses import fields
 from enum import IntEnum
 from operator import lt
 from pathlib import Path
@@ -573,7 +572,8 @@ CROSS_TEXTS = {(a, text) for a, _, _, text in core._CROSS_RULES}
 
 @settings(max_examples=500)
 @given(st.fixed_dictionaries({}, optional={
-    f.name: st.sampled_from(CONFIG_EDGES + (f.default,)) for f in fields(ControllerConfig)}))
+    name: st.sampled_from(CONFIG_EDGES + (default,))
+    for name, default in zip(ControllerConfig.__match_args__, DEFAULT_CONFIG._values())}))
 def test_validate_config_agrees_with_the_hand_written_reference(values: dict) -> None:
     cfg = ControllerConfig(**values)
     want = validate_config_reference(cfg)
@@ -623,9 +623,10 @@ def test_readme_configuration_table_matches_the_rules() -> None:
     text = README.read_text(encoding="utf-8")
     section = text.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
     rows = re.findall(r"^\| `(\w+)` \| (\S+) \| (\w+) \| (.+?) \|$", section, re.MULTILINE)
-    assert rows == [(f.name, str(f.default), KIND_WORDS[type(f.default)],
-                     accepted_text(core._CONFIG_RULES[f.name])) for f in fields(ControllerConfig)]
-    assert list(core._CONFIG_RULES) == [f.name for f in fields(ControllerConfig)]
+    defaults = zip(ControllerConfig.__match_args__, DEFAULT_CONFIG._values())
+    assert rows == [(name, str(default), KIND_WORDS[type(default)],
+                     accepted_text(core._CONFIG_RULES[name])) for name, default in defaults]
+    assert list(core._CONFIG_RULES) == list(ControllerConfig.__match_args__)
     cross = re.findall(r"^- `(\w+)` (\S+) `(\w+)`:", section, re.MULTILINE)
     assert cross == [(a, {lt: "<"}[holds], b) for a, b, holds, _ in core._CROSS_RULES]
 

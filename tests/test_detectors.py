@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -354,7 +353,7 @@ def test_theft_alarm_once_outside_fence(cfg: ControllerConfig) -> None:
 
 def test_theft_fix_at_the_fence_radius_is_inside(cfg: ControllerConfig) -> None:
     edge = moved(40.0)
-    fence = replace(cfg, geofence_radius_m=haversine_m(PARK, edge))
+    fence = cfg._replace(geofence_radius_m=haversine_m(PARK, edge))
     state, _ = theft_step(TheftState(), fix_at(PARK), False, False, 0, fence)
     state, triggers = theft_step(state, fix_at(edge), False, False, 60_000, fence)
     assert triggers == []
@@ -462,7 +461,7 @@ def test_mag_matches_oracle_on_random_traces(cfg: ControllerConfig) -> None:
 
 def test_crash_matches_oracle_on_random_traces(cfg: ControllerConfig) -> None:
     rng = random.Random(1103)
-    short_hold = replace(cfg, crash_hold_ms=1500)
+    short_hold = cfg._replace(crash_hold_ms=1500)
     for _ in range(200):
         t = 0
         samples = []

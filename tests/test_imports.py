@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -95,3 +98,26 @@ def test_the_private_name_check_sees_defs_classes_and_assignments() -> None:
               "class _Used: pass\n")
     assert unreferenced_private_names(source) == ["line 2: _LEFT", "line 6: _orphan",
                                                   "line 7: _Gone"]
+
+
+# the standard modules @dataclass needs, which no command may load
+DATACLASS_MODULES = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+COMMANDS = """
+import sys
+from motoguard.cli import main
+out, report = sys.argv[1:]
+codes = [main(["simulate", "--scenario", "scenarios/crash_fall.jsonl", "--out", out]),
+         main(["eval", "--scenario-dir", "scenarios", "--report", report]),
+         main(["nmea", "--file", "tests/golden/nmea_sentences.txt"])]
+print(codes, [name for name in %r if name in sys.modules])
+""" % (DATACLASS_MODULES,)
+
+
+def test_no_command_loads_dataclasses(tmp_path: Path) -> None:
+    # a fresh interpreter, so that nothing the tests import is counted; the
+    # frozen records import dataclasses only to raise FrozenInstanceError
+    path = os.pathsep.join(filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", COMMANDS, str(tmp_path / "crash.log.jsonl"),
+                           str(tmp_path / "report.txt")], cwd=REPO_ROOT, capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path}, check=True)
+    assert done.stdout.splitlines()[-1] == "[0, 0, 1] []"

@@ -43,27 +43,27 @@ def test_the_slot_check_sees_only_unslotted_records() -> None:
     assert unslotted_records(module) == ["fake.Bare"]
 
 
-# the classes that stay dataclasses: ControllerConfig, because CI writes a
-# defaults file from dataclasses.fields(ControllerConfig), and the four
-# mutable ones
-DATACLASSES = {"ControllerConfig", "ControllerState", "Scenario", "EventLog", "CaseResult"}
+# the frozen records, and the mutable ones, which subclass core.MutableRecord
 RECORDS = {"GeoPoint", "LidarRange", "MagField", "PirMotion", "GasReading", "Tilt", "GpsFix",
            "Ignition", "Auth", "SupplyVoltage", "SensorEvent", "Alert", "Buzzer",
            "IgnitionInhibit", "SolenoidLock", "SmsSend", "ActuatorCommand", "ModeChange",
            "PendingSms", "RouterState", "Trigger", "CollisionState", "MagState", "CrashState",
-           "TheftState", "ExpectedLabel", "ConfusionMatrix", "RmcData"}
+           "TheftState", "ExpectedLabel", "ConfusionMatrix", "RmcData", "ControllerConfig"}
+MUTABLE_RECORDS = {"ControllerState", "Scenario", "EventLog", "CaseResult"}
 
 
-def test_records_subclass_the_base_and_five_classes_stay_dataclasses() -> None:
+def test_every_class_with_fields_is_a_record_and_none_is_a_dataclass() -> None:
     classes = [obj for module in MODULES for obj in vars(module).values()
                if isinstance(obj, type) and obj.__module__ == module.__name__]
-    assert {cls.__name__ for cls in classes if dataclasses.is_dataclass(cls)} == DATACLASSES
+    assert [cls.__name__ for cls in classes if dataclasses.is_dataclass(cls)] == []
     with_fields = {cls.__name__ for cls in classes if vars(cls).get("__annotations__")}
     records = {cls.__name__ for cls in classes
                if issubclass(cls, core.Record) and "__match_args__" in vars(cls)}
-    assert records == RECORDS and with_fields == RECORDS | DATACLASSES
+    mutable = {cls.__name__ for cls in classes if issubclass(cls, core.MutableRecord)
+               and cls is not core.MutableRecord}
+    assert records == with_fields == RECORDS | MUTABLE_RECORDS and mutable == MUTABLE_RECORDS
     for cls in classes:
-        if cls.__name__ in RECORDS:
+        if cls.__name__ in records:
             # one __init__ per class, with the fields as its parameters
             init = vars(cls)["__init__"]
             assert init.__code__.co_varnames[1:init.__code__.co_argcount] == cls.__match_args__
