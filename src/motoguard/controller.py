@@ -109,11 +109,12 @@ def route(rs: RouterState, trigger: Trigger, t_ms: int,
 
 
 def drain_sms(rs: RouterState, client: ModemClient) -> tuple[RouterState, int, list[str]]:
-    """Send queued messages FIFO until empty or the modem fails.
+    """Send queued messages FIFO until empty, a reply is due or the modem fails.
 
-    A client that is not READY is initialized first. A failed init or send
-    ends the drain with one failure and leaves the head message queued, so
-    the next drain retries it.
+    A client that is not READY is initialized first. A message whose reply
+    is still due stays at the head of the queue, and the next drain polls
+    its exchange on. A failed init or send ends the drain with one failure
+    and leaves the head message queued, so the next drain retries it.
     """
     if not rs.pending_sms:
         return rs, 0, []
@@ -122,8 +123,11 @@ def drain_sms(rs: RouterState, client: ModemClient) -> tuple[RouterState, int, l
     try:
         if client.phase is not _READY:
             client.modem_init()
+            if client.phase is not _READY:  # a reply of the init is still due
+                return rs, 0, failures
         for msg in rs.pending_sms:
-            client.send_sms(msg.to, msg.body)
+            if client.send_sms(msg.to, msg.body) is None:
+                break
             sent += 1
     except ModemError as exc:
         failures.append(str(exc))

@@ -55,8 +55,8 @@ class VirtualClock:
         self._now += ms
 
     def advance_to(self, t_ms: int) -> None:
-        # clamped, not strict: SMS drain may have pushed the clock past the
-        # next event timestamp while waiting out modem timeouts
+        # clamped, not strict: bringing the clock up to a time it has already
+        # reached leaves it where it is
         self._now = max(self._now, t_ms)
 
 
@@ -424,6 +424,7 @@ _FIELD_RULES = {
 for _cls in (GeoPoint, *Payload.__args__, Buzzer, IgnitionInhibit, SolenoidLock):
     _cls._rows = tuple((name, set_field, *_FIELD_RULES[name])
                        for name, set_field in zip(_cls.__match_args__, _cls._setters))
+del _cls
 
 
 # --- sensor event serialization -------------------------------------------

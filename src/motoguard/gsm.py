@@ -1,28 +1,29 @@
 """Text-mode (AT+CMGF=1) SMS client over a byte channel, plus a fake modem.
 
-The client never sleeps; timeouts come from the channel, and the fake modem
-charges them to the shared virtual clock. That keeps failure-path tests fast
-and byte-for-byte reproducible.
+The client never waits. A channel has ``write(data)``, a ``read_available()``
+that returns whatever bytes have arrived, and the ``clock`` its deadlines
+are read from. A reply that has not arrived leaves its exchange in flight
+with a deadline; a later call polls it on, and one made at or past the
+deadline retries the command or fails the exchange. The client never moves
+the clock, so the loop that owns it decides how much time passes between
+polls, and failure-path tests stay fast and byte-for-byte reproducible.
 """
 
 from __future__ import annotations
 
+import re
 from enum import Enum
 
 from .core import PHONE_PATTERN, SMS_MAX_CHARS, ContractViolation, VirtualClock
 
 INIT_SEQUENCE = ("AT", "ATE0", "AT+CMGF=1")
 CTRL_Z = b"\x1a"
-DEFAULT_TIMEOUT_MS = 1000
+DEFAULT_TIMEOUT_MS = 1000  # from a command to the deadline of its reply
 INIT_RETRIES = 2  # per init command, on timeout only
 
 
 class ModemError(Exception):
     """Base for every modem and channel failure."""
-
-
-class ChannelTimeout(ModemError):
-    """Raised by a channel when the pattern never arrived in time."""
 
 
 class ChannelClosed(ModemError):
@@ -58,7 +59,7 @@ class InvalidNumber(ModemError):
 
 
 class ModemPhase(Enum):
-    UNINITIALIZED = "uninitialized"
+    UNINITIALIZED = "uninitialized"  # never brought up, or an init is in flight
     READY = "ready"
     FAILED = "failed"
 
@@ -69,7 +70,8 @@ class FakeModem:
     Scripting uses normalized command names: "AT", "ATE0", "AT+CMGF=1",
     "AT+CMGS" (the send header) and "SEND" (the message body frame).
     Names in ``silent_commands`` get no reply; names in ``fail_commands``
-    get ERROR. Everything else follows the happy path.
+    get ERROR. Everything else follows the happy path. A reply is ready to
+    read as soon as the frame that asks for it is written.
     """
 
     def __init__(self, clock: VirtualClock | None = None, *,
@@ -80,7 +82,7 @@ class FakeModem:
         self.silent_commands = set(silent_commands or ())
         self.fail_commands = set(fail_commands or ())
         self.transcript: list[bytes] = []
-        self._buffer = bytearray()
+        self._buffer = b""
         self._closed = False
         self._next_ref = ref_start
 
@@ -89,7 +91,7 @@ class FakeModem:
 
     def inject(self, data: bytes) -> None:
         """Queue bytes for the client to read: a reply, or unsolicited bytes."""
-        self._buffer.extend(data)
+        self._buffer += data
 
     def write(self, data: bytes) -> None:
         if self._closed:
@@ -98,16 +100,11 @@ class FakeModem:
         self.transcript.append(frame)
         self._respond(frame)
 
-    def read_until(self, pattern: bytes, timeout_ms: int) -> bytes:
+    def read_available(self) -> bytes:
+        """Every byte that has arrived and not been read yet; never waits."""
         if self._closed:
             raise ChannelClosed("channel closed")
-        idx = self._buffer.find(pattern)
-        if idx == -1:
-            self.clock.advance(timeout_ms)
-            raise ChannelTimeout(f"pattern {pattern!r} not received")
-        end = idx + len(pattern)
-        out = bytes(self._buffer[:end])
-        del self._buffer[:end]
+        out, self._buffer = self._buffer, b""
         return out
 
     def _respond(self, frame: bytes) -> None:
@@ -118,7 +115,7 @@ class FakeModem:
             self.inject(b"\r\nERROR\r\n")
             return
         if name == "SEND":
-            self.inject(f"\r\n+CMGS: {self._next_ref}\r\nOK\r\n".encode("ascii"))
+            self.inject(b"\r\n+CMGS: %d\r\nOK\r\n" % self._next_ref)
             self._next_ref += 1
         elif name == "AT+CMGS":
             self.inject(b"\r\n> ")
@@ -138,98 +135,172 @@ class FakeModem:
         return frame[:-1].decode("ascii", errors="replace")
 
 
+# The compliant reply to an init command, to a send header and to a message
+# body. A message reference is 1 to 640 ASCII digits, both here and in the
+# walk: int() reads that many on every interpreter, whatever its
+# int_max_str_digits limit (sys.int_info.str_digits_check_threshold).
+_OK = b"\r\nOK\r\n"
+_PROMPT = b"\r\n> "
+_REF = "[0-9]{1,640}"
+_SENT = re.compile(rb"\r\n\+CMGS: (%b)\r\nOK\r\n" % _REF.encode("ascii"))
+_INIT_FRAMES = tuple(cmd.encode("ascii") + b"\r" for cmd in INIT_SEQUENCE)
+# an exchange's steps, by the reply each awaits: one per init command, then
+# the prompt after a send header and the reference after its body; each
+# step's command as its errors name it
+_COMMANDS = (*INIT_SEQUENCE, "AT+CMGS", "AT+CMGS")
+_PROMPT_STEP, _REF_STEP = len(INIT_SEQUENCE), len(INIT_SEQUENCE) + 1
+
+
+def _walk(step: int, rx: bytes) -> int | bool | None:
+    """Read a reply the compliant shape refused, line by line: None while it
+    is still incomplete, else what the step gives (True, or a send's message
+    reference). Unsolicited lines are skipped; a final ERROR or a bad
+    reference raises the ModemError that names it."""
+    lines = [line.decode("ascii", errors="replace").strip() for line in rx.split(b"\r\n")[:-1]]
+    if step == _PROMPT_STEP:
+        if b"> " in rx:
+            return True
+        if "ERROR" in lines:
+            raise ErrorResponse(_COMMANDS[step])
+        return None
+    for i, text in enumerate(lines):
+        if text == "ERROR":
+            raise SendRejected() if step == _REF_STEP else ErrorResponse(_COMMANDS[step])
+        if text == "OK":
+            return _reference(lines[:i]) if step == _REF_STEP else True
+    return None
+
+
+def _reference(lines: list[str]) -> int:
+    for line in lines:
+        if line.startswith("+CMGS:"):
+            if re.fullmatch(_REF, digits := line[6:].strip()) is None:
+                raise SendRejected(f"unreadable message reference: {line!r}")
+            return int(digits)
+    raise SendRejected("final OK without +CMGS reference")
+
+
 class ModemClient:
-    """Drives the AT init sequence and single-part text-mode sends."""
+    """Drives the AT init sequence and single-part text-mode sends.
+
+    Each call returns at once. Where a reply has not arrived yet, the call
+    leaves its exchange in flight and returns False (init) or None (send);
+    calling again polls the same exchange on. Every reply is read once, as
+    bytes: a compliant one is recognised whole, and only what that refuses
+    is walked line by line.
+    """
 
     def __init__(self, channel):
         self.channel = channel
         self.phase = ModemPhase.UNINITIALIZED
         self.last_error: str | None = None
+        # the exchange in flight: the step whose reply it awaits (None when
+        # idle), that reply's bytes so far, its deadline, the writes of the
+        # step's command still allowed, and the message of a send
+        self._step: int | None = None
+        self._rx = b""
+        self._due_ms = 0
+        self._tries = 0
+        self._msg: tuple[str, str] | None = None
 
-    def modem_init(self) -> None:
-        """Run AT / ATE0 / AT+CMGF=1, retrying each on timeout."""
+    def modem_init(self) -> bool:
+        """Run AT / ATE0 / AT+CMGF=1, retrying each command whose reply
+        misses its deadline. True once READY, False while a reply is due;
+        raises the ModemError that failed it."""
+        if self._step is not None:
+            if self._step >= _PROMPT_STEP:
+                raise ContractViolation("modem_init while a send is in flight")
+            return self._poll() is not None
+        channel = self.channel
         try:
-            for cmd in INIT_SEQUENCE:
-                self._command_with_retries(cmd)
+            for step, frame in enumerate(_INIT_FRAMES):
+                channel.write(frame)
+                if (rx := channel.read_available()) != _OK:
+                    self.phase = ModemPhase.UNINITIALIZED
+                    return self._await(step, rx, INIT_RETRIES) is not None
         except ModemError as exc:
             self._fail(exc)
             raise
         self.phase = ModemPhase.READY
         self.last_error = None
+        return True
 
-    def send_sms(self, to: str, body: str) -> int:
-        """Send one message, returning the modem's message reference."""
+    def send_sms(self, to: str, body: str) -> int | None:
+        """Send one message: the modem's message reference, or None while a
+        reply is due, when a later call with the same message polls it on."""
         if self.phase is not ModemPhase.READY:
             raise ContractViolation(f"send_sms requires READY, modem is {self.phase.value}")
+        if self._step is not None:
+            if (to, body) == self._msg:
+                return self._poll()
+            # the queue gave up the message in flight (overflow): so does the client
+            self._fail(exc := SendRejected("message withdrawn while in flight"))
+            raise exc
         if PHONE_PATTERN.fullmatch(to) is None:
             raise InvalidNumber(to)  # rejected before any bytes hit the channel
         if len(body) > SMS_MAX_CHARS:
             raise ContractViolation(f"body exceeds {SMS_MAX_CHARS} characters")
         if not body.isascii():
             raise ContractViolation("body must be ASCII")
+        channel = self.channel
         try:
-            self.channel.write(f'AT+CMGS="{to}"\r'.encode("ascii"))
-            try:
-                self.channel.read_until(b"> ", DEFAULT_TIMEOUT_MS)
-            except ChannelTimeout:
-                raise PromptTimeout() from None
-            self.channel.write(body.encode("ascii") + CTRL_Z)
-            if (lines := self._await_final("AT+CMGS")) is None:
-                raise SendRejected()
-            ref = self._extract_ref(lines)
+            channel.write(f'AT+CMGS="{to}"\r'.encode("ascii"))
+            if (rx := channel.read_available()) != _PROMPT:
+                step = _PROMPT_STEP
+            else:
+                channel.write(body.encode("ascii") + CTRL_Z)
+                if (sent := _SENT.fullmatch(rx := channel.read_available())) is not None:
+                    return int(sent[1])
+                step = _REF_STEP
         except ModemError as exc:
             self._fail(exc)
             raise
-        return ref
+        self._msg = (to, body)
+        return self._await(step, rx, 0)
 
     # --- internals ---------------------------------------------------------
 
-    def _command_with_retries(self, cmd: str) -> None:
-        for attempt in range(INIT_RETRIES + 1):
-            self.channel.write(cmd.encode("ascii") + b"\r")
-            try:
-                if self._await_final(cmd) is None:
-                    raise ErrorResponse(cmd)
-                return
-            except CommandTimeout:  # timeouts are retried; ERROR is definitive
-                if attempt == INIT_RETRIES:
-                    raise
+    def _await(self, step: int, rx: bytes, tries: int) -> int | bool | None:
+        """Leave the exchange in flight: step's frame was just written, and
+        rx, all it buffers, is what has come back so far."""
+        self._step, self._rx, self._tries = step, rx, tries
+        self._due_ms = self.channel.clock.now_ms() + DEFAULT_TIMEOUT_MS
+        return self._poll()
 
-    def _await_final(self, cmd: str) -> list[str] | None:
-        """The lines before a final OK, or None for a final ERROR."""
-        lines: list[str] = []
-        while True:
-            try:
-                chunk = self.channel.read_until(b"\r\n", DEFAULT_TIMEOUT_MS)
-            except ChannelTimeout:
-                raise CommandTimeout(cmd) from None
-            text = chunk.decode("ascii", errors="replace").strip()
-            if text == "OK":
-                return lines
-            if text == "ERROR":
-                return None
-            if text:
-                lines.append(text)
-
-    @staticmethod
-    def _extract_ref(lines: list[str]) -> int:
-        for line in lines:
-            if line.startswith("+CMGS:"):
-                try:
-                    return int(line.partition(":")[2].strip())
-                except ValueError:
-                    raise SendRejected(f"unreadable message reference: {line!r}") from None
-        raise SendRejected("final OK without +CMGS reference")
+    def _poll(self) -> int | bool | None:
+        """Move the exchange in flight on as far as the bytes that have
+        arrived allow: its result once it ends, None while a reply is due."""
+        now = self.channel.clock.now_ms()
+        try:
+            while True:
+                self._rx += self.channel.read_available()
+                step = self._step
+                if (result := _walk(step, self._rx)) is None:
+                    if now < self._due_ms:
+                        return None
+                    if not self._tries:
+                        raise PromptTimeout() if step == _PROMPT_STEP else \
+                            CommandTimeout(_COMMANDS[step])
+                    self._tries -= 1  # only an init command is written again
+                elif step in (_PROMPT_STEP - 1, _REF_STEP):  # the last of init or of a send
+                    self._step = None
+                    if step < _PROMPT_STEP:
+                        self.phase, self.last_error = ModemPhase.READY, None
+                    return result
+                else:
+                    self._step = step = step + 1
+                    self._rx = b""
+                    self._tries = INIT_RETRIES if step < _PROMPT_STEP else 0
+                self.channel.write(_INIT_FRAMES[step] if step < _PROMPT_STEP
+                                   else self._msg[1].encode("ascii") + CTRL_Z)
+                self._due_ms = now + DEFAULT_TIMEOUT_MS
+        except ModemError as exc:
+            self._fail(exc)
+            raise
 
     def _fail(self, exc: ModemError) -> None:
+        # the exchange is over, and with it the bytes it buffered: the next
+        # one starts from what its own first read returns (see _await)
         self.phase = ModemPhase.FAILED
         self.last_error = str(exc)
-        self._drain()
-
-    def _drain(self) -> None:
-        # leave the channel at a CR/LF boundary so a later re-init can work
-        for _ in range(32):
-            try:
-                self.channel.read_until(b"\r\n", DEFAULT_TIMEOUT_MS)
-            except (ChannelTimeout, ChannelClosed):
-                return
+        self._step = None

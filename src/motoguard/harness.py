@@ -267,8 +267,8 @@ def run(sc: Scenario, cfg: ControllerConfig = DEFAULT_CONFIG) -> EventLog:
         records += state.commands
         records += state.changes
         if state.router.pending_sms:
-            # the modem is the clock's only reader, and t_ms never decreases,
-            # so bringing the clock up only before a drain reads the same
+            # only the modem and its client read the clock, and t_ms never
+            # decreases, so bringing it up only before a drain reads the same
             clock.advance_to(t_ms)
             state.router, _, _ = drain_sms(state.router, client)
     return log

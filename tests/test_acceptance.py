@@ -19,8 +19,8 @@ from motoguard.core import (AlertKind, Auth, ControllerConfig, GasReading, GeoPo
                             Ignition, SensorEvent, SmsSend)
 from motoguard.detectors import (CrashState, MagState, TheftState, crash_step, haversine_m,
                                  mag_step, overspeed_step, theft_step)
-from motoguard.gsm import (ChannelClosed, ChannelTimeout, CommandTimeout, ErrorResponse,
-                           FakeModem, InvalidNumber, ModemClient, ModemError,
+from motoguard.gsm import (DEFAULT_TIMEOUT_MS, INIT_RETRIES, ChannelClosed, CommandTimeout,
+                           ErrorResponse, FakeModem, InvalidNumber, ModemClient, ModemError,
                            PromptTimeout, SendRejected)
 from motoguard.harness import (ConfusionMatrix, accuracy, error_rate, load_scenario,
                                log_to_jsonl, run)
@@ -193,12 +193,23 @@ def test_modem_golden_transcripts_and_failures() -> None:
     def script(**kwargs) -> ModemClient:
         return ModemClient(FakeModem(**kwargs))
 
-    expect(CommandTimeout, lambda: script(silent_commands={"AT"}).modem_init())
+    def settle(client: ModemClient, call) -> None:
+        # a missing reply is found at its deadline: call again at each one
+        # until the exchange ends; the client itself never moves the clock
+        for _ in range(INIT_RETRIES + 2):
+            if (result := call()) is not None and result is not False:
+                return
+            client.channel.clock.advance(DEFAULT_TIMEOUT_MS)
+
+    c = script(silent_commands={"AT"})
+    expect(CommandTimeout, lambda: settle(c, c.modem_init))
+    if c.channel.clock.now_ms() != (INIT_RETRIES + 1) * DEFAULT_TIMEOUT_MS:
+        problems.append(f"init timed out at {c.channel.clock.now_ms()} ms")
     expect(ErrorResponse, lambda: script(fail_commands={"ATE0"}).modem_init())
 
     c = script(silent_commands={"AT+CMGS"})
     c.modem_init()
-    expect(PromptTimeout, lambda: c.send_sms("+639171234567", "x"))
+    expect(PromptTimeout, lambda: settle(c, lambda: c.send_sms("+639171234567", "x")))
     c = script(fail_commands={"SEND"})
     c.modem_init()
     expect(SendRejected, lambda: c.send_sms("+639171234567", "x"))
@@ -207,10 +218,11 @@ def test_modem_golden_transcripts_and_failures() -> None:
     closed = FakeModem()
     closed.close()
     expect(ChannelClosed, lambda: ModemClient(closed).modem_init())
-    expect(ChannelTimeout, lambda: FakeModem().read_until(b"OK", 100))
+    if FakeModem().read_available() != b"":
+        problems.append("a fresh channel has bytes to read")
 
     wanted = {CommandTimeout, ErrorResponse, PromptTimeout, SendRejected,
-              InvalidNumber, ChannelClosed, ChannelTimeout}
+              InvalidNumber, ChannelClosed}
     if exercised != wanted:
         problems.append(f"variants missed: {[t.__name__ for t in wanted - exercised]}")
     if time.perf_counter() - start >= 1.0:

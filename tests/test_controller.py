@@ -9,7 +9,7 @@ import typing
 from pathlib import Path
 
 import pytest
-from hypothesis import settings, strategies as st
+from hypothesis import given, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from motoguard.core import (ActuatorCommand, AlertKind, Auth, Buzzer, ContractViolation,
@@ -18,10 +18,10 @@ from motoguard.core import (ActuatorCommand, AlertKind, Auth, Buzzer, ContractVi
                             SensorEvent, Severity, SmsSend, SolenoidLock, SupplyVoltage,
                             Tilt, VirtualClock)
 from motoguard.controller import (_HANDLERS, MODE_EDGES, SMS_QUEUE_MAX, ControllerState,
-                                  Mode, ModeChange, PendingSms, RouterState, _enter, drain_sms,
-                                  route, step)
+                                  Mode, ModeChange, PendingSms, RouterState, _enter, advance,
+                                  drain_sms, route, step)
 from motoguard.detectors import CollisionState, CrashState, Trigger
-from motoguard.gsm import CTRL_Z, FakeModem, ModemClient, ModemPhase
+from motoguard.gsm import CTRL_Z, DEFAULT_TIMEOUT_MS, FakeModem, ModemClient, ModemPhase
 from motoguard.harness import Scenario, load_scenario, run
 from oracles import run_reference
 
@@ -760,6 +760,74 @@ def test_drain_on_empty_queue_is_a_no_op(cfg: ControllerConfig) -> None:
     assert rs.pending_sms == ()
 
 
+def test_a_silent_modem_never_moves_the_clock(monkeypatch) -> None:
+    # a client that waited out each missing reply would push the clock 4 s
+    # past every drain here, to 40 000 ms after ten
+    clock = VirtualClock()
+    modem = FakeModem(clock, silent_commands={"AT", "SEND"})
+    client = ModemClient(modem)
+    frames: list[int] = []
+    write = FakeModem.write
+
+    def recorded(modem: FakeModem, data: bytes) -> None:
+        frames.append(modem.clock.now_ms())
+        write(modem, data)
+
+    monkeypatch.setattr(FakeModem, "write", recorded)
+    rs, failed_at = queued("help"), []
+    for t_ms in range(0, 10_000, DEFAULT_TIMEOUT_MS):
+        clock.advance_to(t_ms)
+        rs, sent, failures = drain_sms(rs, client)
+        assert clock.now_ms() == t_ms
+        assert sent == 0 and [p.body for p in rs.pending_sms] == ["help"]
+        failed_at += [t_ms] * len(failures)
+    # AT and its two retries, one at each deadline; the third deadline fails
+    # the init and the next drain starts another
+    assert frames == [0, 1000, 2000, 4000, 5000, 6000, 8000, 9000]
+    assert modem.transcript == [b"AT\r"] * 8
+    assert failed_at == [3000, 7000]
+    assert clock.now_ms() == frames[-1]
+
+
+THEFT_SMS_PAYLOADS = (Ignition(True), Ignition(False), Auth(False), Auth(True))
+MODEM_FAULTS = st.sets(st.sampled_from(("AT", "ATE0", "AT+CMGF=1", "AT+CMGS", "SEND")))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 2 * DEFAULT_TIMEOUT_MS),
+                          st.sampled_from(THEFT_SMS_PAYLOADS), MODEM_FAULTS, MODEM_FAULTS),
+                max_size=60))
+def test_drains_over_a_faulty_modem_keep_time_and_order(steps) -> None:
+    # an unauthorized ignition raises a theft SMS at each step, as run would drain it
+    cfg = ControllerConfig(sms_cooldown_ms=1)
+    clock = VirtualClock()
+    modem = FakeModem(clock)
+    client = ModemClient(modem)
+    state = ControllerState()
+    t_ms, routed, delivered = 0, [], []
+    for dt, payload, silent, fail in steps:
+        t_ms += dt
+        modem.silent_commands, modem.fail_commands = silent, fail
+        advance(cfg, state, t_ms, [ev(t_ms, payload)])
+        routed += [c.action for c in state.commands if isinstance(c.action, SmsSend)]
+        if not state.router.pending_sms:
+            continue
+        clock.advance_to(t_ms)
+        before = state.router.pending_sms
+        state.router, sent, failures = drain_sms(state.router, client)
+        assert clock.now_ms() == t_ms  # no drain passes its step's time
+        assert state.router.pending_sms == before[sent:]
+        assert len(failures) <= 1
+        if failures:  # the head that failed stays queued
+            assert state.router.pending_sms[0] is before[sent]
+        delivered += [SmsSend(m.to, m.body) for m in before[:sent]]
+    # FIFO: the delivered messages are the routed ones in order, less the drops
+    rest = iter(routed)
+    assert all(any(msg == r for r in rest) for msg in delivered)
+    assert len(delivered) + state.router.dropped_count + len(state.router.pending_sms) \
+        == len(routed)
+
+
 SMS_KINDS = (AlertKind.CRASH, AlertKind.COLLISION, AlertKind.THEFT, AlertKind.BEACON)
 MODEM_COMMANDS = ("AT", "ATE0", "AT+CMGF=1", "AT+CMGS", "SEND")
 
@@ -770,7 +838,8 @@ class RouterMachine(RuleBasedStateMachine):
     def __init__(self) -> None:
         super().__init__()
         self.cfg = ControllerConfig(sms_cooldown_ms=1)
-        self.modem = FakeModem(VirtualClock())
+        self.clock = VirtualClock()
+        self.modem = FakeModem(self.clock)
         self.client = ModemClient(self.modem)
         self.client.modem_init()
         self.rs = RouterState()
@@ -802,7 +871,12 @@ class RouterMachine(RuleBasedStateMachine):
         self.modem.silent_commands = silent
         self.modem.fail_commands = fail
 
+    @rule(dt=st.integers(0, 2 * DEFAULT_TIMEOUT_MS))
+    def tick(self, dt: int) -> None:
+        self.t_ms += dt
+
     def _drain(self) -> list[str]:
+        self.clock.advance_to(self.t_ms)
         self.rs, sent, failures = drain_sms(self.rs, self.client)
         self.sent += sent
         return failures
@@ -815,12 +889,25 @@ class RouterMachine(RuleBasedStateMachine):
     def heal_then_drain(self) -> None:
         self.modem.silent_commands = set()
         self.modem.fail_commands = set()
+        # what the modem swallowed before it healed is found missing at its
+        # deadline, which can fail the exchange in flight once; so can the
+        # queue having dropped the message in flight
+        self.t_ms += DEFAULT_TIMEOUT_MS
+        failures = self._drain()
+        assert len(failures) <= 1
+        assert failures == [] or failures[0] in ("no '> ' prompt after AT+CMGS",
+                                                 "message withdrawn while in flight") \
+            or failures[0].startswith("no final response to ")
         assert self._drain() == []
         assert self.rs.pending_sms == ()
 
     @invariant()
     def queue_is_bounded(self) -> None:
         assert len(self.rs.pending_sms) <= SMS_QUEUE_MAX
+
+    @invariant()
+    def the_client_never_moves_the_clock(self) -> None:
+        assert self.clock.now_ms() <= self.t_ms
 
     @invariant()
     def every_routed_sms_is_accounted_for(self) -> None:

@@ -60,9 +60,13 @@ EXAMPLES = {
 
 
 def classes_named(names: set) -> list:
-    return sorted((cls for module in MODULES for cls in vars(module).values()
-                   if isinstance(cls, type) and cls.__name__ in names
-                   and cls.__module__ == module.__name__), key=lambda cls: cls.__name__)
+    classes = sorted((cls for module in MODULES for cls in vars(module).values()
+                      if isinstance(cls, type) and cls.__name__ in names
+                      and cls.__module__ == module.__name__), key=lambda cls: cls.__name__)
+    # a module-level name still bound to a class (a loop variable, say)
+    # would collect that class twice
+    assert len(set(classes)) == len(classes), [cls.__name__ for cls in classes]
+    return classes
 
 
 CLASSES, MUTABLE_CLASSES = classes_named(RECORDS), classes_named(MUTABLE_RECORDS)
