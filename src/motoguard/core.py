@@ -106,8 +106,6 @@ def severity_of(kind: AlertKind) -> Severity:
 
 def _finite(x: float) -> bool:
     """A non-bool int or float that is neither nan nor infinite."""
-    if type(x) is float:
-        return x - x == 0.0  # nan and +-inf give nan
     if not isinstance(x, (int, float)) or isinstance(x, bool):
         return False
     try:
@@ -189,9 +187,9 @@ class Record(metaclass=_RecordType):
     A subclass declares its fields as annotations, with a default or a
     factory(make) where it has one; _RecordType makes the rest. Every field
     is stored through the class's setter table: by __init__, by __setstate__
-    (copy and pickle), and by _unchecked, which the direct decoders call with
-    values that already pass the class's rules. The frozen error is the one
-    dataclasses raises, imported only when it is raised."""
+    (copy and pickle), and by _unchecked and the scenario decoder's direct
+    decoders, which store values that already pass the class's rules. The
+    frozen error is the one dataclasses raises, imported only when it is raised."""
 
     __slots__ = ()
 
@@ -247,7 +245,7 @@ class _RuleChecked(Record):
     __slots__ = ()
 
     def __post_init__(self):
-        for name, _, kind, _, lo, hi, text in self._rows:
+        for name, kind, _, lo, hi, text in self._rows:
             value = getattr(self, name)
             if kind is not float:
                 ok = isinstance(value, kind)
@@ -401,14 +399,15 @@ class ActuatorCommand(Record):
 
 
 # Each rule-checked field's contract, written once: (exact type, the other
-# exact type taken, lowest, highest, error text), both ends inclusive. The
-# constructors take an int or float subclass too (never a bool) and test a
-# non-negative field, whose highest is _MAX, from below only; a non-number
-# field by isinstance. The direct decoders take only the exact types; their
+# exact type taken, lowest, highest, error text), both ends inclusive; a flag
+# or a nested record has no bounds. The constructors take an int or float
+# subclass too (never a bool) and test a non-negative field, whose highest is
+# _MAX, from below only; a non-number field by isinstance. The direct
+# decoders, made from these rules, take only the exact types; their
 # lo <= x <= hi rejects nan, +-inf and an int too large for a float.
 _MAX = sys.float_info.max
 _NON_NEGATIVE = (float, int, 0.0, _MAX, "{} must be >= 0: {!r}")
-_BOOL = (bool, bool, False, True, "{} must be a bool")
+_BOOL = (bool, bool, None, None, "{} must be a bool")
 _RANGE = "{} out of range: {!r}"
 _FIELD_RULES = {
     "range_m": _NON_NEGATIVE, "b_ut": _NON_NEGATIVE, "detected": _BOOL,
@@ -419,11 +418,10 @@ _FIELD_RULES = {
     "speed_kph": _NON_NEGATIVE, "valid": _BOOL,
     "on": _BOOL, "authorized": _BOOL, "volts": _NON_NEGATIVE, "engaged": _BOOL,
 }
-# each rule-checked class's fields in declaration order, each with its
-# setter and its rule: the one table of the checked and the direct builds
+# each rule-checked class's fields in declaration order, each with its rule:
+# what __post_init__ tests, and what the direct decoders are made from
 for _cls in (GeoPoint, *Payload.__args__, Buzzer, IgnitionInhibit, SolenoidLock):
-    _cls._rows = tuple((name, set_field, *_FIELD_RULES[name])
-                       for name, set_field in zip(_cls.__match_args__, _cls._setters))
+    _cls._rows = tuple((name, *_FIELD_RULES[name]) for name in _cls.__match_args__)
 del _cls
 
 
@@ -462,68 +460,64 @@ def _gps_from_fields(lat_deg: float, lon_deg: float, speed_kph: float, valid: bo
 
 
 def _decoder(cls: type) -> tuple:
-    """(constructor, record fields in constructor order, exact record key set,
-    getter of the field values: a tuple for several fields, else the one value)."""
-    if cls is GpsFix:
-        build, names = _gps_from_fields, ("lat_deg", "lon_deg", "speed_kph", "valid")
-    else:
-        build, names = cls, cls.__match_args__
-    return build, names, frozenset(names) | {"t_ms", "sensor"}, itemgetter(*names)
+    """(direct decoder, constructor, record fields in constructor order, exact
+    record key set, getter of the field values: a tuple for several fields,
+    else the one value).
+
+    One exec makes the direct decoder from cls's rows. It reads t_ms and each
+    field with rec.get, a nested record's fields (a fix's point) in its place,
+    and tests the key count and each field's exact types and bounds. If all
+    pass, it stores the values through the setter tables into new objects,
+    the event last, without __post_init__; otherwise it returns None. A
+    missing key reads None, which no rule accepts, so a record of the right
+    length whose values pass has exactly its tag's keys."""
+    env, names, tests, stores = {"_new": _new}, [], [], []
+
+    def store(cls: type, var: str) -> None:  # var = a new cls, each field from its local
+        env[cls.__name__] = cls
+        env.update((f"_{cls.__name__}{i}", s) for i, s in enumerate(cls._setters))
+        stores.append(f"{var} = _new({cls.__name__})")
+        stores.extend(f"_{cls.__name__}{i}({var}, {name})"
+                      for i, name in enumerate(cls.__match_args__))
+
+    def emit(cls: type, var: str) -> None:  # the tests and stores that make var a cls
+        for name, kind, also, lo, hi, _ in cls._rows:
+            if issubclass(kind, _RuleChecked):
+                emit(kind, name)
+                continue
+            names.append(name)
+            env[kind.__name__], env[also.__name__] = kind, also
+            tests.append(f"(type({name}) is {kind.__name__} or type({name}) is {also.__name__})")
+            if lo is not None:  # a float's repr reads back as the same float
+                tests.append(f"{lo!r} <= {name} <= {hi!r}")
+        store(cls, var)
+
+    emit(cls, "payload")
+    store(SensorEvent, "event")
+    reads = ", ".join(f'rec.get("{name}")' for name in ("t_ms", *names))
+    exec(f"def _decode_{cls.__name__}(rec):\n t_ms, {', '.join(names)}, = {reads}\n"
+         f" if (len(rec) == {len(names) + 2} and type(t_ms) is int and t_ms >= 0\n"
+         f"   and {' and '.join(tests)}):\n  {'; '.join(stores)}\n  return event", env)
+    direct, names = env[f"_decode_{cls.__name__}"], tuple(names)
+    build = _gps_from_fields if cls is GpsFix else cls
+    return direct, build, names, frozenset(names) | {"t_ms", "sensor"}, itemgetter(*names)
 
 
+# each tag's one row, for the direct and the checked decoder
 _DECODERS = {tag: _decoder(cls) for tag, cls in _SENSOR_TAGS.items()}
-
-# The direct decoders make the payload and the event without __post_init__,
-# through the classes' _unchecked or the setters in _rows: every field has
-# passed its rule's exact types and bounds.
-_unchecked_event = SensorEvent._unchecked
-# a one-field tag's row: (its payload class's _unchecked, field, exact types and bounds)
-_ONE_FIELD = {tag: (cls._unchecked, name, kind, also, lo, hi)
-              for tag, cls in _SENSOR_TAGS.items() if len(cls._rows) == 1
-              for name, _, kind, also, lo, hi, _ in cls._rows}
-_GAS_ROWS, _POINT_ROWS = GasReading._rows, GeoPoint._rows
-_FIX_ROWS = GpsFix._rows[1:]  # and the point, from _POINT_ROWS
-
-
-def _filled(cls: type, rows: tuple, rec: dict):
-    """A cls with each row's field from rec, or None once a value breaks its rule."""
-    obj = _new(cls)
-    for name, set_field, kind, also, lo, hi, _ in rows:
-        value = rec.get(name)
-        if not ((type(value) is kind or type(value) is also) and lo <= value <= hi):
-            return None
-        set_field(obj, value)
-    return obj
 
 
 def event_from_record(rec: dict) -> SensorEvent:
     """Inverse of event_to_record; raises ContractViolation on bad shapes.
 
-    A well-formed record is built directly. Any other record goes through
-    _checked_event, so every error text comes from the checked constructors.
-    In each direct path a missing key reads None, which no rule accepts, so a
-    record of the right length whose values pass has exactly its tag's keys."""
+    A well-formed record is built by its tag's direct decoder. Any other
+    record goes through _checked_event, so every error text comes from the
+    checked constructors."""
     if type(rec) is dict:
         tag = rec.get("sensor")
-        row = _ONE_FIELD.get(tag) if type(tag) is str else None
-        if row is not None:
-            make, name, kind, also, lo, hi = row
-            t_ms, value = rec.get("t_ms"), rec.get(name)
-            if (len(rec) == 3 and type(t_ms) is int and t_ms >= 0
-                    and (type(value) is kind or type(value) is also) and lo <= value <= hi):
-                return _unchecked_event(t_ms, make(value))
-        elif tag == "gps":
-            t_ms = rec.get("t_ms")
-            if (len(rec) == 6 and type(t_ms) is int and t_ms >= 0
-                    and (point := _filled(GeoPoint, _POINT_ROWS, rec)) is not None
-                    and (payload := _filled(GpsFix, _FIX_ROWS, rec)) is not None):
-                GpsFix._setters[0](payload, point)  # the point's setter
-                return _unchecked_event(t_ms, payload)
-        elif tag == "gas":
-            t_ms = rec.get("t_ms")
-            if (len(rec) == 5 and type(t_ms) is int and t_ms >= 0
-                    and (payload := _filled(GasReading, _GAS_ROWS, rec)) is not None):
-                return _unchecked_event(t_ms, payload)
+        row = _DECODERS.get(tag) if type(tag) is str else None
+        if row is not None and (event := row[0](rec)) is not None:
+            return event
     return _checked_event(rec)
 
 
@@ -536,7 +530,7 @@ def _checked_event(rec: dict) -> SensorEvent:
     decoder = _DECODERS.get(tag) if isinstance(tag, str) else None
     if decoder is None:
         raise ContractViolation(f"unknown sensor tag: {tag!r}")
-    build, names, keys, values = decoder
+    _, build, names, keys, values = decoder
     if rec.keys() != keys:
         missing = [name for name in names if name not in rec]
         if missing:

@@ -434,6 +434,35 @@ def test_event_from_record_agrees_with_the_checked_decoder(record) -> None:
         _decode_outcome(event_from_record_reference, record)
 
 
+def _edge_values(rule: tuple) -> dict:
+    """The values at and just past each end of a field's rule, and the values
+    of another type that a rule must weigh, by case name."""
+    kind, _, lo, hi, _ = rule
+    wrong = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf}
+    if kind is bool:
+        return {"false": False, "true": True, "int_0": 0, "int_1": 1, **wrong}
+    return {"lo": lo, "hi": hi, "below_lo": math.nextafter(lo, -math.inf),
+            "above_hi": math.nextafter(hi, math.inf), "int_lo": int(lo), "int_hi": int(hi),
+            "int_past_max": int(MAX) + 1, "float_subclass": _Float(hi), "bool": True, **wrong}
+
+
+# every field of every tag, each edge set into a well-formed record of the tag
+FIELD_EDGES = {f"{tag}-{name}-{case}": dict(WELL_FORMED[tag], **{name: value})
+               for tag in TAGS for name in RECORD_FIELDS[tag]
+               for case, value in _edge_values(core._FIELD_RULES[name]).items()}
+# the cases of an exact type within the rule's bounds, which are decoded directly
+IN_BOUNDS = ("-lo", "-hi", "-int_lo", "-int_hi", "-false", "-true")
+
+
+@pytest.mark.parametrize("case", FIELD_EDGES)
+def test_every_field_edge_decodes_as_the_checked_decoder(case: str, monkeypatch) -> None:
+    record = FIELD_EDGES[case]
+    want = _decode_outcome(event_from_record_reference, record)
+    reached = _tracked_checked_path(monkeypatch)
+    assert _decode_outcome(event_from_record, record) == want
+    assert (reached == []) is case.endswith(IN_BOUNDS)
+
+
 class _Count(int):
     pass
 

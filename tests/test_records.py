@@ -77,8 +77,7 @@ def test_every_payload_field_is_checked_by_its_rule_alone() -> None:
     assert len(payloads) == 10
     for cls in payloads:
         assert [name for name in cls.__match_args__ if name not in core._FIELD_RULES] == []
-        assert cls._rows == tuple((name, set_field, *core._FIELD_RULES[name])
-                                  for name, set_field in zip(cls.__match_args__, cls._setters))
+        assert cls._rows == tuple((name, *core._FIELD_RULES[name]) for name in cls.__match_args__)
         assert "__post_init__" not in vars(cls)
         assert cls.__post_init__ is core._RuleChecked.__post_init__
 
@@ -97,18 +96,29 @@ def test_slot_setters_cover_every_field_in_order(cls: type) -> None:
     assert all(type(s.__self__) is types.MemberDescriptorType for s in setters)
 
 
-def test_each_direct_row_sets_the_field_it_reads() -> None:
-    # a one-field row's builder makes a record of that one field, holding the value
-    value = object()
-    for make, name, *_ in core._ONE_FIELD.values():
-        assert make(value).__match_args__ == (name,) and getattr(make(value), name) is value
-    rows = [(cls, name, setter) for cls, table in ((core.GasReading, core._GAS_ROWS),
-                                                   (core.GeoPoint, core._POINT_ROWS),
-                                                   (core.GpsFix, core._FIX_ROWS))
-            for name, setter, *_ in table]
-    assert [(s.__self__.__objclass__, s.__self__.__name__) for _, _, s in rows] == \
-        [(cls, name) for cls, name, _ in rows]
-    # together the rows read every field of every record
-    names = [row[1] for row in core._ONE_FIELD.values()] + [name for _, name, _ in rows]
-    assert sorted(names) == sorted(
-        name for tag in core._SENSOR_TAGS for name in core._DECODERS[tag][1])
+class _ReadsSpy(dict):
+    """A record that lists the keys read from it with get."""
+
+    def __init__(self, record: dict):
+        super().__init__(record)
+        self.read = []
+
+    def get(self, key, default=None):
+        self.read.append(key)
+        return super().get(key, default)
+
+
+def test_each_tag_has_one_decoder_row_whose_direct_decoder_reads_its_fields() -> None:
+    assert list(core._DECODERS) == list(core._SENSOR_TAGS)
+    for tag, cls in core._SENSOR_TAGS.items():
+        direct, _, names, keys, _ = core._DECODERS[tag]
+        # a well-formed record of the tag, each number a different value
+        record = _ReadsSpy({"t_ms": 5, "sensor": tag} | {
+            name: True if core._FIELD_RULES[name][0] is bool else i + 0.5
+            for i, name in enumerate(names)})
+        assert record.keys() == keys
+        event = direct(record)
+        # it reads t_ms and exactly the fields the checked entry names, in order,
+        # and stores each value in its own field
+        assert record.read == ["t_ms", *names]
+        assert type(event.payload) is cls and core.event_to_record(event) == record
