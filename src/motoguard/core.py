@@ -370,6 +370,16 @@ class SolenoidLock(_RuleChecked):
     engaged: bool
 
 
+def check_sms_body(body: str) -> None:
+    """Reject a body a text-mode send cannot carry: a character outside ASCII,
+    or Ctrl-Z (0x1A), which ends the body, or ESC (0x1B), which cancels the
+    send. After a Ctrl-Z the modem reads the rest of the body as AT commands."""
+    if not body.isascii():
+        raise ContractViolation("body must be ASCII")
+    if "\x1a" in body or "\x1b" in body:
+        raise ContractViolation("body must not hold Ctrl-Z (0x1A) or ESC (0x1B)")
+
+
 class SmsSend(Record):
     to: str
     body: str
@@ -379,6 +389,7 @@ class SmsSend(Record):
             raise ContractViolation(f"bad phone number: {self.to!r}")
         if type(self.body) is not str:
             raise ContractViolation(f"body must be a str: {self.body!r}")
+        check_sms_body(self.body)  # so that route never queues what the client refuses
         # normalizing here, rather than validating, keeps every construction
         # path inside the length budget
         object.__setattr__(self, "body", truncate_sms(self.body))

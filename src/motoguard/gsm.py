@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 from enum import Enum
 
-from .core import PHONE_PATTERN, SMS_MAX_CHARS, ContractViolation, VirtualClock
+from .core import PHONE_PATTERN, SMS_MAX_CHARS, ContractViolation, VirtualClock, check_sms_body
 
 INIT_SEQUENCE = ("AT", "ATE0", "AT+CMGF=1")
 CTRL_Z = b"\x1a"
@@ -240,8 +240,7 @@ class ModemClient:
             raise InvalidNumber(to)  # rejected before any bytes hit the channel
         if len(body) > SMS_MAX_CHARS:
             raise ContractViolation(f"body exceeds {SMS_MAX_CHARS} characters")
-        if not body.isascii():
-            raise ContractViolation("body must be ASCII")
+        check_sms_body(body)
         channel = self.channel
         try:
             channel.write(f'AT+CMGS="{to}"\r'.encode("ascii"))

@@ -142,10 +142,22 @@ def _scenario_from_header(header: object, line_no: int) -> Scenario:
 
 
 _scan = json.JSONDecoder().scan_once
+_BLANK_LINE = object()  # what _line_value gives for a blank line
 
 
-def _decode_line(raw: str, line_no: int) -> object:
-    """json.loads(raw), with every failure as a SchemaError on line_no."""
+def _line_value(raw: str, line_no: int) -> object:
+    """The JSON value of one line, _BLANK_LINE for a blank one, or a SchemaError
+    on line_no. The scanner takes a value that starts the line (StopIteration:
+    none does); a line it fails on or does not consume whole is blank or goes
+    through json.loads, which names the failure."""
+    try:
+        obj, end = _scan(raw, 0)
+    except (StopIteration, ValueError, RecursionError):
+        end = -1
+    if end == len(raw):
+        return obj
+    if not raw.strip(BLANK):
+        return _BLANK_LINE
     try:
         return json.loads(raw)
     except json.JSONDecodeError as exc:
@@ -162,52 +174,104 @@ _CHUNK_CHARS = 1 << 16
 BLANK = " \t\r"
 
 
+def _text_chunks(text: str, start: int, stop: int):
+    """text[start:stop] one piece at a time, each about _CHUNK_CHARS characters
+    ending before the next LF, which no piece holds at either end."""
+    while (cut := text.find("\n", start + _CHUNK_CHARS, stop)) >= 0:
+        yield text[start:cut]
+        start = cut + 1
+    yield text[start:stop]
+
+
 def line_chunks(text: str):
     """text.split("\\n") one chunk at a time: lists of lines, in order, each cut
     from about _CHUNK_CHARS characters ending at the next LF, so a reader holds
     one chunk's lines, never the whole file's. A text shorter than one chunk is
     one list. Only LF ends a line: splitlines() would also break at U+2028,
     U+0085 and the like, which JSON allows raw inside a string."""
-    start = 0
-    while (cut := text.find("\n", start + _CHUNK_CHARS)) >= 0:
-        yield text[start:cut].split("\n")
-        start = cut + 1
-    yield text[start:].split("\n")
+    for piece in _text_chunks(text, 0, len(text)):
+        yield piece.split("\n")
+
+
+_T_MS = attrgetter("t_ms")
+
+
+def _scanned_events(piece: str, lines: int, prev_ms: int) -> list[SensorEvent] | None:
+    """The events of piece's lines, all decoded by one scanner call, or None
+    when that cannot be proved to give what the line walk gives.
+
+    The call reads "[" + piece + "]" with each LF made a comma. Its result is
+    taken when every line is "{...}" with no other "{", the call reads the
+    text to its end, the list has one element per line, each element is an
+    event, and no time goes back. An event is an object, which opens with a
+    "{" outside any string, so element k opens at the k-th "{", the one that
+    starts line k. Only a comma lies between one element's end and the next
+    one's start, and only "]" after the last, so element k closes at the "}"
+    that ends line k: its text is exactly line k's, which the walk would read
+    alone to the same event."""
+    if not (piece[:1] == "{" and piece[-1:] == "}" and piece.count("}\n{") == lines - 1
+            and piece.count("{") == lines):
+        return None
+    try:
+        records, end = _scan("[" + piece.replace("\n", ",") + "]", 0)
+        if end != len(piece) + 2 or len(records) != lines:
+            return None
+        events = list(map(event_from_record, records))
+    except (StopIteration, ValueError, RecursionError):  # ContractViolation is a ValueError
+        return None
+    times = list(map(_T_MS, events))
+    return events if prev_ms <= times[0] and times == sorted(times) else None
+
+
+def _walk(lines: list[str], line_no: int, events: list[SensorEvent], prev_ms: int) -> int:
+    """Decode lines one at a time onto events, the first line being line_no + 1;
+    the time of the last event. The walk alone names a bad line."""
+    for line_no, raw in enumerate(lines, start=line_no + 1):
+        if (obj := _line_value(raw, line_no)) is _BLANK_LINE:
+            continue
+        try:
+            event = event_from_record(obj)
+        except ContractViolation as exc:
+            raise SchemaError(line_no, str(exc)) from None
+        if event.t_ms < prev_ms:
+            raise SchemaError(line_no, f"t_ms {event.t_ms} is earlier than "
+                                       f"the event before it ({prev_ms})")
+        prev_ms = event.t_ms
+        events.append(event)
+    return prev_ms
 
 
 def loads_scenario(text: str) -> Scenario:
-    """Parse a scenario file; the first bad line in file order is the one reported."""
-    sc = None
-    prev_ms = 0
-    line_no = 0
-    for lines in line_chunks(text):
-        for line_no, raw in enumerate(lines, start=line_no + 1):
-            # the scanner takes a value that starts the line (StopIteration: none
-            # does); a line it fails on or does not consume whole is blank or goes
-            # through the full decode
-            try:
-                obj, end = _scan(raw, 0)
-            except (StopIteration, ValueError, RecursionError):
-                end = -1
-            if end != len(raw):
-                if not raw.strip(BLANK):
-                    continue
-                obj = _decode_line(raw, line_no)
-            if sc is None:
-                sc = _scenario_from_header(obj, line_no)
-                events = sc.events
-                continue
-            try:
-                event = event_from_record(obj)
-            except ContractViolation as exc:
-                raise SchemaError(line_no, str(exc)) from None
-            if event.t_ms < prev_ms:
-                raise SchemaError(line_no, f"t_ms {event.t_ms} is earlier than "
-                                           f"the event before it ({prev_ms})")
-            prev_ms = event.t_ms
-            events.append(event)
-    if sc is None:
-        raise SchemaError(1, "missing header record")
+    """Parse a scenario file; the first bad line in file order is the one reported.
+
+    The header is the first line that is not blank. The event lines after it
+    are read about _CHUNK_CHARS characters at a time: a chunk whose lines are
+    all plain event records is decoded by one scanner call (_scanned_events),
+    and any other chunk, or one that fails, by the line walk (_walk)."""
+    start = line_no = 0
+    while True:
+        end = text.find("\n", start)
+        line_no += 1
+        header = _line_value(text[start:] if end < 0 else text[start:end], line_no)
+        if header is not _BLANK_LINE:
+            break
+        if end < 0:
+            raise SchemaError(1, "missing header record")
+        start = end + 1
+    sc = _scenario_from_header(header, line_no)
+    if end < 0:
+        return sc
+    events, prev_ms = sc.events, 0
+    # a final LF ends the last line and starts an empty one, which holds no event
+    for piece in _text_chunks(text, end + 1, len(text) - text.endswith("\n")):
+        lines = piece.count("\n") + 1
+        scanned = _scanned_events(piece, lines, prev_ms)
+        if scanned is None:
+            prev_ms = _walk(piece.split("\n"), line_no, events, prev_ms)
+        else:
+            events += scanned
+            prev_ms = scanned[-1].t_ms
+        line_no += lines
     return sc
 
 
@@ -263,9 +327,10 @@ def run(sc: Scenario, cfg: ControllerConfig = DEFAULT_CONFIG) -> EventLog:
             advance(merged, state, t_ms, list(group))
         except ContractViolation as exc:
             raise ContractViolation(f"{sc.name}: at t={t_ms}: {exc}") from exc
-        records += state.alerts
-        records += state.commands
-        records += state.changes
+        if state.alerts or state.commands or state.changes:  # most steps record nothing
+            records += state.alerts
+            records += state.commands
+            records += state.changes
         if state.router.pending_sms:
             # only the modem and its client read the clock, and t_ms never
             # decreases, so bringing it up only before a drain reads the same

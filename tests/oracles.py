@@ -28,7 +28,8 @@ from motoguard.core import (DEFAULT_CONFIG, PHONE_PATTERN,
                             require_valid_config)
 from motoguard.detectors import haversine_m
 from motoguard.gsm import FakeModem, ModemClient
-from motoguard.harness import EventLog, LogRecord, ModeChange, Scenario, SchemaError
+from motoguard.harness import (EventLog, LogRecord, ModeChange, Scenario, SchemaError,
+                               _scenario_from_header, line_chunks)
 from motoguard.nmea import (MAX_SENTENCE_CHARS, ChecksumMismatch, MalformedNumber,
                             MissingField, ParseError, RmcData, UnsupportedSentence,
                             knots_to_kph)
@@ -249,6 +250,49 @@ def json_lines_reference(text: str) -> list:
         except ContractViolation as exc:
             raise SchemaError(line_no, str(exc)) from None
     return events
+
+
+# --- the scenario decoder, as it was before one scanner call read a chunk of
+# event lines: every line goes through the scanner, or json.loads, on its own
+
+_scan = json.JSONDecoder().scan_once
+
+
+def loads_scenario_reference(text: str) -> Scenario:
+    """Parse a scenario file one line at a time; the first bad line is reported."""
+    sc = None
+    prev_ms = 0
+    line_no = 0
+    for lines in line_chunks(text):
+        for line_no, raw in enumerate(lines, start=line_no + 1):
+            try:
+                obj, end = _scan(raw, 0)
+            except (StopIteration, ValueError, RecursionError):
+                end = -1
+            if end != len(raw):
+                if not raw.strip(" \t\r"):
+                    continue
+                try:
+                    obj = json.loads(raw)
+                except json.JSONDecodeError as exc:
+                    raise SchemaError(line_no, f"invalid JSON: {exc.msg}") from None
+                except (ValueError, RecursionError) as exc:
+                    raise SchemaError(line_no, f"invalid JSON: {exc}") from None
+            if sc is None:
+                sc = _scenario_from_header(obj, line_no)
+                continue
+            try:
+                event = event_from_record(obj)
+            except ContractViolation as exc:
+                raise SchemaError(line_no, str(exc)) from None
+            if event.t_ms < prev_ms:
+                raise SchemaError(line_no, f"t_ms {event.t_ms} is earlier than "
+                                           f"the event before it ({prev_ms})")
+            prev_ms = event.t_ms
+            sc.events.append(event)
+    if sc is None:
+        raise SchemaError(1, "missing header record")
+    return sc
 
 
 # --- the record decoder, as it was before the direct constructors: every record

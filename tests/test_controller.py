@@ -627,6 +627,12 @@ def test_cooldown_is_per_kind(cfg: ControllerConfig) -> None:
     assert first is not None and second is not None
 
 
+def test_route_never_queues_a_body_the_modem_client_refuses(cfg: ControllerConfig) -> None:
+    for body in ["caf\xe9", "stop\x1aAT", "cancel\x1b"]:
+        with pytest.raises(ContractViolation):
+            route(RouterState(), Trigger(AlertKind.THEFT, body), 0, cfg)
+
+
 def test_low_severity_routes_alert_only(cfg: ControllerConfig) -> None:
     rs, alert, commands = route(RouterState(), Trigger(AlertKind.ROAD_HAZARD, "x"),
                                 0, cfg)

@@ -20,6 +20,7 @@ from motoguard.core import (ActuatorCommand, Alert, AlertKind, Auth, Buzzer, Con
                             ValidationError, VirtualClock, apply_overrides, event_from_record,
                             event_to_record, _finite, parse_config_text, severity_of,
                             truncate_sms, validate_config)
+from motoguard.gsm import FakeModem, ModemClient
 from motoguard.harness import loads_scenario
 from oracles import (CHECKED_PAYLOAD_REFERENCES, event_from_record_reference,
                      finite_reference, validate_config_reference)
@@ -64,6 +65,23 @@ def test_sms_send_normalizes_body_and_validates_number() -> None:
     SmsSend(to="1234567", body="seven digits ok")
     with pytest.raises(ContractViolation):
         SmsSend(to="+639171234567\n", body="a trailing newline is not a digit")
+
+
+@pytest.mark.parametrize("body,reason", [
+    ("caf\xe9", "body must be ASCII"),
+    ('hi\x1aAT+CMGS="+639999999999"\rpwned', "body must not hold Ctrl-Z (0x1A) or ESC (0x1B)"),
+    ("cancel\x1b", "body must not hold Ctrl-Z (0x1A) or ESC (0x1B)"),
+    ("z" * 159 + "\x1a", "body must not hold Ctrl-Z (0x1A) or ESC (0x1B)"),
+])
+def test_sms_send_refuses_every_body_the_modem_client_refuses(body: str, reason: str) -> None:
+    with pytest.raises(ContractViolation) as err:
+        SmsSend(to="+639171234567", body=body)
+    assert str(err.value) == reason
+    client = ModemClient(FakeModem())
+    client.modem_init()
+    with pytest.raises(ContractViolation) as err:
+        client.send_sms("+639171234567", body)
+    assert str(err.value) == reason
 
 
 @pytest.mark.parametrize("bad", [

@@ -211,6 +211,21 @@ def test_body_limits() -> None:
         client.send_sms(OWNER, "caf\xe9")
 
 
+@pytest.mark.parametrize("body", ['hi\x1aAT+CMGS="+639999999999"\rpwned', "\x1a",
+                                  "cancel\x1b", "x" * 159 + "\x1b"])
+def test_a_body_that_ends_or_cancels_the_send_is_refused_before_any_byte(body: str) -> None:
+    # in text mode Ctrl-Z (0x1A) sends what came before it, and the modem
+    # reads the rest as commands; ESC (0x1B) cancels the send
+    _, modem, client = fresh()
+    client.modem_init()
+    before = list(modem.transcript)
+    with pytest.raises(ContractViolation, match="Ctrl-Z"):
+        client.send_sms(OWNER, body)
+    assert modem.transcript == before
+    assert client.phase is ModemPhase.READY
+    assert client.send_sms(OWNER, "next") == 1  # the refused body took no reference
+
+
 def test_closed_channel_fails_init() -> None:
     _, modem, client = fresh()
     modem.close()

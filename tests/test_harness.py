@@ -10,7 +10,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from motoguard import harness
+from motoguard import core, harness
 from motoguard.core import (PHONE_PATTERN, ActuatorCommand, AlertKind, Auth, Buzzer,
                             ContractViolation, ControllerConfig, GasReading, GpsFix, GeoPoint,
                             DEFAULT_CONFIG, Ignition, IgnitionInhibit, LidarRange, PirMotion,
@@ -24,7 +24,8 @@ from motoguard.harness import (Alert, CaseResult, ConfusionMatrix, EventLog,
                                dumps_scenario, error_rate, evaluate_scenarios, line_chunks,
                                load_scenario, loads_scenario, log_to_jsonl, match_alerts,
                                render_report, report_json, report_json_text, run, save_scenario)
-from oracles import greedy_match, json_lines_reference, log_to_jsonl_reference, run_reference
+from oracles import (greedy_match, json_lines_reference, loads_scenario_reference,
+                     log_to_jsonl_reference, run_reference)
 
 HEADER = '{"name": "t"}'
 
@@ -293,6 +294,161 @@ def test_chunked_decode_agrees_with_one_split(text: str, chunk_chars: int) -> No
         assert _decode_outcome(text) == whole
 
 
+# --- one scanner call per chunk of event lines, against the line walk --------
+
+# every decodable field's JSON texts: int-valued numbers as ints and floats
+GOOD_VALUES = {float: st.one_of(st.integers(0, 90).map(str), st.integers(0, 90).map("{}.0".format),
+                                st.sampled_from(["0.5", "1e1", "-0.0", "12.25"])),
+               bool: st.sampled_from(["true", "false"])}
+BAD_VALUES = st.sampled_from(["-1", "200", '"3"', "null", "[]", "{}", "[{}]", "1e400", "NaN",
+                              '"},{"', "true", "1", "1" * 5000])
+# what may be wrong with one line; None: nothing
+LINE_FAULTS = [None] * 8 + ["bad_value", "missing", "extra", "back", "crlf", "blank", "pad",
+                            "bad_line"]
+
+
+def _escaped(text: str) -> str:
+    """text as a JSON string with its first character \\u-escaped."""
+    return f'"\\u{ord(text[0]):04x}{text[1:]}"'
+
+
+@st.composite
+def event_line(draw, t_ms: int, fault: str | None, twice: st.SearchStrategy) -> str:
+    """One event record of any tag, as text: keys and tag maybe \\u-escaped,
+    spaces around values, and keys given twice, the first time with a value
+    drawn from twice and the second with the value that is kept."""
+    tag = draw(st.sampled_from(sorted(core._DECODERS)))
+    fields = [("t_ms", str(t_ms)), ("sensor", _escaped(tag) if draw(st.booleans()) else f'"{tag}"')]
+    fields += [(name, draw(GOOD_VALUES[core._FIELD_RULES[name][0]]))
+               for name in core._DECODERS[tag][2]]
+    fields = draw(st.permutations(fields))
+    if fault == "bad_value":
+        i = draw(st.integers(0, len(fields) - 1))
+        fields[i] = (fields[i][0], draw(BAD_VALUES))
+    elif fault == "missing":
+        del fields[draw(st.integers(0, len(fields) - 1))]
+    elif fault == "extra":
+        fields.append(("extra", "1"))
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):  # a key twice: the later value wins
+        i = draw(st.integers(0, len(fields) - 1))
+        fields.insert(i, (fields[i][0], draw(twice)))
+    escapes = draw(st.integers(0, 2 ** len(fields) - 1))  # bit i: key i is escaped
+    colon, after = draw(st.sampled_from([(": ", ""), (":", ""), (" : ", " "), (":  ", "  ")]))
+    return "{" + ", ".join(f"{_escaped(key) if escapes >> i & 1 else chr(34) + key + chr(34)}"
+                           f"{colon}{value}{after}"
+                           for i, (key, value) in enumerate(fields)) + "}"
+
+
+@st.composite
+def event_texts(draw) -> str:
+    """A header, then event lines of all nine tags with the faults above, a
+    record maybe split over two lines and two maybe on one, and a final LF,
+    CR LF or none. A clean text has none of these, and no brace but each
+    record's own, so its chunks take the scan."""
+    clean = draw(st.booleans())
+    twice = st.sampled_from(["-1", "0", "true", '"x"', "null"]) if clean else BAD_VALUES
+    lines: list[str] = []
+    t_ms = 0
+    for _ in range(draw(st.integers(0, 12))):
+        fault = None if clean else draw(st.sampled_from(LINE_FAULTS))
+        if fault == "blank":
+            lines.append(draw(st.sampled_from(["", " ", "\r", " \t"])))
+            continue
+        if fault == "bad_line":
+            lines.append(draw(st.sampled_from(["{", "[]", "x", "{}", "{\"t_ms\": 1}"])))
+            continue
+        t_ms = max(0, t_ms + draw(st.sampled_from([0, 0, 1, 7, 30])) - 40 * (fault == "back"))
+        line = draw(event_line(t_ms, fault, twice))
+        if fault == "crlf":
+            line += "\r"
+        elif fault == "pad":
+            line = draw(st.sampled_from([" ", "\t"])) + line
+        lines.append(line)
+    rarely = st.just(False) if clean else st.sampled_from([False, False, False, True])
+    if len(lines) >= 2 and draw(rarely):  # two records on one line
+        i = draw(st.integers(0, len(lines) - 2))
+        lines[i:i + 2] = [lines[i] + draw(st.sampled_from([",", ", "])) + lines[i + 1]]
+    if lines and draw(rarely):  # one record over two lines
+        i = draw(st.integers(0, len(lines) - 1))
+        cut = draw(st.integers(1, max(1, len(lines[i]) - 1)))
+        lines[i:i + 1] = [lines[i][:cut], lines[i][cut:]]
+    return "\n".join([HEADER, *lines]) + draw(st.sampled_from(["", "\n", "\r\n"]))
+
+
+def _typed_outcome(loads, text: str):
+    """The events, each as its repr (which tells 3 from 3.0), or the SchemaError."""
+    try:
+        return [repr(event) for event in loads(text).events]
+    except SchemaError as exc:
+        return exc.line_no, exc.reason
+
+
+SPLIT_RECORD = ['{"t_ms": 1, "sensor": "pir", "detected": [{}', '{}], "detected": true}']
+TWO_RECORDS = [PIR_AT.format(2) + ", " + PIR_AT.format(3)]
+BRACE_TAG = ['{"t_ms": 1, "sensor": "pir", "detected": true, "sensor": "x}',
+             '{", "sensor": "pir"}']
+# two records' braces over two lines, one line without its own
+TWO_THEN_SPLIT = [PIR_AT.format(2) + ', {"t_ms": 3, "sensor": "pir"', ' "detected": true}']
+# each line starts with "{" and ends with "}", yet is not one record
+NOT_ONE_RECORD_A_LINE = {"split_record": SPLIT_RECORD, "two_records": TWO_RECORDS,
+                         "split_and_two": SPLIT_RECORD + TWO_RECORDS,
+                         "tag_holding_brace_comma_brace": BRACE_TAG,
+                         "brace_tag_and_two": BRACE_TAG + TWO_RECORDS,
+                         "two_then_split": TWO_THEN_SPLIT,
+                         "array_closed_early": [PIR_AT.format(2), PIR_AT.format(3) + "]"],
+                         "array_closed_early_brace": [PIR_AT.format(2), PIR_AT.format(3) + "]}"]}
+
+
+@given(event_texts(), st.integers(1, 200))
+@example("\n".join([HEADER, *SPLIT_RECORD]), 200)
+@example("\n".join([HEADER, *TWO_RECORDS]), 200)
+@example("\n".join([HEADER, *SPLIT_RECORD, *TWO_RECORDS]), 200)
+@example("\n".join([HEADER, *BRACE_TAG]), 200)
+@example("\n".join([HEADER, *BRACE_TAG, *TWO_RECORDS]), 200)
+@example("\n".join([HEADER, *TWO_THEN_SPLIT]), 200)
+@example("\n".join([HEADER, PIR_AT.format(2), PIR_AT.format(3) + "]"]), 200)
+@example("\n".join([HEADER, PIR_AT.format(2), PIR_AT.format(3) + "]}"]), 200)
+@example("\n".join([HEADER, PIR_AT.format(5), PIR_AT.format(4)]), 200)
+@example("\n".join([HEADER, PIR_AT.format(5), PIR_AT.format(4)]), 1)  # a chunk a line
+def test_chunk_scan_agrees_with_the_line_walk(text: str, chunk_chars: int) -> None:
+    want = _typed_outcome(loads_scenario_reference, text)
+    assert _typed_outcome(loads_scenario, text) == want
+    with mock.patch.object(harness, "_CHUNK_CHARS", chunk_chars):
+        assert _typed_outcome(loads_scenario, text) == want
+
+
+@pytest.mark.parametrize("lines", NOT_ONE_RECORD_A_LINE.values(), ids=NOT_ONE_RECORD_A_LINE.keys())
+def test_a_chunk_whose_lines_are_not_one_record_each_takes_the_walk(lines: list[str]) -> None:
+    # the list has as many elements as the chunk has lines where both cases
+    # meet, and each element is an event, but a line alone is not JSON
+    assert harness._scanned_events("\n".join(lines), len(lines), 0) is None
+    text = "\n".join([HEADER, *lines])
+    outcome = _typed_outcome(loads_scenario, text)
+    assert outcome == _typed_outcome(loads_scenario_reference, text)
+    assert isinstance(outcome, tuple)  # a SchemaError
+
+
+def test_one_scanner_call_reads_a_chunk_and_each_event_is_one_decode() -> None:
+    text = "\n".join([HEADER] + [PIR_AT.format(t) for t in range(100)]) + "\n"
+    scans, decodes = [], []
+    scan, decode = harness._scan, harness.event_from_record
+    with mock.patch.object(harness, "_scan", lambda *a: scans.append(a) or scan(*a)), \
+            mock.patch.object(harness, "event_from_record",
+                              lambda rec: decodes.append(rec) or decode(rec)):
+        sc = loads_scenario(text)
+    assert len(sc.events) == len(decodes) == 100
+    assert [args[0][:1] for args in scans] == ["{", "["]  # the header, then the one chunk
+
+
+def test_every_event_field_is_a_number_or_a_bool() -> None:
+    # the chunk scan's proof needs an event record to hold no string but its tag
+    for tag, (_, _, names, keys, _) in core._DECODERS.items():
+        assert keys == {"t_ms", "sensor", *names}
+        for name in names:
+            kind, also = core._FIELD_RULES[name][:2]
+            assert (kind, also) in {(float, int), (bool, bool)}, (tag, name)
+
+
 def test_decode_holds_one_chunk_of_lines_not_the_whole_file() -> None:
     # a split of the whole file holds about 2 bytes per input character
     # beside the decoded events; one chunk's lines are a small fraction of that
@@ -531,13 +687,18 @@ ODD_TEXTS = ['"', "\\", "\x00\x08\t\n\x1f\x7f", "\u2028", "caf\u00e9 \u2713 \U00
              'a"b\\c\u2028d\udc00']
 
 texts = st.one_of(st.text(st.characters(exclude_categories=())), st.sampled_from(ODD_TEXTS))
+# what an SMS body may hold: ASCII without the Ctrl-Z and ESC that end a send
+SMS_TEXTS = [text for text in ODD_TEXTS if text.isascii()]
+sms_texts = st.one_of(st.text(st.characters(max_codepoint=127, exclude_categories=(),
+                                            exclude_characters="\x1a\x1b")),
+                      st.sampled_from(SMS_TEXTS))
 log_times = st.integers(0, 10**13)
 flags = st.booleans()
 log_records = st.one_of(
     st.builds(Alert, log_times, st.sampled_from(AlertKind), st.sampled_from(Severity), texts),
     st.builds(ActuatorCommand, log_times, st.one_of(
         st.builds(Buzzer, flags), st.builds(IgnitionInhibit, flags), st.builds(SolenoidLock, flags),
-        st.builds(SmsSend, st.from_regex(PHONE_PATTERN, fullmatch=True), texts))),
+        st.builds(SmsSend, st.from_regex(PHONE_PATTERN, fullmatch=True), sms_texts))),
     st.builds(ModeChange, log_times, st.sampled_from(Mode)),
 )
 
@@ -553,7 +714,7 @@ def _render_outcome(render, log: EventLog) -> tuple:
 @given(st.lists(log_records, max_size=8).map(EventLog))
 @example(EventLog([]))
 @example(EventLog([Alert(0, AlertKind.CRASH, Severity.HIGH, text) for text in ODD_TEXTS]))
-@example(EventLog([ActuatorCommand(0, SmsSend(PHONE, text)) for text in ODD_TEXTS]))
+@example(EventLog([ActuatorCommand(0, SmsSend(PHONE, text)) for text in SMS_TEXTS]))
 @example(EventLog([Alert(0, AlertKind.BEACON, Severity.HIGH, "b"),
                    Alert(0, AlertKind.CRASH, Severity.LOW, "c")]))
 @example(EventLog([ActuatorCommand(0, Buzzer(on=False)),
