@@ -1,9 +1,13 @@
 """Deterministic scenario replay and confusion-matrix evaluation.
 
 Scenario files are line-delimited JSON: a header record (name, config
-overrides, expected labels) followed by time-ordered sensor events. Replays
-run entirely on the virtual clock against a compliant fake modem, so the
-serialized event log for a given scenario is byte-identical on every run.
+overrides, expected labels) followed by time-ordered sensor events. The
+event lines are decoded a chunk at a time, most chunks by one JSON scanner
+call over the chunk's lines; a chunk that call cannot be proved to read as
+one record a line goes through the line walk, the one source of schema
+errors. Replays run entirely on the virtual clock against a compliant fake
+modem, so the serialized event log for a given scenario is byte-identical
+on every run.
 """
 
 from __future__ import annotations
