@@ -155,13 +155,19 @@ class ControllerState(MutableRecord):
     changes: list[ModeChange] = factory(list)
 
 
+def _speed_kph(fix: GpsFix | None) -> float:
+    return 0.0 if fix is None else fix.speed_kph
+
+
 def _crash_sms_text(fix: GpsFix | None, t_ms: int) -> str:
     if fix is None:
         return f"CRASH unknown t={t_ms}"
     return f"CRASH {fix.point.lat_deg:.6f},{fix.point.lon_deg:.6f} t={t_ms}"
 
 
-def _emit(cfg: ControllerConfig, s: ControllerState, t_ms: int, trigger: Trigger) -> None:
+def _emit(cfg: ControllerConfig, s: ControllerState, t_ms: int, trigger: Trigger | None) -> None:
+    if trigger is None:
+        return
     s.router, alert, cmds = route(s.router, trigger, t_ms, cfg)
     if alert is not None:
         s.alerts.append(alert)
@@ -261,8 +267,7 @@ def _on_gas(cfg, s, t_ms, p: GasReading) -> None:
 def _on_lidar(cfg, s, t_ms, p: LidarRange) -> None:
     if s.mode is _RIDING:
         s.collision, trig = collision_step(s.collision, p.range_m, t_ms, cfg)
-        if trig is not None:
-            _emit(cfg, s, t_ms, trig)
+        _emit(cfg, s, t_ms, trig)
         _overtake_eval(cfg, s, t_ms)
 
 
@@ -270,26 +275,20 @@ def _on_mag(cfg, s, t_ms, p: MagField) -> None:
     # calibration accrues in every mode; proximity only matters riding
     s.mag, trig = mag_step(s.mag, p.b_ut, cfg)
     if s.mode is _RIDING:
-        if trig is not None:
-            _emit(cfg, s, t_ms, trig)
+        _emit(cfg, s, t_ms, trig)
         _overtake_eval(cfg, s, t_ms)
 
 
 def _on_pir(cfg, s, t_ms, p: PirMotion) -> None:
     if s.mode is _RIDING:
-        fix = s.last_fix
-        trig = hazard_step(p.detected, 0.0 if fix is None else fix.speed_kph, cfg)
-        if trig is not None:
-            _emit(cfg, s, t_ms, trig)
+        _emit(cfg, s, t_ms, hazard_step(p.detected, _speed_kph(s.last_fix), cfg))
 
 
 def _on_tilt(cfg, s, t_ms, p: Tilt) -> None:
     if s.mode is _RIDING:
-        fix = s.last_fix
-        s.crash, fired = crash_step(s.crash, p.angle_deg, 0.0 if fix is None else fix.speed_kph,
-                                    t_ms, cfg)
+        s.crash, fired = crash_step(s.crash, p.angle_deg, _speed_kph(s.last_fix), t_ms, cfg)
         if fired:
-            _emit(cfg, s, t_ms, Trigger(_CRASH, _crash_sms_text(fix, t_ms)))
+            _emit(cfg, s, t_ms, Trigger(_CRASH, _crash_sms_text(s.last_fix, t_ms)))
             _enter(s, _CRASH_SUSPECTED, t_ms)
 
 
@@ -298,8 +297,7 @@ def _on_fix(cfg, s, t_ms, p: GpsFix) -> None:
         s.last_fix = p
         if s.mode is _RIDING:
             s.overspeed_active, trig = overspeed_step(s.overspeed_active, p.speed_kph, cfg)
-            if trig is not None:
-                _emit(cfg, s, t_ms, trig)
+            _emit(cfg, s, t_ms, trig)
         else:
             _theft_sync(cfg, s, t_ms)
 
@@ -319,8 +317,7 @@ def advance(cfg: ControllerConfig, state: ControllerState, t_ms: int,
             events: list[SensorEvent]) -> None:
     """Apply all events stamped t_ms to state, which the caller owns, in place;
     state.alerts, state.commands and state.changes record what they made, in order."""
-    if type(t_ms) is not int or t_ms < 0:
-        check_t_ms(t_ms)  # raises
+    check_t_ms(t_ms)
     if state.last_t_ms is not None and t_ms < state.last_t_ms:
         raise ContractViolation(f"step at t={t_ms} after t={state.last_t_ms}")
     for ev in events:

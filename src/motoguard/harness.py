@@ -331,10 +331,9 @@ def run(sc: Scenario, cfg: ControllerConfig = DEFAULT_CONFIG) -> EventLog:
             advance(merged, state, t_ms, list(group))
         except ContractViolation as exc:
             raise ContractViolation(f"{sc.name}: at t={t_ms}: {exc}") from exc
-        if state.alerts or state.commands or state.changes:  # most steps record nothing
-            records += state.alerts
-            records += state.commands
-            records += state.changes
+        records += state.alerts
+        records += state.commands
+        records += state.changes
         if state.router.pending_sms:
             # only the modem and its client read the clock, and t_ms never
             # decreases, so bringing it up only before a drain reads the same

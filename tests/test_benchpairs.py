@@ -30,6 +30,11 @@ def test_nine_of_ten_pairs_is_enough_and_eight_is_not() -> None:
     assert wins(head, BASE, "higher") == 8 and not claim(BASE, head, "higher")["claim"]
 
 
+def test_fewer_than_ten_pairs_is_no_claim_whatever_they_read() -> None:
+    verdict = claim(BASE[:9], [v + 5.0 for v in BASE[:9]], "higher")
+    assert verdict["head"]["won"] == 9 and not verdict["claim"]
+
+
 def test_a_gain_inside_the_base_spread_is_no_claim() -> None:
     verdict = claim(BASE, [v + 0.1 for v in BASE], "higher")
     assert verdict["head"]["won"] == 10

@@ -1,20 +1,21 @@
 """Before/after pairs of the benchmark, written to a committed BENCH_<head7>.json.
 
-    python3 tools/benchpairs.py BASE HEAD --workload ride_dense --pairs 10 --seconds 20 --seed 1
+    python3 tools/benchpairs.py BASE HEAD --workload ride_dense --pairs 10 --seed 1
 
 Run it from the root of a git checkout; it uses the standard library only.
 It exports both revisions with ``git archive`` into
 ``.perfbench_work/pairs/<rev7>/``, byte-compiles each export the same way,
 and runs each side's own ``perfbench/run.py --trace 0`` once per pair, base
-first in even pairs and head first in odd ones. A result that is not
-``correct`` stops the command and writes nothing. The workload's entry in
-``BENCH_<head7>.json`` at the root holds, per end-to-end metric, each side's
-median, quartiles and pairs won, and the claim verdict. Other workloads'
-entries in the same file are kept.
+first in even pairs and head first in odd ones, for the ``run_seconds`` of
+the base's BENCHMARK.json. A result that is not ``correct`` stops the
+command and writes nothing. The workload's entry in ``BENCH_<head7>.json``
+at the root holds the seed, Python version and CPU count of its runs and,
+per end-to-end metric, each side's median, quartiles and pairs won, and the
+claim verdict. A run replaces its workload's entry and keeps the others.
 
-The claim rule: head wins at least nine tenths of the pairs (9 of 10), and
-its median is better than the base's by more than the base's q1-q3 spread.
-Quartiles are statistics.quantiles' default (exclusive) method.
+The claim rule: at least ten pairs, head wins at least nine tenths of them,
+and its median is better than the base's by more than the base's q1-q3
+spread. Quartiles are statistics.quantiles' default (exclusive) method.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from pathlib import Path
 from statistics import median, quantiles
 
 WORK_DIR = Path(".perfbench_work") / "pairs"
+MIN_PAIRS = 10
 
 
 def summary(values: list[float]) -> dict:
@@ -49,7 +51,8 @@ def claim(base: list[float], head: list[float], better: str) -> dict:
     sign = 1 if better == "higher" else -1
     gain = sign * (head_s["median"] - base_s["median"])
     head_wins = wins(head, base, better)
-    holds = head_wins >= math.ceil(0.9 * len(base)) and gain > base_s["q3"] - base_s["q1"]
+    holds = (len(base) >= MIN_PAIRS and head_wins >= math.ceil(0.9 * len(base))
+             and gain > base_s["q3"] - base_s["q1"])
     return {"better": better, "base": {**base_s, "won": wins(base, head, better)},
             "head": {**head_s, "won": head_wins},
             "change": (head_s["median"] - base_s["median"]) / base_s["median"],
@@ -98,18 +101,18 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("head")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=int, default=20)
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
     base, head = git("rev-parse", args.base), git("rev-parse", args.head)
     trees = {"base": export(base), "head": export(head)}
     spec = json.loads((trees["base"] / "BENCHMARK.json").read_text(encoding="utf-8"))
     metrics = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    seconds = spec["run_seconds"]
     values: dict[str, dict[str, list[float]]] = {side: {name: [] for name in metrics}
                                                  for side in trees}
     for i in range(args.pairs):
         for side in ("base", "head") if i % 2 == 0 else ("head", "base"):
-            result = run_once(trees[side], args.workload, args.seconds, args.seed)
+            result = run_once(trees[side], args.workload, seconds, args.seed)
             for name in metrics:
                 values[side][name].append(result["metrics"][name]["value"])
         print(f"pair {i + 1}/{args.pairs}: " + ", ".join(
@@ -120,11 +123,11 @@ def main(argv: list[str] | None = None) -> int:
     doc = json.loads(path.read_text(encoding="utf-8")) if path.is_file() else {}
     if doc.get("base") != base:
         doc = {}
-    doc.update(base=base, head=head, python=platform.python_version(),
-               nproc=len(os.sched_getaffinity(0)), seed=args.seed,
+    doc.update(base=base, head=head,
                src_lines={side: src_lines(tree) for side, tree in trees.items()})
     doc.setdefault("workloads", {})[args.workload] = {
-        "pairs": args.pairs, "seconds": args.seconds,
+        "pairs": args.pairs, "seconds": seconds, "seed": args.seed,
+        "python": platform.python_version(), "nproc": len(os.sched_getaffinity(0)),
         "order": "base first in even pairs, head first in odd ones",
         "metrics": {name: {**claim(values["base"][name], values["head"][name], better),
                            "values": {side: values[side][name] for side in trees}}
