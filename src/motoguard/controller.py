@@ -121,10 +121,8 @@ def drain_sms(rs: RouterState, client: ModemClient) -> tuple[RouterState, int, l
     sent = 0
     failures: list[str] = []
     try:
-        if client.phase is not _READY:
-            client.modem_init()
-            if client.phase is not _READY:  # a reply of the init is still due
-                return rs, 0, failures
+        if client.phase is not _READY and not client.modem_init():  # an init reply is due
+            return rs, 0, failures
         for msg in rs.pending_sms:
             if client.send_sms(msg.to, msg.body) is None:
                 break

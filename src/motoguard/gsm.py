@@ -1,12 +1,13 @@
 """Text-mode (AT+CMGF=1) SMS client over a byte channel, plus a fake modem.
 
 The client never waits. A channel has ``write(data)``, a ``read_available()``
-that returns whatever bytes have arrived, and the ``clock`` its deadlines
-are read from. A reply that has not arrived leaves its exchange in flight
-with a deadline; a later call polls it on, and one made at or past the
-deadline retries the command or fails the exchange. The client never moves
-the clock, so the loop that owns it decides how much time passes between
-polls, and failure-path tests stay fast and byte-for-byte reproducible.
+that returns whatever bytes have arrived, and a ``clock``, read only while a
+reply is due. A reply that has not arrived leaves its exchange in flight
+with a deadline, which starts at the poll that first finds it missing; a
+later call polls it on, and one made at or past the deadline retries the
+command or fails the exchange. The client never moves the clock, so the
+loop that owns it decides how much time passes between polls, and
+failure-path tests stay fast and byte-for-byte reproducible.
 """
 
 from __future__ import annotations
@@ -20,6 +21,23 @@ INIT_SEQUENCE = ("AT", "ATE0", "AT+CMGF=1")
 CTRL_Z = b"\x1a"
 DEFAULT_TIMEOUT_MS = 1000  # from a command to the deadline of its reply
 INIT_RETRIES = 2  # per init command, on timeout only
+
+# The compliant reply to an init command, to a send header and to a message
+# body, and the final ERROR, which the fake modem also answers with. A message
+# reference is 1 to 640 ASCII digits, both here and in the walk: int() reads
+# that many on every interpreter, whatever its int_max_str_digits limit
+# (sys.int_info.str_digits_check_threshold).
+_OK = b"\r\nOK\r\n"
+_PROMPT = b"\r\n> "
+_ERROR = b"\r\nERROR\r\n"
+_REF = "[0-9]{1,640}"
+_SENT = re.compile(rb"\r\n\+CMGS: (%b)\r\nOK\r\n" % _REF.encode("ascii"))
+_INIT_FRAMES = tuple(cmd.encode("ascii") + b"\r" for cmd in INIT_SEQUENCE)
+# an exchange's steps, by the reply each awaits: one per init command, then
+# the prompt after a send header and the reference after its body; each
+# step's command as its errors name it
+_COMMANDS = (*INIT_SEQUENCE, "AT+CMGS", "AT+CMGS")
+_PROMPT_STEP, _REF_STEP = len(INIT_SEQUENCE), len(INIT_SEQUENCE) + 1
 
 
 class ModemError(Exception):
@@ -112,17 +130,17 @@ class FakeModem:
         if name is None or name in self.silent_commands:
             return
         if name in self.fail_commands:
-            self.inject(b"\r\nERROR\r\n")
+            self.inject(_ERROR)
             return
         if name == "SEND":
             self.inject(b"\r\n+CMGS: %d\r\nOK\r\n" % self._next_ref)
             self._next_ref += 1
         elif name == "AT+CMGS":
-            self.inject(b"\r\n> ")
+            self.inject(_PROMPT)
         elif name in INIT_SEQUENCE:
-            self.inject(b"\r\nOK\r\n")
+            self.inject(_OK)
         else:
-            self.inject(b"\r\nERROR\r\n")
+            self.inject(_ERROR)
 
     @staticmethod
     def _normalize(frame: bytes) -> str | None:
@@ -133,22 +151,6 @@ class FakeModem:
         if frame.startswith(b"AT+CMGS="):
             return "AT+CMGS"
         return frame[:-1].decode("ascii", errors="replace")
-
-
-# The compliant reply to an init command, to a send header and to a message
-# body. A message reference is 1 to 640 ASCII digits, both here and in the
-# walk: int() reads that many on every interpreter, whatever its
-# int_max_str_digits limit (sys.int_info.str_digits_check_threshold).
-_OK = b"\r\nOK\r\n"
-_PROMPT = b"\r\n> "
-_REF = "[0-9]{1,640}"
-_SENT = re.compile(rb"\r\n\+CMGS: (%b)\r\nOK\r\n" % _REF.encode("ascii"))
-_INIT_FRAMES = tuple(cmd.encode("ascii") + b"\r" for cmd in INIT_SEQUENCE)
-# an exchange's steps, by the reply each awaits: one per init command, then
-# the prompt after a send header and the reference after its body; each
-# step's command as its errors name it
-_COMMANDS = (*INIT_SEQUENCE, "AT+CMGS", "AT+CMGS")
-_PROMPT_STEP, _REF_STEP = len(INIT_SEQUENCE), len(INIT_SEQUENCE) + 1
 
 
 def _walk(step: int, rx: bytes) -> int | bool | None:
@@ -187,7 +189,7 @@ class ModemClient:
     leaves its exchange in flight and returns False (init) or None (send);
     calling again polls the same exchange on. Every reply is read once, as
     bytes: a compliant one is recognised whole, and only what that refuses
-    is walked line by line.
+    is walked line by line. The clock is read only while a reply is due.
     """
 
     def __init__(self, channel):
@@ -195,11 +197,12 @@ class ModemClient:
         self.phase = ModemPhase.UNINITIALIZED
         self.last_error: str | None = None
         # the exchange in flight: the step whose reply it awaits (None when
-        # idle), that reply's bytes so far, its deadline, the writes of the
-        # step's command still allowed, and the message of a send
+        # idle), that reply's bytes so far, its deadline (None until a poll
+        # finds the reply due), the writes of the step's command still
+        # allowed, and the message of a send
         self._step: int | None = None
         self._rx = b""
-        self._due_ms = 0
+        self._due_ms: int | None = None
         self._tries = 0
         self._msg: tuple[str, str] | None = None
 
@@ -207,23 +210,12 @@ class ModemClient:
         """Run AT / ATE0 / AT+CMGF=1, retrying each command whose reply
         misses its deadline. True once READY, False while a reply is due;
         raises the ModemError that failed it."""
-        if self._step is not None:
-            if self._step >= _PROMPT_STEP:
-                raise ContractViolation("modem_init while a send is in flight")
-            return self._poll() is not None
-        channel = self.channel
-        try:
-            for step, frame in enumerate(_INIT_FRAMES):
-                channel.write(frame)
-                if (rx := channel.read_available()) != _OK:
-                    self.phase = ModemPhase.UNINITIALIZED
-                    return self._await(step, rx, INIT_RETRIES) is not None
-        except ModemError as exc:
-            self._fail(exc)
-            raise
-        self.phase = ModemPhase.READY
-        self.last_error = None
-        return True
+        if (idle := self._step is None):
+            self.phase = ModemPhase.UNINITIALIZED
+            self._step, self._rx, self._tries = 0, b"", INIT_RETRIES
+        elif self._step >= _PROMPT_STEP:
+            raise ContractViolation("modem_init while a send is in flight")
+        return self._poll(write=idle) is not None
 
     def send_sms(self, to: str, body: str) -> int | None:
         """Send one message: the modem's message reference, or None while a
@@ -255,26 +247,30 @@ class ModemClient:
             self._fail(exc)
             raise
         self._msg = (to, body)
-        return self._await(step, rx, 0)
+        self._step, self._rx, self._tries, self._due_ms = step, rx, 0, None
+        return self._poll()
 
     # --- internals ---------------------------------------------------------
 
-    def _await(self, step: int, rx: bytes, tries: int) -> int | bool | None:
-        """Leave the exchange in flight: step's frame was just written, and
-        rx, all it buffers, is what has come back so far."""
-        self._step, self._rx, self._tries = step, rx, tries
-        self._due_ms = self.channel.clock.now_ms() + DEFAULT_TIMEOUT_MS
-        return self._poll()
-
-    def _poll(self) -> int | bool | None:
+    def _poll(self, write: bool = False) -> int | bool | None:
         """Move the exchange in flight on as far as the bytes that have
-        arrived allow: its result once it ends, None while a reply is due."""
-        now = self.channel.clock.now_ms()
+        arrived allow, writing its step's frame first if write: its result
+        once it ends, None while a reply is due. The one place that writes
+        a frame of an exchange in flight, and that reads the clock."""
+        channel = self.channel
         try:
             while True:
-                self._rx += self.channel.read_available()
                 step = self._step
-                if (result := _walk(step, self._rx)) is None:
+                if write:
+                    channel.write(_INIT_FRAMES[step] if step < _PROMPT_STEP
+                                  else self._msg[1].encode("ascii") + CTRL_Z)
+                    self._due_ms = None
+                rx = self._rx = self._rx + channel.read_available()
+                result = True if step < _PROMPT_STEP and rx == _OK else _walk(step, rx)
+                if result is None:
+                    now = channel.clock.now_ms()
+                    if self._due_ms is None:  # the first poll to find the reply due
+                        self._due_ms = now + DEFAULT_TIMEOUT_MS
                     if now < self._due_ms:
                         return None
                     if not self._tries:
@@ -290,16 +286,14 @@ class ModemClient:
                     self._step = step = step + 1
                     self._rx = b""
                     self._tries = INIT_RETRIES if step < _PROMPT_STEP else 0
-                self.channel.write(_INIT_FRAMES[step] if step < _PROMPT_STEP
-                                   else self._msg[1].encode("ascii") + CTRL_Z)
-                self._due_ms = now + DEFAULT_TIMEOUT_MS
+                write = True
         except ModemError as exc:
             self._fail(exc)
             raise
 
     def _fail(self, exc: ModemError) -> None:
         # the exchange is over, and with it the bytes it buffered: the next
-        # one starts from what its own first read returns (see _await)
+        # one starts from what its own first read returns
         self.phase = ModemPhase.FAILED
         self.last_error = str(exc)
         self._step = None

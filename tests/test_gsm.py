@@ -327,6 +327,34 @@ def test_a_reply_split_across_polls_is_read_before_its_deadline() -> None:
     assert modem.transcript[-2:] == [b'AT+CMGS="+639171234567"\r', b"hello\x1a"]
 
 
+def test_an_init_reply_split_across_a_retry_keeps_its_first_bytes() -> None:
+    clock = VirtualClock()
+    modem = FakeModem(clock, silent_commands={"AT"})
+    client = ModemClient(modem)
+    results = [client.modem_init()]
+    modem.inject(b"\r\nO")
+    clock.advance(DEFAULT_TIMEOUT_MS)
+    results.append(client.modem_init())  # the deadline passed: AT is written again
+    modem.inject(b"K\r\n")
+    results.append(client.modem_init())  # the OK spans the retry
+    assert results == [False, False, True]
+    assert modem.transcript == [b"AT\r", b"AT\r", b"ATE0\r", b"AT+CMGF=1\r"]
+
+
+class ClocklessChannel:
+    """A channel with only ``write`` and ``read_available``, around a fake modem."""
+
+    def __init__(self, modem: FakeModem):
+        self.write = modem.write
+        self.read_available = modem.read_available
+
+
+def test_a_compliant_exchange_reads_no_clock() -> None:
+    client = ModemClient(ClocklessChannel(FakeModem()))
+    assert client.modem_init() is True
+    assert [client.send_sms(OWNER, "hello") for _ in range(3)] == [1, 2, 3]
+
+
 def test_unsolicited_lines_around_a_reply_are_skipped() -> None:
     _, modem, client = fresh()
     client.modem_init()

@@ -498,9 +498,9 @@ def test_replay_brings_the_modem_up_only_to_send(corpus_dir: Path, monkeypatch) 
     queued: list[int] = []  # the queue length at each drain
     modem_init = ModemClient.modem_init
 
-    def counted(client: ModemClient) -> None:
+    def counted(client: ModemClient) -> bool:
         inits.append(client)
-        modem_init(client)
+        return modem_init(client)
 
     def counted_drain(rs, client):
         queued.append(len(rs.pending_sms))
