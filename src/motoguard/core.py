@@ -43,8 +43,8 @@ class ConfigError(ValueError):
 class VirtualClock:
     """Monotonic millisecond clock advanced explicitly by the harness."""
 
-    def __init__(self, start_ms: int = 0):
-        self._now = start_ms
+    def __init__(self):
+        self._now = 0
 
     def now_ms(self) -> int:
         return self._now
@@ -249,9 +249,7 @@ class _RuleChecked(Record):
             value = getattr(self, name)
             if kind is not float:
                 ok = isinstance(value, kind)
-            elif type(value) is float:  # the finite bounds reject nan and +-inf
-                ok = lo <= value <= hi
-            else:  # _finite rejects a bool and a non-number, and bounds the rest above
+            else:  # _finite rejects a bool, a non-number, nan and +-inf
                 ok = _finite(value) and (value >= lo if hi == _MAX else lo <= value <= hi)
             if not ok:
                 raise ContractViolation(text.format(name, value))

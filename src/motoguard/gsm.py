@@ -32,6 +32,10 @@ _PROMPT = b"\r\n> "
 _ERROR = b"\r\nERROR\r\n"
 _REF = "[0-9]{1,640}"
 _SENT = re.compile(rb"\r\n\+CMGS: (%b)\r\nOK\r\n" % _REF.encode("ascii"))
+# the fake modem's reply to each command it knows, by normalized name; the
+# one to a message body gets the message's reference
+_SENT_REPLY = b"\r\n+CMGS: %d\r\nOK\r\n"
+_REPLIES = {**dict.fromkeys(INIT_SEQUENCE, _OK), "AT+CMGS": _PROMPT, "SEND": _SENT_REPLY}
 _INIT_FRAMES = tuple(cmd.encode("ascii") + b"\r" for cmd in INIT_SEQUENCE)
 # an exchange's steps, by the reply each awaits: one per init command, then
 # the prompt after a send header and the reference after its body; each
@@ -94,15 +98,14 @@ class FakeModem:
 
     def __init__(self, clock: VirtualClock | None = None, *,
                  silent_commands: set[str] | None = None,
-                 fail_commands: set[str] | None = None,
-                 ref_start: int = 1):
+                 fail_commands: set[str] | None = None):
         self.clock = clock if clock is not None else VirtualClock()
         self.silent_commands = set(silent_commands or ())
         self.fail_commands = set(fail_commands or ())
         self.transcript: list[bytes] = []
         self._buffer = b""
         self._closed = False
-        self._next_ref = ref_start
+        self._next_ref = 1
 
     def close(self) -> None:
         self._closed = True
@@ -129,18 +132,11 @@ class FakeModem:
         name = self._normalize(frame)
         if name is None or name in self.silent_commands:
             return
-        if name in self.fail_commands:
-            self.inject(_ERROR)
-            return
-        if name == "SEND":
-            self.inject(b"\r\n+CMGS: %d\r\nOK\r\n" % self._next_ref)
+        reply = _ERROR if name in self.fail_commands else _REPLIES.get(name, _ERROR)
+        if reply is _SENT_REPLY:  # each message sent takes the next reference
+            reply %= self._next_ref
             self._next_ref += 1
-        elif name == "AT+CMGS":
-            self.inject(_PROMPT)
-        elif name in INIT_SEQUENCE:
-            self.inject(_OK)
-        else:
-            self.inject(_ERROR)
+        self.inject(reply)
 
     @staticmethod
     def _normalize(frame: bytes) -> str | None:

@@ -13,6 +13,7 @@ on every run.
 from __future__ import annotations
 
 import json
+import re
 from itertools import groupby
 from operator import attrgetter
 from pathlib import Path
@@ -151,15 +152,7 @@ _BLANK_LINE = object()  # what _line_value gives for a blank line
 
 def _line_value(raw: str, line_no: int) -> object:
     """The JSON value of one line, _BLANK_LINE for a blank one, or a SchemaError
-    on line_no. The scanner takes a value that starts the line (StopIteration:
-    none does); a line it fails on or does not consume whole is blank or goes
-    through json.loads, which names the failure."""
-    try:
-        obj, end = _scan(raw, 0)
-    except (StopIteration, ValueError, RecursionError):
-        end = -1
-    if end == len(raw):
-        return obj
+    on line_no naming json.loads's failure."""
     if not raw.strip(BLANK):
         return _BLANK_LINE
     try:
@@ -176,6 +169,7 @@ def _line_value(raw: str, line_no: int) -> object:
 _CHUNK_CHARS = 1 << 16
 # what a blank line may hold: JSON's whitespace, less the LF that ends a line
 BLANK = " \t\r"
+_HEADER_LINE = re.compile(r"^[ \t\r]*[^ \t\r\n]", re.M)  # the first line not blank
 
 
 def _text_chunks(text: str, start: int, stop: int):
@@ -252,16 +246,11 @@ def loads_scenario(text: str) -> Scenario:
     are read about _CHUNK_CHARS characters at a time: a chunk whose lines are
     all plain event records is decoded by one scanner call (_scanned_events),
     and any other chunk, or one that fails, by the line walk (_walk)."""
-    start = line_no = 0
-    while True:
-        end = text.find("\n", start)
-        line_no += 1
-        header = _line_value(text[start:] if end < 0 else text[start:end], line_no)
-        if header is not _BLANK_LINE:
-            break
-        if end < 0:
-            raise SchemaError(1, "missing header record")
-        start = end + 1
+    if (first := _HEADER_LINE.search(text)) is None:
+        raise SchemaError(1, "missing header record")
+    start, end = first.start(), text.find("\n", first.end())
+    line_no = text.count("\n", 0, start) + 1
+    header = _line_value(text[start:end if end >= 0 else None], line_no)
     sc = _scenario_from_header(header, line_no)
     if end < 0:
         return sc

@@ -18,8 +18,8 @@ into its slot through the class's _unchecked (see core.Record), without the
 GeoPoint rule loop testing the same bounds again. to_gps_fix builds the GpsFix
 of such a record the same way. The checksum XORs the body's bytes by folding
 them as one int, not byte by byte. Every other sentence goes to the rejection
-walk, which only names the first fault: it builds no record, and a sentence it
-finds no fault in is an internal error.
+walk, which names only the first fault and checks body characters one by one:
+it builds no record, and a sentence it finds no fault in is an internal error.
 """
 
 from __future__ import annotations
@@ -109,13 +109,10 @@ def checksum(body: str) -> str:
 
     The body must be printable ASCII and may not itself contain '$' or '*'.
     """
-    # printable ASCII is exactly 0x20..0x7E; the per-character scan only runs
-    # to name the first offending character
-    if not (body.isascii() and body.isprintable()) or "$" in body or "*" in body:
-        for ch in body:
-            code = ord(ch)
-            if code < 0x20 or code > 0x7E or ch in "$*":
-                raise ParseError(f"invalid body character: {ch!r}")
+    for ch in body:
+        code = ord(ch)
+        if code < 0x20 or code > 0x7E or ch in "$*":
+            raise ParseError(f"invalid body character: {ch!r}")
     return _xor_hex(body)
 
 

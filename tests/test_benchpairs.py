@@ -19,6 +19,7 @@ def test_summary_is_the_median_and_the_exclusive_quartiles() -> None:
 def test_a_gain_in_every_pair_beyond_the_base_spread_is_a_claim() -> None:
     verdict = claim(BASE, [v + 5.0 for v in BASE], "higher")
     assert verdict["claim"] and verdict["head"]["won"] == 10 and verdict["base"]["won"] == 0
+    assert verdict["loss_inside_iqr"]  # a gain is no loss
     assert round(verdict["change"], 4) == round(5.0 / 100.15, 4)
 
 
@@ -44,3 +45,20 @@ def test_a_gain_inside_the_base_spread_is_no_claim() -> None:
 def test_lower_is_better_turns_the_rule_round() -> None:
     assert claim(BASE, [v - 5.0 for v in BASE], "lower")["claim"]
     assert not claim(BASE, [v + 5.0 for v in BASE], "lower")["claim"]
+
+
+# 1..10: median 5.5, exclusive quartiles 2.75 and 8.25, so an IQR of exactly 5.5
+STEPS = [float(v) for v in range(1, 11)]
+
+
+def test_a_loss_equal_to_the_base_spread_is_inside_it() -> None:
+    verdict = claim(STEPS, [v - 5.5 for v in STEPS], "higher")
+    assert verdict["iqr_base"] == 5.5 and verdict["head"]["median"] == 0.0
+    assert verdict["loss_inside_iqr"] and not verdict["claim"]
+
+
+def test_a_loss_just_beyond_the_base_spread_is_outside_it() -> None:
+    beyond = 5.5 + 2 ** -10  # exact in binary, as is every value below
+    assert not claim(STEPS, [v - beyond for v in STEPS], "higher")["loss_inside_iqr"]
+    assert not claim(STEPS, [v + beyond for v in STEPS], "lower")["loss_inside_iqr"]
+    assert claim(STEPS, [v + 5.5 for v in STEPS], "lower")["loss_inside_iqr"]

@@ -69,14 +69,6 @@ def test_send_golden_transcript_and_refs() -> None:
     assert client.phase is ModemPhase.READY
 
 
-def test_ref_start_is_scriptable() -> None:
-    clock = VirtualClock()
-    modem = FakeModem(clock, ref_start=41)
-    client = ModemClient(modem)
-    client.modem_init()
-    assert client.send_sms(OWNER, "x") == 41
-
-
 def test_silent_modem_times_out_after_retries() -> None:
     clock = VirtualClock()
     modem = FakeModem(clock, silent_commands={"AT"})

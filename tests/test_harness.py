@@ -440,14 +440,16 @@ def test_a_string_holding_a_closing_brace_takes_the_scan() -> None:
 
 def test_one_scanner_call_reads_a_chunk_and_each_event_is_one_decode() -> None:
     text = "\n".join([HEADER] + [PIR_AT.format(t) for t in range(100)]) + "\n"
-    scans, decodes = [], []
-    scan, decode = harness._scan, harness.event_from_record
+    scans, decodes, walks = [], [], []
+    scan, decode, walk = harness._scan, harness.event_from_record, harness._walk
     with mock.patch.object(harness, "_scan", lambda *a: scans.append(a) or scan(*a)), \
             mock.patch.object(harness, "event_from_record",
-                              lambda rec: decodes.append(rec) or decode(rec)):
+                              lambda rec: decodes.append(rec) or decode(rec)), \
+            mock.patch.object(harness, "_walk", lambda *a: walks.append(a) or walk(*a)):
         sc = loads_scenario(text)
     assert len(sc.events) == len(decodes) == 100
-    assert [args[0][:1] for args in scans] == ["{", "["]  # the header, then the one chunk
+    assert [args[0][:1] for args in scans] == ["["]  # the one chunk; the header is not scanned
+    assert walks == []  # a plain LF ride never takes the line walk
 
 
 def test_decode_holds_one_chunk_of_lines_not_the_whole_file() -> None:

@@ -15,7 +15,10 @@ claim verdict. A run replaces its workload's entry and keeps the others.
 
 The claim rule: at least ten pairs, head wins at least nine tenths of them,
 and its median is better than the base's by more than the base's q1-q3
-spread. Quartiles are statistics.quantiles' default (exclusive) method.
+spread. The deletion rule, recorded as loss_inside_iqr: the head's median is
+no worse than the base's by more than that spread, so a speed path whose
+removal reads so is not paying for its lines. Quartiles are
+statistics.quantiles' default (exclusive) method.
 """
 
 from __future__ import annotations
@@ -51,12 +54,13 @@ def claim(base: list[float], head: list[float], better: str) -> dict:
     sign = 1 if better == "higher" else -1
     gain = sign * (head_s["median"] - base_s["median"])
     head_wins = wins(head, base, better)
+    iqr = base_s["q3"] - base_s["q1"]
     holds = (len(base) >= MIN_PAIRS and head_wins >= math.ceil(0.9 * len(base))
-             and gain > base_s["q3"] - base_s["q1"])
+             and gain > iqr)
     return {"better": better, "base": {**base_s, "won": wins(base, head, better)},
             "head": {**head_s, "won": head_wins},
             "change": (head_s["median"] - base_s["median"]) / base_s["median"],
-            "iqr_base": base_s["q3"] - base_s["q1"], "claim": holds}
+            "iqr_base": iqr, "claim": holds, "loss_inside_iqr": -gain <= iqr}
 
 
 def git(*args: str) -> str:
