@@ -76,8 +76,10 @@ def export(rev: str) -> Path:
         archive = subprocess.run(["git", "archive", "--format=tar", rev], check=True,
                                  capture_output=True).stdout
         subprocess.run(["tar", "-x", "-C", str(out)], input=archive, check=True)
-        subprocess.run([sys.executable, "-m", "compileall", "-q", "src", "perfbench"],
-                       cwd=out, check=True)
+    # on every call: a kept export that lost its bytecode would compile in each
+    # run, and read slower setup_s than a side that has it
+    subprocess.run([sys.executable, "-m", "compileall", "-q", "src", "perfbench"],
+                   cwd=out, check=True)
     return out
 
 
