@@ -169,7 +169,7 @@ def _line_value(raw: str, line_no: int) -> object:
 _CHUNK_CHARS = 1 << 16
 # what a blank line may hold: JSON's whitespace, less the LF that ends a line
 BLANK = " \t\r"
-_HEADER_LINE = re.compile(r"^[ \t\r]*[^ \t\r\n]", re.M)  # the first line not blank
+_HEADER_LINE = re.compile(r"^[ \t\r]*[^ \t\r\n].*", re.M)  # the first line not blank
 
 
 def _text_chunks(text: str, start: int, stop: int):
@@ -246,17 +246,14 @@ def loads_scenario(text: str) -> Scenario:
     are read about _CHUNK_CHARS characters at a time: a chunk whose lines are
     all plain event records is decoded by one scanner call (_scanned_events),
     and any other chunk, or one that fails, by the line walk (_walk)."""
-    if (first := _HEADER_LINE.search(text)) is None:
+    if (header := _HEADER_LINE.search(text)) is None:
         raise SchemaError(1, "missing header record")
-    start, end = first.start(), text.find("\n", first.end())
-    line_no = text.count("\n", 0, start) + 1
-    header = _line_value(text[start:end if end >= 0 else None], line_no)
-    sc = _scenario_from_header(header, line_no)
-    if end < 0:
-        return sc
+    line_no = text.count("\n", 0, header.start()) + 1
+    sc = _scenario_from_header(_line_value(header[0], line_no), line_no)
     events, prev_ms = sc.events, 0
-    # a final LF ends the last line and starts an empty one, which holds no event
-    for piece in _text_chunks(text, end + 1, len(text) - text.endswith("\n")):
+    # a final LF ends the last line and starts an empty one, which holds no
+    # event; a header with no LF after it leaves one empty piece past the end
+    for piece in _text_chunks(text, header.end() + 1, len(text) - text.endswith("\n")):
         lines = piece.count("\n") + 1
         scanned = _scanned_events(piece, lines, prev_ms)
         if scanned is None:
