@@ -249,9 +249,7 @@ class _RuleChecked(Record):
             value = getattr(self, name)
             if kind is not float:
                 ok = isinstance(value, kind)
-            elif type(value) is float:  # the finite bounds reject nan and +-inf
-                ok = lo <= value <= hi
-            else:  # _finite rejects a bool and a non-number, and bounds the rest above
+            else:  # _finite rejects a bool, a non-number, nan and +-inf
                 ok = _finite(value) and (value >= lo if hi == _MAX else lo <= value <= hi)
             if not ok:
                 raise ContractViolation(text.format(name, value))
