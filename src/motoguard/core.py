@@ -453,25 +453,28 @@ _TAG_OF_TYPE = {cls: tag for tag, cls in _SENSOR_TAGS.items()}
 def event_to_record(ev: SensorEvent) -> dict:
     """Flatten an event to the line-record shape used by scenario files."""
     rec: dict = {"t_ms": ev.t_ms, "sensor": _TAG_OF_TYPE[type(ev.payload)]}
-    if isinstance(ev.payload, GpsFix):
-        rec["lat_deg"] = ev.payload.point.lat_deg
-        rec["lon_deg"] = ev.payload.point.lon_deg
-        rec["speed_kph"] = ev.payload.speed_kph
-        rec["valid"] = ev.payload.valid
-    else:
-        for name in ev.payload.__match_args__:
-            rec[name] = getattr(ev.payload, name)
+    _flatten(ev.payload, rec)
     return rec
 
 
-def _gps_from_fields(lat_deg: float, lon_deg: float, speed_kph: float, valid: bool) -> GpsFix:
-    return GpsFix(GeoPoint(lat_deg, lon_deg), speed_kph, valid)
+def _flatten(record: _RuleChecked, rec: dict) -> None:
+    """Store record's fields in rec by its rows, a nested record's (a fix's point) in its place."""
+    for name, kind, *_ in record._rows:
+        if issubclass(kind, _RuleChecked):
+            _flatten(getattr(record, name), rec)
+        else:
+            rec[name] = getattr(record, name)
+
+
+def _unflatten(cls: type, rec: dict) -> _RuleChecked:
+    """Inverse of _flatten through the checked constructors, a nested record's first."""
+    return cls(*(_unflatten(kind, rec) if issubclass(kind, _RuleChecked) else rec[name]
+                 for name, kind, *_ in cls._rows))
 
 
 def _decoder(cls: type) -> tuple:
-    """(direct decoder, constructor, record fields in constructor order, exact
-    record key set, getter of the field values: a tuple for several fields,
-    else the one value).
+    """(direct decoder, record fields in the order of cls's rows, a nested
+    record's in its place, exact record key set).
 
     One exec makes the direct decoder from cls's rows. It reads t_ms and each
     field with rec.get, a nested record's fields (a fix's point) in its place,
@@ -507,9 +510,7 @@ def _decoder(cls: type) -> tuple:
     exec(f"def _decode_{cls.__name__}(rec):\n t_ms, {', '.join(names)}, = {reads}\n"
          f" if (len(rec) == {len(names) + 2} and type(t_ms) is int and t_ms >= 0\n"
          f"   and {' and '.join(tests)}):\n  {'; '.join(stores)}\n  return event", env)
-    direct, names = env[f"_decode_{cls.__name__}"], tuple(names)
-    build = _gps_from_fields if cls is GpsFix else cls
-    return direct, build, names, frozenset(names) | {"t_ms", "sensor"}, itemgetter(*names)
+    return env[f"_decode_{cls.__name__}"], tuple(names), frozenset(names) | {"t_ms", "sensor"}
 
 
 # each tag's one row, for the direct and the checked decoder
@@ -539,7 +540,7 @@ def _checked_event(rec: dict) -> SensorEvent:
     decoder = _DECODERS.get(tag) if isinstance(tag, str) else None
     if decoder is None:
         raise ContractViolation(f"unknown sensor tag: {tag!r}")
-    _, build, names, keys, values = decoder
+    _, names, keys = decoder
     if rec.keys() != keys:
         missing = [name for name in names if name not in rec]
         if missing:
@@ -547,8 +548,7 @@ def _checked_event(rec: dict) -> SensorEvent:
         unexpected = sorted(rec.keys() - keys)
         if unexpected:
             raise ContractViolation(f"unexpected fields: {', '.join(unexpected)}")
-    payload = build(*values(rec)) if len(names) > 1 else build(values(rec))
-    return SensorEvent(rec.get("t_ms"), payload)
+    return SensorEvent(rec.get("t_ms"), _unflatten(_SENSOR_TAGS[tag], rec))
 
 
 # --- configuration ---------------------------------------------------------

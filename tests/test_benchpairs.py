@@ -1,4 +1,5 @@
-"""The claim rule of tools/benchpairs.py on fixed numbers."""
+"""The claim rule, the unscaled figures and the entry keys of
+tools/benchpairs.py, on fixed numbers."""
 
 from __future__ import annotations
 
@@ -7,7 +8,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 
-from benchpairs import claim, summary, wins  # noqa: E402
+from benchpairs import claim, run_once, sides, store, summary, wins  # noqa: E402
 
 BASE = [100.0, 101.0, 99.0, 100.5, 100.2, 99.8, 100.1, 99.9, 100.3, 100.4]
 
@@ -62,3 +63,41 @@ def test_a_loss_just_beyond_the_base_spread_is_outside_it() -> None:
     assert not claim(STEPS, [v - beyond for v in STEPS], "higher")["loss_inside_iqr"]
     assert not claim(STEPS, [v + beyond for v in STEPS], "lower")["loss_inside_iqr"]
     assert claim(STEPS, [v + 5.5 for v in STEPS], "lower")["loss_inside_iqr"]
+
+
+def test_sides_tell_a_moved_reference_loop_from_a_moved_program() -> None:
+    # the program's unscaled rate is level while the reference loop slows by a
+    # half, which alone moves the scaled rate
+    rate = sides([100.0, 101.0, 99.0, 100.0], [100.0, 99.0, 101.0, 100.0])
+    reference = sides([0.25, 0.25, 0.25, 0.25], [0.375, 0.375, 0.375, 0.375])
+    assert rate["change"] == 0.0 and rate["base"]["median"] == rate["head"]["median"] == 100.0
+    assert reference["change"] == 0.5 and reference["base"]["q1"] == reference["base"]["q3"]
+    assert reference["values"] == {"base": [0.25] * 4, "head": [0.375] * 4}
+
+
+def test_run_once_reads_the_unscaled_figures_of_its_own_run(tmp_path: Path) -> None:
+    # a stand-in run.py that writes its results file where perfbench/run.py does;
+    # the figures kept are the rate, the setup time and the median reference time
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(
+        "import json, pathlib\n"
+        "out = pathlib.Path('.perfbench_work/results/ride_dense-seed7-trace0.json')\n"
+        "out.parent.mkdir(parents=True)\n"
+        "raw = {'events_per_s_unscaled': 8.0, 'setup_s_unscaled': 0.5,\n"
+        "       'reference_s': [0.4, 0.1, 0.3, 0.2], 'pass_s': [1.0, 2.0]}\n"
+        "out.write_text(json.dumps({'raw': raw}))\n"
+        "print(json.dumps({'correct': True, 'metrics': {'events_per_s': {'value': 4.0}}}))\n")
+    assert run_once(tmp_path, "ride_dense", 1, 7) == {
+        "events_per_s": 4.0, "events_per_s_unscaled": 8.0, "setup_s_unscaled": 0.5,
+        "reference_s": 0.25}
+
+
+def test_entries_are_kept_per_workload_and_seed() -> None:
+    doc = store({}, "b", "ride_dense", 1, {"n": 1})
+    doc = store(doc, "b", "ride_dense", 2, {"n": 2})
+    doc = store(doc, "b", "alert_storm", 1, {"n": 3})
+    doc = store(doc, "b", "ride_dense", 1, {"n": 4})
+    assert doc["workloads"] == {"ride_dense-seed1": {"n": 4}, "ride_dense-seed2": {"n": 2},
+                                "alert_storm-seed1": {"n": 3}}
+    assert store(doc, "other", "ride_dense", 2, {"n": 5}) == {
+        "base": "other", "workloads": {"ride_dense-seed2": {"n": 5}}}

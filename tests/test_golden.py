@@ -9,6 +9,15 @@ The files in tests/golden/ were written by the CLI itself:
 
 They pin behaviour across refactors, so they change only with a deliberate,
 versioned bump of the log or report schema, never to make a test pass.
+
+Each scenario is replayed as committed, with CRLF line ends, and with each
+integral float of its event records written as a JSON integer (every field
+rule's int branch); each with no --config and with one naming a file that
+sets every key to its default (every key through parse_config_text,
+apply_overrides and validation); each to stdout and to --out, which must
+leave stdout empty. Each eval runs with both configs, and nmea reads its
+sentences as committed and with CRLF line ends. The CI workflow runs the
+installed console script.
 """
 
 from __future__ import annotations
@@ -19,10 +28,49 @@ from pathlib import Path
 import pytest
 
 from motoguard.cli import main
+from motoguard.core import DEFAULT_CONFIG, ControllerConfig
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = REPO_ROOT / "tests" / "golden"
 SCENARIOS = sorted((REPO_ROOT / "scenarios").glob("*.jsonl"))
+
+
+def _integral_floats_as_ints(data: bytes) -> bytes:
+    header, *events = data.decode("utf-8").splitlines()
+    events = [json.dumps({key: int(value) if type(value) is float and value.is_integer() else value
+                          for key, value in json.loads(line).items()}) for line in events]
+    return "".join(f"{line}\n" for line in (header, *events)).encode("utf-8")
+
+
+VARIANTS = {"committed": None, "crlf": lambda data: data.replace(b"\n", b"\r\n"),
+            "ints": _integral_floats_as_ints}
+
+
+def _variant(path: Path, variant: str, directory: Path) -> Path:
+    """path itself, or a copy in directory rewritten by the variant."""
+    if VARIANTS[variant] is None:
+        return path
+    copy = directory / path.name
+    copy.write_bytes(VARIANTS[variant](path.read_bytes()))
+    return copy
+
+
+@pytest.fixture(scope="module")
+def work(tmp_path_factory) -> Path:
+    """One directory for every replay: a tmp_path each would cost more than the replay."""
+    return tmp_path_factory.mktemp("replay")
+
+
+@pytest.fixture(scope="module", params=["none", "defaults"])
+def config(request, tmp_path_factory) -> list[str]:
+    """No --config, or one naming a file that sets every key to its default."""
+    if request.param == "none":
+        return []
+    path = tmp_path_factory.mktemp("config") / "defaults.cfg"
+    path.write_text("".join(f"{name} = {value}\n" for name, value in
+                            zip(ControllerConfig.__match_args__, DEFAULT_CONFIG._values())),
+                    encoding="utf-8")
+    return ["--config", str(path)]
 
 
 def test_every_scenario_has_exactly_one_golden_log() -> None:
@@ -31,11 +79,19 @@ def test_every_scenario_has_exactly_one_golden_log() -> None:
     assert len(logs) == 22
 
 
+@pytest.mark.parametrize("sink", ["stdout", "out"])
+@pytest.mark.parametrize("variant", VARIANTS)
 @pytest.mark.parametrize("path", SCENARIOS, ids=lambda path: path.stem)
-def test_replay_log_matches_golden(path: Path, tmp_path: Path) -> None:
-    out = tmp_path / "log.jsonl"
-    assert main(["simulate", "--scenario", str(path), "--out", str(out)]) == 0
-    assert out.read_bytes() == (GOLDEN / f"{path.stem}.log.jsonl").read_bytes()
+def test_replay_log_matches_golden(path: Path, variant: str, config: list[str], sink: str,
+                                   work: Path, capsys) -> None:
+    out = work / "log.jsonl"
+    out.unlink(missing_ok=True)  # so a log left by an earlier case cannot pass
+    argv = ["simulate", "--scenario", str(_variant(path, variant, work)), *config]
+    assert main(argv if sink == "stdout" else [*argv, "--out", str(out)]) == 0
+    stdout = capsys.readouterr().out.encode("utf-8")
+    log = stdout if sink == "stdout" else out.read_bytes()
+    assert log == (GOLDEN / f"{path.stem}.log.jsonl").read_bytes()
+    assert sink == "stdout" or stdout == b""
 
 
 @pytest.mark.parametrize("directory,name,code", [
@@ -44,20 +100,23 @@ def test_replay_log_matches_golden(path: Path, tmp_path: Path) -> None:
     # order, pin the incident order and the worst-severity pick
     (GOLDEN / "failing_set", "failing_report", 1),
 ], ids=["corpus", "failing_set"])
-def test_eval_reports_match_golden(directory: Path, name: str, code: int,
+def test_eval_reports_match_golden(directory: Path, name: str, code: int, config: list[str],
                                    tmp_path: Path, capsys) -> None:
     report = tmp_path / "report.txt"
-    assert main(["eval", "--scenario-dir", str(directory), "--report", str(report)]) == code
+    assert main(["eval", "--scenario-dir", str(directory), *config,
+                 "--report", str(report)]) == code
     text = (GOLDEN / f"{name}.txt").read_bytes()
     assert capsys.readouterr().out.encode("utf-8") == text
     assert report.read_bytes() == text
     assert report.with_suffix(".json").read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
 
 
-def test_nmea_file_output_matches_golden(capsys) -> None:
+@pytest.mark.parametrize("variant", ["committed", "crlf"])
+def test_nmea_file_output_matches_golden(variant: str, tmp_path: Path, capsys) -> None:
     # one line per ParseError subclass and per MalformedNumber field, range and
     # hemisphere failures included, valid A/V/GNRMC lines and a blank line
-    assert main(["nmea", "--file", str(GOLDEN / "nmea_sentences.txt")]) == 1
+    sentences = _variant(GOLDEN / "nmea_sentences.txt", variant, tmp_path)
+    assert main(["nmea", "--file", str(sentences)]) == 1
     assert capsys.readouterr().out.encode("utf-8") == (GOLDEN / "nmea_report.txt").read_bytes()
 
 

@@ -320,7 +320,7 @@ def event_line(draw, t_ms: int, fault: str | None, twice: st.SearchStrategy) -> 
     tag = draw(st.sampled_from(sorted(core._DECODERS)))
     fields = [("t_ms", str(t_ms)), ("sensor", _escaped(tag) if draw(st.booleans()) else f'"{tag}"')]
     fields += [(name, draw(GOOD_VALUES[core._FIELD_RULES[name][0]]))
-               for name in core._DECODERS[tag][2]]
+               for name in core._DECODERS[tag][1]]
     fields = draw(st.permutations(fields))
     if fault == "bad_value":
         i = draw(st.integers(0, len(fields) - 1))

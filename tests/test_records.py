@@ -111,7 +111,7 @@ class _ReadsSpy(dict):
 def test_each_tag_has_one_decoder_row_whose_direct_decoder_reads_its_fields() -> None:
     assert list(core._DECODERS) == list(core._SENSOR_TAGS)
     for tag, cls in core._SENSOR_TAGS.items():
-        direct, _, names, keys, _ = core._DECODERS[tag]
+        direct, names, keys = core._DECODERS[tag]
         # a well-formed record of the tag, each number a different value
         record = _ReadsSpy({"t_ms": 5, "sensor": tag} | {
             name: True if core._FIELD_RULES[name][0] is bool else i + 0.5

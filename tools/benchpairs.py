@@ -8,10 +8,15 @@ It exports both revisions with ``git archive`` into
 and runs each side's own ``perfbench/run.py --trace 0`` once per pair, base
 first in even pairs and head first in odd ones, for the ``run_seconds`` of
 the base's BENCHMARK.json. A result that is not ``correct`` stops the
-command and writes nothing. The workload's entry in ``BENCH_<head7>.json``
-at the root holds the seed, Python version and CPU count of its runs and,
-per end-to-end metric, each side's median, quartiles and pairs won, and the
-claim verdict. A run replaces its workload's entry and keeps the others.
+command and writes nothing. The entry in ``BENCH_<head7>.json`` at the root,
+keyed ``<workload>-seed<seed>``, holds the Python version and CPU count of
+its runs and, per end-to-end metric, each side's median, quartiles and pairs
+won, and the claim verdict. Beside them it keeps each run's unscaled figures
+from ``.perfbench_work/results/`` (the rate and setup time before scaling,
+and the median time of the reference loop that scales them), with each
+side's median and quartiles, so that a verdict shows whether the program
+moved or the reference loop did. A run replaces its own entry and keeps the
+others.
 
 The claim rule: at least ten pairs, head wins at least nine tenths of them,
 and its median is better than the base's by more than the base's q1-q3
@@ -34,7 +39,9 @@ from pathlib import Path
 from statistics import median, quantiles
 
 WORK_DIR = Path(".perfbench_work") / "pairs"
+RESULTS = Path(".perfbench_work") / "results"
 MIN_PAIRS = 10
+UNSCALED = ("events_per_s_unscaled", "setup_s_unscaled", "reference_s")
 
 
 def summary(values: list[float]) -> dict:
@@ -48,19 +55,35 @@ def wins(mine: list[float], other: list[float], better: str) -> int:
     return sum(1 for a, b in zip(mine, other) if sign * (a - b) > 0)
 
 
+def sides(base: list[float], head: list[float]) -> dict:
+    """One figure's paired values, each side's summary and the relative change
+    of the median."""
+    base_s, head_s = summary(base), summary(head)
+    return {"base": base_s, "head": head_s, "values": {"base": base, "head": head},
+            "change": (head_s["median"] - base_s["median"]) / base_s["median"]}
+
+
 def claim(base: list[float], head: list[float], better: str) -> dict:
     """The claim rule on one metric's paired values (pair i is base[i], head[i])."""
-    base_s, head_s = summary(base), summary(head)
+    verdict = sides(base, head)
+    base_s, head_s = verdict["base"], verdict["head"]
     sign = 1 if better == "higher" else -1
     gain = sign * (head_s["median"] - base_s["median"])
-    head_wins = wins(head, base, better)
+    base_s["won"], head_s["won"] = wins(base, head, better), wins(head, base, better)
     iqr = base_s["q3"] - base_s["q1"]
-    holds = (len(base) >= MIN_PAIRS and head_wins >= math.ceil(0.9 * len(base))
+    holds = (len(base) >= MIN_PAIRS and head_s["won"] >= math.ceil(0.9 * len(base))
              and gain > iqr)
-    return {"better": better, "base": {**base_s, "won": wins(base, head, better)},
-            "head": {**head_s, "won": head_wins},
-            "change": (head_s["median"] - base_s["median"]) / base_s["median"],
-            "iqr_base": iqr, "claim": holds, "loss_inside_iqr": -gain <= iqr}
+    return {"better": better, **verdict, "iqr_base": iqr, "claim": holds,
+            "loss_inside_iqr": -gain <= iqr}
+
+
+def store(doc: dict, base: str, workload: str, seed: int, entry: dict) -> dict:
+    """doc with entry under its workload and seed; a doc of another base is
+    dropped, since its pairs measured something else."""
+    if doc.get("base") != base:
+        doc = {"base": base}
+    doc.setdefault("workloads", {})[f"{workload}-seed{seed}"] = entry
+    return doc
 
 
 def git(*args: str) -> str:
@@ -89,6 +112,7 @@ def src_lines(tree: Path) -> int:
 
 
 def run_once(tree: Path, workload: str, seconds: int, seed: int) -> dict:
+    """The run's end-to-end metrics and its UNSCALED figures, by name."""
     done = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
                            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
                           cwd=tree, capture_output=True, text=True)
@@ -98,7 +122,11 @@ def run_once(tree: Path, workload: str, seconds: int, seed: int) -> dict:
     result = json.loads(lines[-1])
     if not result["correct"]:
         sys.exit(f"error: {tree}: result not correct: {done.stderr.strip()}")
-    return result
+    record = tree / RESULTS / f"{workload}-seed{seed}-trace0.json"
+    raw = json.loads(record.read_text(encoding="utf-8"))["raw"]
+    return {name: m["value"] for name, m in result["metrics"].items()} | {
+        "events_per_s_unscaled": raw["events_per_s_unscaled"],
+        "setup_s_unscaled": raw["setup_s_unscaled"], "reference_s": median(raw["reference_s"])}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -114,30 +142,30 @@ def main(argv: list[str] | None = None) -> int:
     spec = json.loads((trees["base"] / "BENCHMARK.json").read_text(encoding="utf-8"))
     metrics = {m["name"]: m["better"] for m in spec["end_to_end"]}
     seconds = spec["run_seconds"]
-    values: dict[str, dict[str, list[float]]] = {side: {name: [] for name in metrics}
-                                                 for side in trees}
+    values: dict[str, dict[str, list[float]]] = {
+        side: {name: [] for name in (*metrics, *UNSCALED)} for side in trees}
     for i in range(args.pairs):
         for side in ("base", "head") if i % 2 == 0 else ("head", "base"):
-            result = run_once(trees[side], args.workload, seconds, args.seed)
-            for name in metrics:
-                values[side][name].append(result["metrics"][name]["value"])
+            figures = run_once(trees[side], args.workload, seconds, args.seed)
+            for name, series in values[side].items():
+                series.append(figures[name])
         print(f"pair {i + 1}/{args.pairs}: " + ", ".join(
             f"{name} {values['base'][name][-1]:g} -> {values['head'][name][-1]:g}"
-            for name in metrics), flush=True)
+            for name in (*metrics, "reference_s")), flush=True)
 
-    path = Path(f"BENCH_{head[:7]}.json")
-    doc = json.loads(path.read_text(encoding="utf-8")) if path.is_file() else {}
-    if doc.get("base") != base:
-        doc = {}
-    doc.update(base=base, head=head,
-               src_lines={side: src_lines(tree) for side, tree in trees.items()})
-    doc.setdefault("workloads", {})[args.workload] = {
+    entry = {
         "pairs": args.pairs, "seconds": seconds, "seed": args.seed,
         "python": platform.python_version(), "nproc": len(os.sched_getaffinity(0)),
         "order": "base first in even pairs, head first in odd ones",
-        "metrics": {name: {**claim(values["base"][name], values["head"][name], better),
-                           "values": {side: values[side][name] for side in trees}}
-                    for name, better in metrics.items()}}
+        "metrics": {name: claim(values["base"][name], values["head"][name], better)
+                    for name, better in metrics.items()},
+        "unscaled": {name: sides(values["base"][name], values["head"][name])
+                     for name in UNSCALED}}
+    path = Path(f"BENCH_{head[:7]}.json")
+    doc = json.loads(path.read_text(encoding="utf-8")) if path.is_file() else {}
+    doc = store(doc, base, args.workload, args.seed, entry)
+    doc.update(head=head,
+               src_lines={side: src_lines(tree) for side, tree in trees.items()})
     path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {path}")
     return 0
