@@ -452,18 +452,17 @@ _TAG_OF_TYPE = {cls: tag for tag, cls in _SENSOR_TAGS.items()}
 
 def event_to_record(ev: SensorEvent) -> dict:
     """Flatten an event to the line-record shape used by scenario files."""
-    rec: dict = {"t_ms": ev.t_ms, "sensor": _TAG_OF_TYPE[type(ev.payload)]}
-    _flatten(ev.payload, rec)
-    return rec
+    return _flatten(ev.payload, {"t_ms": ev.t_ms, "sensor": _TAG_OF_TYPE[type(ev.payload)]})
 
 
-def _flatten(record: _RuleChecked, rec: dict) -> None:
-    """Store record's fields in rec by its rows, a nested record's (a fix's point) in its place."""
+def _flatten(record: _RuleChecked, rec: dict) -> dict:
+    """rec with record's fields by its rows, a nested record's (a fix's point) in its place."""
     for name, kind, *_ in record._rows:
         if issubclass(kind, _RuleChecked):
             _flatten(getattr(record, name), rec)
         else:
             rec[name] = getattr(record, name)
+    return rec
 
 
 def _unflatten(cls: type, rec: dict) -> _RuleChecked:

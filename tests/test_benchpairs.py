@@ -1,5 +1,4 @@
-"""The claim rule, the unscaled figures and the entry keys of
-tools/benchpairs.py, on fixed numbers."""
+"""The claim rule, unscaled figures and entry keys of tools/benchpairs.py, on fixed numbers."""
 
 from __future__ import annotations
 

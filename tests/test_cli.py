@@ -19,6 +19,16 @@ from motoguard.harness import load_scenario, log_to_jsonl, match_alerts, run
 GOOD_RMC = "$GPRMC,123519,A,4807.038,N,01131.000,E,022.4,084.4,230394,003.1,W*6A"
 
 
+def write_failing_scenario(directory: Path) -> Path:
+    path = directory / "zz_ghost_crash.jsonl"
+    path.write_text(
+        '{"name": "zz_ghost_crash", "description": "expects a crash that never happens", '
+        '"expected": [{"kind": "crash", "start_ms": 0, "end_ms": 5000}]}\n'
+        '{"t_ms": 0, "sensor": "auth", "authorized": true}\n',
+        encoding="utf-8")
+    return path
+
+
 def write_unreadable(directory: Path, kind: str) -> Path:
     """A path that exists but cannot be read as UTF-8 text."""
     path = directory / "unreadable.jsonl"
@@ -268,6 +278,17 @@ def test_config_file_with_a_byte_order_mark_is_named(corpus_dir: Path, tmp_path:
 
 
 # --- eval ------------------------------------------------------------------
+
+def test_eval_reports_failures_with_exit_1(corpus_dir: Path, tmp_path: Path, capsys) -> None:
+    work = shutil.copytree(corpus_dir, tmp_path / "corpus")
+    write_failing_scenario(work)
+    code = main(["eval", "--scenario-dir", str(work)])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "zz_ghost_crash" in out
+    assert "missed crash alert" in out
+    assert "Severity 1" in out
+
 
 @pytest.mark.parametrize("blocked", ["report.txt", "report.json"])
 def test_eval_unwritable_report_names_the_file(blocked: str, corpus_dir: Path,

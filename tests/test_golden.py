@@ -10,14 +10,11 @@ The files in tests/golden/ were written by the CLI itself:
 They pin behaviour across refactors, so they change only with a deliberate,
 versioned bump of the log or report schema, never to make a test pass.
 
-Each scenario is replayed as committed, with CRLF line ends, and with each
-integral float of its event records written as a JSON integer (every field
-rule's int branch); each with no --config and with one naming a file that
-sets every key to its default (every key through parse_config_text,
-apply_overrides and validation); each to stdout and to --out, which must
-leave stdout empty. Each eval runs with both configs, and nmea reads its
-sentences as committed and with CRLF line ends. The CI workflow runs the
-installed console script.
+Each scenario is replayed as committed to stdout and to --out (which must
+leave stdout empty), and to stdout with CRLF line ends, with each integral
+float of its event records as a JSON int, and with a --config file of every
+default. Each eval runs with and without that file, and nmea also reads its
+sentences with CRLF line ends. CI runs the installed console script.
 """
 
 from __future__ import annotations
@@ -42,23 +39,8 @@ def _integral_floats_as_ints(data: bytes) -> bytes:
     return "".join(f"{line}\n" for line in (header, *events)).encode("utf-8")
 
 
-VARIANTS = {"committed": None, "crlf": lambda data: data.replace(b"\n", b"\r\n"),
+VARIANTS = {"committed": lambda data: data, "crlf": lambda data: data.replace(b"\n", b"\r\n"),
             "ints": _integral_floats_as_ints}
-
-
-def _variant(path: Path, variant: str, directory: Path) -> Path:
-    """path itself, or a copy in directory rewritten by the variant."""
-    if VARIANTS[variant] is None:
-        return path
-    copy = directory / path.name
-    copy.write_bytes(VARIANTS[variant](path.read_bytes()))
-    return copy
-
-
-@pytest.fixture(scope="module")
-def work(tmp_path_factory) -> Path:
-    """One directory for every replay: a tmp_path each would cost more than the replay."""
-    return tmp_path_factory.mktemp("replay")
 
 
 @pytest.fixture(scope="module", params=["none", "defaults"])
@@ -67,9 +49,8 @@ def config(request, tmp_path_factory) -> list[str]:
     if request.param == "none":
         return []
     path = tmp_path_factory.mktemp("config") / "defaults.cfg"
-    path.write_text("".join(f"{name} = {value}\n" for name, value in
-                            zip(ControllerConfig.__match_args__, DEFAULT_CONFIG._values())),
-                    encoding="utf-8")
+    path.write_text("".join(f"{name} = {getattr(DEFAULT_CONFIG, name)}\n"
+                            for name in ControllerConfig.__match_args__), encoding="utf-8")
     return ["--config", str(path)]
 
 
@@ -79,14 +60,18 @@ def test_every_scenario_has_exactly_one_golden_log() -> None:
     assert len(logs) == 22
 
 
-@pytest.mark.parametrize("sink", ["stdout", "out"])
-@pytest.mark.parametrize("variant", VARIANTS)
+# (variant, config, sink): the axes exercise independent code, so each value once
+FORMS = [("committed", "none", "stdout"), ("committed", "none", "out"), ("crlf", "none", "stdout"),
+         ("ints", "none", "stdout"), ("committed", "defaults", "stdout")]
+
+
+@pytest.mark.parametrize("variant,config,sink", FORMS, indirect=["config"])
 @pytest.mark.parametrize("path", SCENARIOS, ids=lambda path: path.stem)
 def test_replay_log_matches_golden(path: Path, variant: str, config: list[str], sink: str,
-                                   work: Path, capsys) -> None:
-    out = work / "log.jsonl"
-    out.unlink(missing_ok=True)  # so a log left by an earlier case cannot pass
-    argv = ["simulate", "--scenario", str(_variant(path, variant, work)), *config]
+                                   tmp_path: Path, capsys) -> None:
+    scenario, out = tmp_path / path.name, tmp_path / "log.jsonl"
+    scenario.write_bytes(VARIANTS[variant](path.read_bytes()))
+    argv = ["simulate", "--scenario", str(scenario), *config]
     assert main(argv if sink == "stdout" else [*argv, "--out", str(out)]) == 0
     stdout = capsys.readouterr().out.encode("utf-8")
     log = stdout if sink == "stdout" else out.read_bytes()
@@ -115,7 +100,8 @@ def test_eval_reports_match_golden(directory: Path, name: str, code: int, config
 def test_nmea_file_output_matches_golden(variant: str, tmp_path: Path, capsys) -> None:
     # one line per ParseError subclass and per MalformedNumber field, range and
     # hemisphere failures included, valid A/V/GNRMC lines and a blank line
-    sentences = _variant(GOLDEN / "nmea_sentences.txt", variant, tmp_path)
+    sentences = tmp_path / "nmea_sentences.txt"
+    sentences.write_bytes(VARIANTS[variant]((GOLDEN / "nmea_sentences.txt").read_bytes()))
     assert main(["nmea", "--file", str(sentences)]) == 1
     assert capsys.readouterr().out.encode("utf-8") == (GOLDEN / "nmea_report.txt").read_bytes()
 
