@@ -187,8 +187,8 @@ class Record(metaclass=_RecordType):
     A subclass declares its fields as annotations, with a default or a
     factory(make) where it has one; _RecordType makes the rest. Every field
     is stored through the class's setter table: by __init__, by __setstate__
-    (copy and pickle), and by _unchecked and the scenario decoder's direct
-    decoders, which store values that already pass the class's rules. The
+    (copy and pickle), and by _unchecked and the scenario decoder,
+    decode_records, which store values that already pass the class's rules. The
     frozen error is the one dataclasses raises, imported only when it is raised."""
 
     __slots__ = ()
@@ -411,9 +411,9 @@ class ActuatorCommand(Record):
 # exact type taken, lowest, highest, error text), both ends inclusive; a flag
 # or a nested record has no bounds. The constructors take an int or float
 # subclass too (never a bool) and test a non-negative field, whose highest is
-# _MAX, from below only; a non-number field by isinstance. The direct
-# decoders, made from these rules, take only the exact types; their
-# lo <= x <= hi rejects nan, +-inf and an int too large for a float.
+# _MAX, from below only; a non-number field by isinstance. decode_records,
+# made from these rules, takes only the exact types; its lo <= x <= hi
+# rejects nan, +-inf and an int too large for a float.
 _MAX = sys.float_info.max
 _NON_NEGATIVE = (float, int, 0.0, _MAX, "{} must be >= 0: {!r}")
 _BOOL = (bool, bool, None, None, "{} must be a bool")
@@ -428,7 +428,7 @@ _FIELD_RULES = {
     "on": _BOOL, "authorized": _BOOL, "volts": _NON_NEGATIVE, "engaged": _BOOL,
 }
 # each rule-checked class's fields in declaration order, each with its rule:
-# what __post_init__ tests, and what the direct decoders are made from
+# what __post_init__ tests, and what decode_records is made from
 for _cls in (GeoPoint, *Payload.__args__, Buzzer, IgnitionInhibit, SolenoidLock):
     _cls._rows = tuple((name, *_FIELD_RULES[name]) for name in _cls.__match_args__)
 del _cls
@@ -471,25 +471,23 @@ def _unflatten(cls: type, rec: dict) -> _RuleChecked:
                  for name, kind, *_ in cls._rows))
 
 
-def _decoder(cls: type) -> tuple:
-    """(direct decoder, record fields in the order of cls's rows, a nested
-    record's in its place, exact record key set).
+def _kernel() -> tuple:
+    """(decode_records, each tag's record fields and exact record key set).
 
-    One exec makes the direct decoder from cls's rows. It reads t_ms and each
-    field with rec.get, a nested record's fields (a fix's point) in its place,
-    and tests the key count and each field's exact types and bounds. If all
-    pass, it stores the values through the setter tables into new objects,
-    the event last, without __post_init__; otherwise it returns None. A
-    missing key reads None, which no rule accepts, so a record of the right
-    length whose values pass has exactly its tag's keys."""
-    env, names, tests, stores = {"_new": _new}, [], [], []
+    One exec makes decode_records(records, prev_ms): the events of a list of
+    record dicts, or None at the first it refuses. A record's t_ms must be an
+    int no earlier than prev_ms and the time before it. Its tag's branch
+    reads each field by subscript in row order (a nested record's in its
+    place), tests the key count and each field's exact types and bounds, and
+    stores the values through the setter tables, the event last, without
+    __post_init__. An unknown tag, a missing key and a non-dict are refused."""
+    env, rows, branches = {"_new": _new}, {}, []
 
-    def store(cls: type, var: str) -> None:  # var = a new cls, each field from its local
+    def store(cls: type, var: str) -> str:  # var = a new cls, each field from its local
         env[cls.__name__] = cls
         env.update((f"_{cls.__name__}{i}", s) for i, s in enumerate(cls._setters))
-        stores.append(f"{var} = _new({cls.__name__})")
-        stores.extend(f"_{cls.__name__}{i}({var}, {name})"
-                      for i, name in enumerate(cls.__match_args__))
+        return "; ".join([f"{var} = _new({cls.__name__})", *(
+            f"_{cls.__name__}{i}({var}, {name})" for i, name in enumerate(cls.__match_args__))])
 
     def emit(cls: type, var: str) -> None:  # the tests and stores that make var a cls
         for name, kind, also, lo, hi, _ in cls._rows:
@@ -501,32 +499,34 @@ def _decoder(cls: type) -> tuple:
             tests.append(f"(type({name}) is {kind.__name__} or type({name}) is {also.__name__})")
             if lo is not None:  # a float's repr reads back as the same float
                 tests.append(f"{lo!r} <= {name} <= {hi!r}")
-        store(cls, var)
+        stores.append(store(cls, var))
 
-    emit(cls, "payload")
-    store(SensorEvent, "event")
-    reads = ", ".join(f'rec.get("{name}")' for name in ("t_ms", *names))
-    exec(f"def _decode_{cls.__name__}(rec):\n t_ms, {', '.join(names)}, = {reads}\n"
-         f" if (len(rec) == {len(names) + 2} and type(t_ms) is int and t_ms >= 0\n"
-         f"   and {' and '.join(tests)}):\n  {'; '.join(stores)}\n  return event", env)
-    return env[f"_decode_{cls.__name__}"], tuple(names), frozenset(names) | {"t_ms", "sensor"}
+    for tag, cls in _SENSOR_TAGS.items():
+        names, tests, stores = [], [], []
+        emit(cls, "payload")
+        rows[tag] = tuple(names), frozenset(names) | {"t_ms", "sensor"}
+        branches.append(f'   {"el" if branches else ""}if tag == "{tag}":\n'
+                        f'    {"; ".join(f"{name} = rec[{name!r}]" for name in names)}\n'
+                        f'    if not (len(rec) == {len(names) + 2} and {" and ".join(tests)}):\n'
+                        f'     return None\n    {"; ".join(stores)}\n')
+    exec("def decode_records(records, prev_ms):\n events = []\n try:\n  for rec in records:\n"
+         '   tag, t_ms = rec["sensor"], rec["t_ms"]\n   if not (type(t_ms) is int and '
+         f"t_ms >= prev_ms):\n    return None\n{''.join(branches)}   else:\n    return None\n"
+         f"   {store(SensorEvent, 'event')}\n   events.append(event)\n   prev_ms = t_ms\n"
+         " except (KeyError, TypeError):\n  return None\n return events", env)
+    return env["decode_records"], rows
 
 
-# each tag's one row, for the direct and the checked decoder
-_DECODERS = {tag: _decoder(cls) for tag, cls in _SENSOR_TAGS.items()}
+decode_records, _DECODERS = _kernel()
 
 
 def event_from_record(rec: dict) -> SensorEvent:
     """Inverse of event_to_record; raises ContractViolation on bad shapes.
 
-    A well-formed record is built by its tag's direct decoder. Any other
-    record goes through _checked_event, so every error text comes from the
-    checked constructors."""
-    if type(rec) is dict:
-        tag = rec.get("sensor")
-        row = _DECODERS.get(tag) if type(tag) is str else None
-        if row is not None and (event := row[0](rec)) is not None:
-            return event
+    A well-formed record is built by decode_records, any other by
+    _checked_event, so every error text comes from the checked constructors."""
+    if type(rec) is dict and (events := decode_records((rec,), 0)):
+        return events[0]
     return _checked_event(rec)
 
 
@@ -536,10 +536,10 @@ def _checked_event(rec: dict) -> SensorEvent:
         raise ContractViolation("record must be an object")
     tag = rec.get("sensor")
     # the str check keeps an unhashable tag (a JSON list) out of the lookup
-    decoder = _DECODERS.get(tag) if isinstance(tag, str) else None
-    if decoder is None:
+    row = _DECODERS.get(tag) if isinstance(tag, str) else None
+    if row is None:
         raise ContractViolation(f"unknown sensor tag: {tag!r}")
-    _, names, keys = decoder
+    names, keys = row
     if rec.keys() != keys:
         missing = [name for name in names if name not in rec]
         if missing:

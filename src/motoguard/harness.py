@@ -1,13 +1,12 @@
 """Deterministic scenario replay and confusion-matrix evaluation.
 
 Scenario files are line-delimited JSON: a header record (name, config
-overrides, expected labels) followed by time-ordered sensor events. The
-event lines are decoded a chunk at a time, most chunks by one JSON scanner
-call over the chunk's lines; a chunk that call cannot be proved to read as
-one record a line goes through the line walk, the one source of schema
-errors. Replays run entirely on the virtual clock against a compliant fake
-modem, so the serialized event log for a given scenario is byte-identical
-on every run.
+overrides, expected labels) followed by time-ordered sensor events. Most
+chunks of event lines are decoded by one JSON scanner call and one
+core.decode_records call; any other chunk goes through the line walk, the
+one source of schema errors. Replays run entirely on the virtual clock
+against a compliant fake modem, so the serialized event log for a given
+scenario is byte-identical on every run.
 """
 
 from __future__ import annotations
@@ -22,8 +21,8 @@ from .controller import ControllerState, Mode, ModeChange, advance, drain_sms
 from .core import (Alert, ActuatorCommand, AlertKind, Buzzer, ContractViolation,
                    ControllerConfig, DEFAULT_CONFIG, IgnitionInhibit, MutableRecord, Record,
                    SensorEvent, Severity, SmsSend, SolenoidLock, ValidationError, VirtualClock,
-                   apply_overrides, event_from_record, event_to_record, factory,
-                   require_valid_config, severity_of, validate_config)
+                   apply_overrides, decode_records, event_from_record, event_to_record,
+                   factory, require_valid_config, severity_of, validate_config)
 from .gsm import FakeModem, ModemClient
 
 
@@ -153,8 +152,14 @@ _BLANK_LINE = object()  # what _line_value gives for a blank line
 def _line_value(raw: str, line_no: int) -> object:
     """The JSON value of one line, _BLANK_LINE for a blank one, or a SchemaError
     on line_no naming json.loads's failure."""
-    if not raw.strip(BLANK):
-        return _BLANK_LINE
+    # one scanner call reads a value that starts the line, with only blanks
+    # after it, as json.loads does; any other line is blank or goes to json.loads
+    try:
+        value, end = _scan(raw, 0)
+    except (StopIteration, ValueError, RecursionError):
+        value, end = _BLANK_LINE, 0
+    if not raw[end:].strip(BLANK):
+        return value
     try:
         return json.loads(raw)
     except json.JSONDecodeError as exc:
@@ -191,34 +196,28 @@ def line_chunks(text: str):
         yield piece.split("\n")
 
 
-_T_MS = attrgetter("t_ms")
-
-
 def _scanned_events(piece: str, lines: int, prev_ms: int) -> list[SensorEvent] | None:
-    """The events of piece's lines, all decoded by one scanner call, or None
-    when that cannot be proved to give what the line walk gives.
+    """The events of piece's lines by one scanner call and one decode_records
+    call, or None when that cannot be proved to give what the line walk gives.
 
     The call reads "[" + piece + "]" with each LF made a comma. Its result is
     taken when every line is "{...}" with no other "{", the call reads the
-    text to its end, the list has one element per line, each element is an
-    event, and no time goes back. An event is an object, which opens with a
-    "{" outside any string, so element k opens at the k-th "{", the one that
-    starts line k. Only a comma lies between one element's end and the next
-    one's start, and only "]" after the last, so element k closes at the "}"
-    that ends line k: its text is exactly line k's, which the walk would read
-    alone to the same event."""
+    text to its end, the list has one element per line, and decode_records
+    takes them all. An event is an object, which opens with a "{" outside
+    any string, so element k opens at the k-th "{", the one that starts line
+    k. Only a comma lies between one element's end and the next one's start,
+    and only "]" after the last, so element k closes at the "}" that ends
+    line k: its text is exactly line k's, which the walk reads alone."""
     if not (piece[:1] == "{" and piece[-1:] == "}" and piece.count("}\n{") == lines - 1
             and piece.count("{") == lines):
         return None
     try:
         records, end = _scan("[" + piece.replace("\n", ",") + "]", 0)
-        if end != len(piece) + 2 or len(records) != lines:
-            return None
-        events = list(map(event_from_record, records))
-    except (StopIteration, ValueError, RecursionError):  # ContractViolation is a ValueError
+    except (StopIteration, ValueError, RecursionError):
         return None
-    times = list(map(_T_MS, events))
-    return events if prev_ms <= times[0] and times == sorted(times) else None
+    if end == len(piece) + 2 and len(records) == lines:
+        return decode_records(records, prev_ms)
+    return None
 
 
 def _walk(lines: list[str], line_no: int, events: list[SensorEvent], prev_ms: int) -> int:
@@ -244,8 +243,9 @@ def loads_scenario(text: str) -> Scenario:
 
     The header is the first line that is not blank. The event lines after it
     are read about _CHUNK_CHARS characters at a time: a chunk whose lines are
-    all plain event records is decoded by one scanner call (_scanned_events),
-    and any other chunk, or one that fails, by the line walk (_walk)."""
+    all plain event records is decoded by one scanner call and one
+    decode_records call (_scanned_events), and any other chunk, or one that
+    fails, by the line walk (_walk)."""
     if (header := _HEADER_LINE.search(text)) is None:
         raise SchemaError(1, "missing header record")
     line_no = text.count("\n", 0, header.start()) + 1

@@ -5,8 +5,11 @@ from __future__ import annotations
 import sys
 from pathlib import Path
 
+import pytest
+
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 
+import benchpairs  # noqa: E402
 from benchpairs import claim, run_once, sides, store, summary, wins  # noqa: E402
 
 BASE = [100.0, 101.0, 99.0, 100.5, 100.2, 99.8, 100.1, 99.9, 100.3, 100.4]
@@ -100,3 +103,15 @@ def test_entries_are_kept_per_workload_and_seed() -> None:
                                 "alert_storm-seed1": {"n": 3}}
     assert store(doc, "other", "ride_dense", 2, {"n": 5}) == {
         "base": "other", "workloads": {"ride_dense-seed2": {"n": 5}}}
+
+
+@pytest.mark.parametrize("pairs", ["1", "0", "-3"])
+def test_fewer_than_two_pairs_is_a_usage_error_before_any_run(pairs: str, monkeypatch,
+                                                              capsys) -> None:
+    calls = []
+    for name in ("git", "export", "run_once"):
+        monkeypatch.setattr(benchpairs, name, lambda *a, name=name: calls.append((name, a)))
+    with pytest.raises(SystemExit) as exc:
+        benchpairs.main(["base", "head", "--workload", "ride_dense", "--pairs", pairs])
+    assert exc.value.code == 2 and calls == []
+    assert "--pairs must be at least 2" in capsys.readouterr().err

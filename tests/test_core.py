@@ -421,14 +421,14 @@ def sensor_records(draw) -> object:
 @example([("t_ms", 0), ("sensor", "lidar"), ("range_m", 1.0)])
 @example(rec(["lidar"], range_m=1.0))
 @example(rec(7))
-# three keys, one of them wrong or missing, which the direct decoder must turn away
+# three keys, one of them wrong or missing, which decode_records must turn away
 @example({"sensor": "lidar", "range_m": 1.0, "x": 0})
 @example({"t_ms": 0, "sensor": "lidar", "range": 1.0})
 @example({"t_ms": 0, "range_m": 1.0, "x": "lidar"})
 @example({"t_ms": 0, "sensor": "auth", "on": True})
 @example({"t_ms": 0, "sensor": "pir", "detected": None})
 @example({"t_ms": 0, "sensor": "gas", "ethanol_ppm": 1.0})
-# the edges of the gas and gps direct decoders
+# the edges of the gas and gps branches of decode_records
 @example(rec("gps", **dict(GPS, lat_deg=14, lon_deg=-121)))
 @example(rec("gps", **dict(GPS, speed_kph=int(MAX) + 1)))
 @example(rec("gps", **dict(GPS, valid=1)))

@@ -320,7 +320,7 @@ def event_line(draw, t_ms: int, fault: str | None, twice: st.SearchStrategy) -> 
     tag = draw(st.sampled_from(sorted(core._DECODERS)))
     fields = [("t_ms", str(t_ms)), ("sensor", _escaped(tag) if draw(st.booleans()) else f'"{tag}"')]
     fields += [(name, draw(GOOD_VALUES[core._FIELD_RULES[name][0]]))
-               for name in core._DECODERS[tag][1]]
+               for name in core._DECODERS[tag][0]]
     fields = draw(st.permutations(fields))
     if fault == "bad_value":
         i = draw(st.integers(0, len(fields) - 1))
@@ -438,18 +438,75 @@ def test_a_string_holding_a_closing_brace_takes_the_scan() -> None:
     assert [event.payload.detected for event in events] == [True, False]
 
 
-def test_one_scanner_call_reads_a_chunk_and_each_event_is_one_decode() -> None:
+def test_one_scanner_call_and_one_kernel_call_read_each_chunk() -> None:
     text = "\n".join([HEADER] + [PIR_AT.format(t) for t in range(100)]) + "\n"
-    scans, decodes, walks = [], [], []
-    scan, decode, walk = harness._scan, harness.event_from_record, harness._walk
-    with mock.patch.object(harness, "_scan", lambda *a: scans.append(a) or scan(*a)), \
+    scans, kernels, decodes, walks = [], [], [], []
+    scan, kernel, decode, walk = (harness._scan, harness.decode_records,
+                                  harness.event_from_record, harness._walk)
+    with mock.patch.object(harness, "_CHUNK_CHARS", 1000), \
+            mock.patch.object(harness, "_scan", lambda *a: scans.append(a) or scan(*a)), \
+            mock.patch.object(harness, "decode_records",
+                              lambda *a: kernels.append(a) or kernel(*a)), \
             mock.patch.object(harness, "event_from_record",
                               lambda rec: decodes.append(rec) or decode(rec)), \
             mock.patch.object(harness, "_walk", lambda *a: walks.append(a) or walk(*a)):
         sc = loads_scenario(text)
-    assert len(sc.events) == len(decodes) == 100
-    assert [args[0][:1] for args in scans] == ["["]  # the one chunk; the header is not scanned
-    assert walks == []  # a plain LF ride never takes the line walk
+    # the header's line, then each chunk's lines as one list
+    header, *chunks = scans
+    assert header == (HEADER, 0) and [args[0][:1] for args in chunks] == ["["] * len(chunks)
+    assert len(sc.events) == 100 and len(chunks) == len(kernels) > 1
+    assert sum(len(records) for records, _ in kernels) == 100
+    assert [prev_ms for _, prev_ms in kernels] == [0] + [
+        records[-1]["t_ms"] for records, _ in kernels[:-1]]
+    assert decodes == walks == []  # a plain LF ride never decodes one record alone
+
+
+REFUSED = '{"t_ms": 1, "sensor": "lidar", "range_m": -1.0}'
+# lines the kernel refuses, with the SchemaError the line walk names
+KERNEL_REFUSALS = {
+    "refused_first": ([REFUSED, PIR_AT.format(1), PIR_AT.format(2)],
+                      (2, "range_m must be >= 0: -1.0")),
+    "refused_mid_chunk": ([PIR_AT.format(1), '{"t_ms": 1, "sensor": "pir", "detected": 1}',
+                           PIR_AT.format(2)], (3, "detected must be a bool")),
+    "refused_last": ([PIR_AT.format(1), PIR_AT.format(2), PIR_AT.format(-1)],
+                     (4, "t_ms must be a non-negative int: -1")),
+    "extra_key": ([PIR_AT.format(1), '{"t_ms": 1, "sensor": "pir", "detected": true, "x": 1}'],
+                  (3, "unexpected fields: x")),
+    "missing_key": ([PIR_AT.format(1), '{"t_ms": 2, "sensor": "gas", "ethanol_ppm": 0.0, '
+                                       '"lpg_ppm": 0.0}'], (3, "missing fields: co_ppm")),
+    "missing_tag": (['{"t_ms": 1, "detected": true}'], (2, "unknown sensor tag: None")),
+    "list_tag": (['{"t_ms": 1, "sensor": ["pir"], "detected": true}'],
+                 (2, "unknown sensor tag: ['pir']")),
+    "dict_tag": (['{"t_ms": 1, "sensor": {"pir": 1}, "detected": true}'],
+                 (2, "unknown sensor tag: {'pir': 1}")),
+    "int_tag": (['{"t_ms": 1, "sensor": 3, "detected": true}'], (2, "unknown sensor tag: 3")),
+    "time_back_in_chunk": ([PIR_AT.format(5), PIR_AT.format(7), PIR_AT.format(6)],
+                           (4, "t_ms 6 is earlier than the event before it (7)")),
+}
+
+
+@pytest.mark.parametrize("lines,error", KERNEL_REFUSALS.values(), ids=KERNEL_REFUSALS.keys())
+def test_a_record_the_kernel_refuses_sends_its_chunk_to_the_walk(lines: list[str],
+                                                                  error: tuple) -> None:
+    assert harness._scanned_events("\n".join(lines), len(lines), 0) is None
+    text = "\n".join([HEADER, *lines])
+    assert _typed_outcome(loads_scenario, text) == error
+    assert _typed_outcome(loads_scenario_reference, text) == error
+
+
+@pytest.mark.parametrize("record", [[], ["sensor", "t_ms"], 5, "sensor", None])
+def test_the_kernel_refuses_a_record_that_is_not_a_dict(record) -> None:
+    assert core.decode_records([json.loads(PIR_AT.format(1)), record], 0) is None
+
+
+def test_a_chunk_earlier_than_the_one_before_it_is_refused() -> None:
+    lines = [PIR_AT.format(4), PIR_AT.format(9)]
+    assert harness._scanned_events("\n".join(lines), 2, 4) is not None
+    assert harness._scanned_events("\n".join(lines), 2, 5) is None
+    text = "\n".join([HEADER, PIR_AT.format(5), *lines])
+    with mock.patch.object(harness, "_CHUNK_CHARS", 1):  # a chunk a line
+        assert _typed_outcome(loads_scenario, text) == (
+            3, "t_ms 4 is earlier than the event before it (5)")
 
 
 def test_decode_holds_one_chunk_of_lines_not_the_whole_file() -> None:

@@ -97,28 +97,29 @@ def test_slot_setters_cover_every_field_in_order(cls: type) -> None:
 
 
 class _ReadsSpy(dict):
-    """A record that lists the keys read from it with get."""
+    """A record that lists the keys read from it by subscript."""
 
     def __init__(self, record: dict):
         super().__init__(record)
         self.read = []
 
-    def get(self, key, default=None):
+    def __getitem__(self, key):
         self.read.append(key)
-        return super().get(key, default)
+        return super().__getitem__(key)
 
 
 def test_each_tag_has_one_decoder_row_whose_direct_decoder_reads_its_fields() -> None:
     assert list(core._DECODERS) == list(core._SENSOR_TAGS)
     for tag, cls in core._SENSOR_TAGS.items():
-        direct, names, keys = core._DECODERS[tag]
+        names, keys = core._DECODERS[tag]
         # a well-formed record of the tag, each number a different value
         record = _ReadsSpy({"t_ms": 5, "sensor": tag} | {
             name: True if core._FIELD_RULES[name][0] is bool else i + 0.5
             for i, name in enumerate(names)})
         assert record.keys() == keys
-        event = direct(record)
-        # it reads t_ms and exactly the fields the checked entry names, in order,
-        # and stores each value in its own field
-        assert record.read == ["t_ms", *names]
+        (event,) = core.decode_records([record], 0)
+        # the tag's branch of the kernel reads the tag, t_ms and exactly the
+        # fields the checked entry names, in order, and stores each value in
+        # its own field of its tag's payload class
+        assert record.read == ["sensor", "t_ms", *names]
         assert type(event.payload) is cls and core.event_to_record(event) == record

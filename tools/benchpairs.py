@@ -137,6 +137,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
+    if args.pairs < 2:  # the quartiles of one run are undefined
+        parser.error("--pairs must be at least 2")
     base, head = git("rev-parse", args.base), git("rev-parse", args.head)
     trees = {"base": export(base), "head": export(head)}
     spec = json.loads((trees["base"] / "BENCHMARK.json").read_text(encoding="utf-8"))
