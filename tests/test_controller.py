@@ -605,6 +605,31 @@ def test_replay_matches_the_copying_loop_on_random_streams(monkeypatch) -> None:
     assert sends > 0
 
 
+def test_replay_refuses_what_the_copying_loop_refuses_on_random_streams() -> None:
+    # each stream moves one event to before the event ahead of it: into an
+    # earlier instant, or to a time no instant has; zero gaps put several
+    # events in one instant, on either side of the moved one
+    rng = random.Random(2222)
+    for _ in range(20):
+        config = {"preride_window_ms": 300, "crash_hold_ms": 300, "sms_cooldown_ms": 1}
+        events, t_ms = [], 100
+        for _ in range(rng.randrange(2, 60)):
+            t_ms += rng.choice((0, 0, 50, 100, 200))
+            events.append(ev(t_ms, rng.choice(RANDOM_PAYLOADS)(rng)))
+        at = rng.randrange(1, len(events))
+        ahead = events[at - 1].t_ms
+        moved = rng.choice((rng.randrange(ahead), ahead - 1))
+        events[at] = ev(moved, events[at].payload)
+        sc = Scenario("moved", config=config, events=events)
+        texts = []
+        for replay in (run, run_reference):
+            with pytest.raises(ContractViolation) as err:
+                replay(sc)
+            texts.append(str(err.value))
+        assert texts[0] == texts[1]
+        assert texts[0].startswith(f"moved: at t={moved}: step at t={moved} after t=")
+
+
 # --- alert router ----------------------------------------------------------
 
 def test_cooldown_suppresses_repeats(cfg: ControllerConfig) -> None:

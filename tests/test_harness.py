@@ -10,7 +10,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from motoguard import core, harness
+from motoguard import controller, core, harness
 from motoguard.core import (PHONE_PATTERN, ActuatorCommand, AlertKind, Auth, Buzzer,
                             ContractViolation, ControllerConfig, GasReading, GpsFix, GeoPoint,
                             DEFAULT_CONFIG, Ignition, IgnitionInhibit, LidarRange, PirMotion,
@@ -592,6 +592,46 @@ def test_run_is_byte_deterministic(corpus_dir: Path) -> None:
     first = log_to_jsonl(run(sc))
     second = log_to_jsonl(run(sc))
     assert first == second
+
+
+# What advance refuses, run refuses, wrapped with the scenario's name and the
+# time of the instant: a time earlier than the one before it, a time that is
+# not an exact non-negative int, and whatever a handler refuses.
+
+def refusal(events: list[SensorEvent]) -> str:
+    with pytest.raises(ContractViolation) as err:
+        run(Scenario(name="bad", events=events))
+    return str(err.value)
+
+
+@pytest.mark.parametrize("at", [1, 2, 4], ids=["second", "middle", "last"])
+def test_run_refuses_an_instant_earlier_than_the_one_before_it(at: int) -> None:
+    times = [100, 200, 200, 300, 400]  # the instants 100, 200, 300 and 400
+    times[at] = times[at - 1] - 1
+    events = [ev(t, PirMotion(False)) for t in times]
+    t, last = times[at], times[at - 1]
+    assert refusal(events) == f"bad: at t={t}: step at t={t} after t={last}"
+
+
+@pytest.mark.parametrize("stamp", [5.0, True, -1])
+@pytest.mark.parametrize("at", [0, 1, 2], ids=["first", "middle", "last"])
+def test_run_refuses_a_time_that_is_not_a_non_negative_int(stamp, at: int) -> None:
+    events = [ev(t, PirMotion(False)) for t in (0, 3, 8)]
+    events[at] = SensorEvent._unchecked(stamp, PirMotion(False))
+    assert refusal(events) == f"bad: at t={stamp}: t_ms must be a non-negative int: {stamp!r}"
+
+
+def test_run_names_the_scenario_and_time_of_a_handler_refusal(monkeypatch) -> None:
+    def refuse(cfg, state, t_ms, payload):
+        raise ContractViolation(f"refused {payload!r}")
+
+    monkeypatch.setitem(controller._HANDLERS, PirMotion, refuse)
+    events = [ev(0, Auth(True)), ev(100, Auth(False)), ev(100, PirMotion(True)),
+              ev(200, PirMotion(False))]
+    with pytest.raises(ContractViolation) as err:
+        run(Scenario(name="bad", events=events))
+    assert str(err.value) == "bad: at t=100: refused PirMotion(detected=True)"
+    assert str(err.value.__cause__) == "refused PirMotion(detected=True)"
 
 
 def test_log_record_shapes() -> None:
