@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import json
 import re
-from itertools import groupby
-from operator import attrgetter
+from itertools import chain
 from pathlib import Path
 
-from .controller import ControllerState, Mode, ModeChange, advance, drain_sms
+from .controller import _HANDLERS, ControllerState, Mode, ModeChange, advance, drain_sms
 from .core import (Alert, ActuatorCommand, AlertKind, Buzzer, ContractViolation,
                    ControllerConfig, DEFAULT_CONFIG, IgnitionInhibit, MutableRecord, Record,
                    SensorEvent, Severity, SmsSend, SolenoidLock, ValidationError, VirtualClock,
@@ -293,7 +292,11 @@ def save_scenario(sc: Scenario, path: str | Path) -> None:
 # --- replay ---------------------------------------------------------------
 
 def run(sc: Scenario, cfg: ControllerConfig = DEFAULT_CONFIG) -> EventLog:
-    """Replay a scenario against a fresh controller and compliant fake modem."""
+    """Replay a scenario against a fresh controller and compliant fake modem.
+
+    One pass hands each event to its handler. An instant advance would refuse
+    is refused through advance as it starts; as it ends, its alerts, commands
+    and mode changes are logged, in that order, and a queued SMS is drained."""
     try:
         merged = apply_overrides(cfg, sc.config)
         # identity, not ==: an equal config can hold a value of the wrong type
@@ -309,22 +312,31 @@ def run(sc: Scenario, cfg: ControllerConfig = DEFAULT_CONFIG) -> EventLog:
     modem = FakeModem(clock)
     # no power-on init: the first drain that has a message brings the modem up
     client = ModemClient(modem)
-    state = ControllerState()
+    state = ControllerState(last_t_ms=0)  # the log opens at t=0: no instant is earlier
     log = EventLog([ModeChange(0, Mode.PARKED)])
     records = log.records
-    for t_ms, group in groupby(sc.events, key=attrgetter("t_ms")):
-        try:
-            advance(merged, state, t_ms, list(group))
-        except ContractViolation as exc:
-            raise ContractViolation(f"{sc.name}: at t={t_ms}: {exc}") from exc
-        records += state.alerts
-        records += state.commands
-        records += state.changes
-        if state.router.pending_sms:
-            # only the modem and its client read the clock, and t_ms never
-            # decreases, so bringing it up only before a drain reads the same
-            clock.advance_to(t_ms)
-            state.router, _, _ = drain_sms(state.router, client)
+    end = SensorEvent._unchecked(float("nan"), None)  # after the last: nan equals no time
+    t_ms = None  # the instant replayed
+    try:
+        for ev in chain(sc.events, (end,)):
+            if ev.t_ms != t_ms:  # the instant t_ms is over
+                if state.alerts or state.commands or state.changes:
+                    records += state.alerts
+                    records += state.commands
+                    records += state.changes
+                    state.alerts, state.commands, state.changes = [], [], []
+                if state.router.pending_sms:
+                    # only a drain reads the clock, and t_ms never decreases: bring it up now
+                    clock.advance_to(t_ms)
+                    state.router, _, _ = drain_sms(state.router, client)
+                if type(t_ms := ev.t_ms) is not int or t_ms < state.last_t_ms:
+                    if ev is end:
+                        break
+                    advance(merged, state, t_ms, [])  # refuses t_ms in its own words
+                state.last_t_ms = t_ms
+            _HANDLERS[type(p := ev.payload)](merged, state, t_ms, p)
+    except ContractViolation as exc:
+        raise ContractViolation(f"{sc.name}: at t={t_ms}: {exc}") from exc
     return log
 
 

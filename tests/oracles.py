@@ -473,8 +473,9 @@ CHECKED_PAYLOAD_REFERENCES = {
 }
 
 
-# --- the replay loop, as it was before it advanced its own state: the public,
-# pure step copies the controller state at every event. Stepping each event of
+# --- the replay loop, as it was before it advanced its own state and then
+# handed each event to its handler in one pass: the public, pure step copies
+# the controller state at every event. Stepping each event of
 # a timestamp group alone finds the group's mode changes by comparing the mode
 # between events, without reading the changes the controller records.
 
