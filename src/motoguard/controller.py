@@ -147,7 +147,7 @@ class ControllerState(MutableRecord):
     preride_start_ms: int | None = None
     preride_peak: GasReading | None = None
     router: RouterState = factory(RouterState)
-    # what the last instant did, in order; advance, and harness.run, start each list empty
+    # what the last advance did, in order; advance starts each list empty
     alerts: list[Alert] = factory(list)
     commands: list[ActuatorCommand] = factory(list)
     changes: list[ModeChange] = factory(list)
