@@ -8,9 +8,9 @@ mode, the flags and the fixes, with every time in the state made relative
 to the step's time and each cooldown age clipped at the cooldown.
 
 Every transition out of a state above the depth limit is checked against
-the invariants below and hashed into the behaviour digest: its event-path
-key and its log lines as ``log_to_jsonl`` renders them, in search order. A
-change that keeps every log byte keeps the digest.
+each transition property in ``tests/spec.py`` and hashed into the behaviour
+digest: its event-path key and its log lines as ``log_to_jsonl`` renders
+them, in search order. A change that keeps every log byte keeps the digest.
 
     python tests/explore.py --depth 8
 
@@ -29,10 +29,11 @@ from pathlib import Path
 if __name__ == "__main__":  # run as a script from a checkout
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from motoguard.controller import ControllerState, Mode, RouterState, step
-from motoguard.core import (DEFAULT_CONFIG, AlertKind, Auth, ControllerConfig, GasReading,
-                            GeoPoint, GpsFix, Ignition, SensorEvent, Severity, SmsSend, Tilt)
+from motoguard.controller import ControllerState, RouterState, step
+from motoguard.core import (DEFAULT_CONFIG, Auth, ControllerConfig, GasReading, GeoPoint, GpsFix,
+                            Ignition, SensorEvent, Tilt)
 from motoguard.harness import EventLog, log_to_jsonl
+from spec import transition_breaches
 
 HOME = GeoPoint(14.5995, 120.9842)
 FAR = GeoPoint(14.6085, 120.9842)  # about 1 km north of HOME
@@ -71,32 +72,8 @@ def projection(s, cfg: ControllerConfig) -> tuple:
             ages, s.router.pending_sms, s.router.dropped_count)
 
 
-def check_transition(before, after, move: str, t_ms: int, cfg: ControllerConfig) -> list[str]:
-    """Each invariant the transition breaks, as text."""
-    problems = []
-    # each HIGH alert and each beacon comes with exactly one SMS, in order,
-    # and a crash SMS goes to the police number
-    sms_to = [cmd.action.to for cmd in after.commands if type(cmd.action) is SmsSend]
-    want_to = [cfg.police_number if a.kind is AlertKind.CRASH else cfg.owner_number
-               for a in after.alerts if a.severity is Severity.HIGH or a.kind is AlertKind.BEACON]
-    if sms_to != want_to:
-        problems.append(f"SMS to {sms_to} for alerts {[a.kind.value for a in after.alerts]}")
-    # route's per-kind cooldown: no kind but a beacon alerts twice within it
-    last = dict(before.router.last_emit)
-    for alert in after.alerts:
-        if alert.kind is not AlertKind.BEACON and alert.kind in last \
-                and t_ms - last[alert.kind] < cfg.sms_cooldown_ms:
-            problems.append(f"{alert.kind.value} again {t_ms - last[alert.kind]} ms later")
-        last[alert.kind] = t_ms
-    # an authorised ignition at PARKED always reaches PRE_RIDE
-    if move == "ign_on" and before.mode is Mode.PARKED and before.authorized \
-            and after.mode is not Mode.PRE_RIDE:
-        problems.append(f"authorised ignition at parked left {after.mode.value}")
-    return problems
-
-
 class Exploration:
-    """The search's counts, its digest and every invariant breach it met."""
+    """The search's counts, its digest and every property breach it met."""
 
     def __init__(self):
         self.states = 0
@@ -126,8 +103,8 @@ def explore(depth: int, cfg: ControllerConfig = DEFAULT_CONFIG) -> Exploration:
                 out.transitions += 1
                 log = EventLog([*after.alerts, *after.commands, *after.changes])
                 out.digest.update(f"{key}\n{log_to_jsonl(log)}".encode("ascii"))
-                out.problems += (f"{key}: {text}"
-                                 for text in check_transition(state, after, name, t_ms, cfg))
+                out.problems += (f"{key}: {text}" for text
+                                 in transition_breaches(state, events, after, t_ms, cfg))
                 # the modem takes every message at once
                 after.router = RouterState(after.router.last_emit, (), after.router.dropped_count)
                 proj = projection(after, cfg)

@@ -24,6 +24,7 @@ from motoguard.detectors import CollisionState, CrashState, Trigger
 from motoguard.gsm import CTRL_Z, DEFAULT_TIMEOUT_MS, FakeModem, ModemClient, ModemPhase
 from motoguard.harness import Scenario, load_scenario, run
 from oracles import run_reference
+from spec import cooling, router_breaches, run_breaches, sms_breaches, transition_breaches
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -466,42 +467,43 @@ def readme_mode_edges() -> set[tuple[Mode, Mode]]:
 def test_every_mode_change_is_a_readme_edge() -> None:
     assert readme_mode_edges() == MODE_EDGES
     assert len(MODE_EDGES) == 8
-    # short windows and holds let a random stream reach every edge
-    cfg = ControllerConfig(preride_window_ms=300, crash_hold_ms=300)
+    # short windows and holds let a random stream reach every edge, and a gap
+    # of a whole beacon period lets a beacon fall due in any mode that can arm
+    cfg = ControllerConfig(preride_window_ms=300, crash_hold_ms=300, beacon_period_ms=60_000)
     rng = random.Random(1105)
     seen: set[tuple[Mode, Mode]] = set()
     for _ in range(20):
         state, t_ms = ControllerState(), 0
         for _ in range(300):
             # one event per call, so no change can hide inside a step
-            t_ms += rng.choice((0, 50, 100, 200))
-            before = state.mode
-            state, _, _ = step(cfg, state, t_ms, [ev(t_ms, rng.choice(RANDOM_PAYLOADS)(rng))])
-            if state.mode is not before:
-                assert (before, state.mode) in MODE_EDGES, f"{before.value} -> {state.mode.value}"
-                seen.add((before, state.mode))
+            t_ms += rng.choice((0, 50, 100, 200, 60_000))
+            events = [ev(t_ms, rng.choice(RANDOM_PAYLOADS)(rng))]
+            after, _, _ = step(cfg, state, t_ms, events)
+            assert transition_breaches(state, events, after, t_ms, cfg) == []
+            modes = [state.mode, *(change.mode for change in after.changes)]
+            seen.update(zip(modes, modes[1:]))
+            state = after
     assert seen == MODE_EDGES  # the table lists no edge that step never takes
 
 
 def test_every_logged_mode_change_is_a_readme_edge() -> None:
     # as above, but run replays groups of several events stamped alike, and
-    # every pair of consecutive mode lines in its log must be an edge
-    config = {"preride_window_ms": 300, "crash_hold_ms": 300}
+    # its log must keep every run property
+    config = {"preride_window_ms": 300, "crash_hold_ms": 300, "beacon_period_ms": 60_000}
+    cfg = ControllerConfig(**config)
     rng = random.Random(1105)
     seen: set[tuple[Mode, Mode]] = set()
     shared = 0  # mode lines that share their t_ms with the line before
     for _ in range(20):
         events, t_ms = [], 0
         for _ in range(300):
-            t_ms += rng.choice((0, 0, 50, 100, 200))
+            t_ms += rng.choice((0, 0, 50, 100, 200, 60_000))
             events.append(ev(t_ms, rng.choice(RANDOM_PAYLOADS)(rng)))
-        changes = [rec for rec in run(Scenario("random", config=config, events=events)).records
-                   if isinstance(rec, ModeChange)]
-        assert changes[0] == ModeChange(0, Mode.PARKED)
+        log = run(Scenario("random", config=config, events=events))
+        assert run_breaches(log, cfg) == []
+        changes = [rec for rec in log.records if isinstance(rec, ModeChange)]
         for before, after in zip(changes, changes[1:]):
-            edge = (before.mode, after.mode)
-            assert edge in MODE_EDGES, f"{before.mode.value} -> {after.mode.value} at {after.t_ms}"
-            seen.add(edge)
+            seen.add((before.mode, after.mode))
             shared += before.t_ms == after.t_ms
     assert seen == MODE_EDGES
     assert shared > 0  # some step made more than one change
@@ -599,6 +601,7 @@ def test_replay_matches_the_copying_loop_on_random_streams(monkeypatch) -> None:
         log = run(sc)
         traffic = frames[:]
         frames.clear()
+        assert run_breaches(log, ControllerConfig(**config)) == []
         assert log == run_reference(sc)
         assert traffic == frames
         sends += len(traffic)
@@ -852,11 +855,7 @@ def test_drains_over_a_faulty_modem_keep_time_and_order(steps) -> None:
         if failures:  # the head that failed stays queued
             assert state.router.pending_sms[0] is before[sent]
         delivered += [SmsSend(m.to, m.body) for m in before[:sent]]
-    # FIFO: the delivered messages are the routed ones in order, less the drops
-    rest = iter(routed)
-    assert all(any(msg == r for r in rest) for msg in delivered)
-    assert len(delivered) + state.router.dropped_count + len(state.router.pending_sms) \
-        == len(routed)
+        assert router_breaches(state.router, routed, delivered) == []
 
 
 SMS_KINDS = (AlertKind.CRASH, AlertKind.COLLISION, AlertKind.THEFT, AlertKind.BEACON)
@@ -875,26 +874,27 @@ class RouterMachine(RuleBasedStateMachine):
         self.client.modem_init()
         self.rs = RouterState()
         self.t_ms = 0
-        self.last_emit: dict[AlertKind, int] = {}
-        self.routed = 0
-        self.sent = 0
+        self.last_emit: dict[AlertKind, int] = {}  # each kind's last alert time
+        self.routed: list[SmsSend] = []
+        self.delivered: list[SmsSend] = []
 
     @rule(kind=st.sampled_from(SMS_KINDS), dt=st.integers(0, 2),
           message=st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=200))
     def route_trigger(self, kind: AlertKind, dt: int, message: str) -> None:
         self.t_ms += dt
-        # the 1 ms cooldown holds back a repeat of a kind in the same ms, but never a
-        # beacon, whose schedule alone spaces it
-        cooling = self.last_emit.get(kind) == self.t_ms and kind is not AlertKind.BEACON
+        held = cooling(self.last_emit, kind, self.t_ms, self.cfg)
         self.rs, alert, commands = route(self.rs, Trigger(kind, message), self.t_ms, self.cfg)
-        if cooling:
-            assert alert is None and commands == []
-            return
-        self.last_emit[kind] = self.t_ms
-        sms = [a for a in actions(commands) if isinstance(a, SmsSend)]
-        to = self.cfg.police_number if kind is AlertKind.CRASH else self.cfg.owner_number
-        assert [m.to for m in sms] == [to]
-        self.routed += 1
+        assert (alert, commands) == (None, []) if held else alert is not None
+        alerts = [] if alert is None else [alert]
+        assert sms_breaches(alerts, commands, self.cfg) == []
+        self.last_emit.update((a.kind, a.t_ms) for a in alerts)
+        self.routed += [a for a in actions(commands) if isinstance(a, SmsSend)]
+
+    @rule(n=st.integers(1, 2 * SMS_QUEUE_MAX))
+    def burst(self, n: int) -> None:
+        # a theft SMS each ms, more than the queue holds if nothing drains
+        for _ in range(n):
+            self.route_trigger(AlertKind.THEFT, 1, "THEFT burst")
 
     @rule(silent=st.sets(st.sampled_from(MODEM_COMMANDS)),
           fail=st.sets(st.sampled_from(MODEM_COMMANDS)))
@@ -908,8 +908,9 @@ class RouterMachine(RuleBasedStateMachine):
 
     def _drain(self) -> list[str]:
         self.clock.advance_to(self.t_ms)
+        before = self.rs.pending_sms
         self.rs, sent, failures = drain_sms(self.rs, self.client)
-        self.sent += sent
+        self.delivered += [SmsSend(m.to, m.body) for m in before[:sent]]
         return failures
 
     @rule()
@@ -933,16 +934,12 @@ class RouterMachine(RuleBasedStateMachine):
         assert self.rs.pending_sms == ()
 
     @invariant()
-    def queue_is_bounded(self) -> None:
-        assert len(self.rs.pending_sms) <= SMS_QUEUE_MAX
+    def the_router_keeps_its_properties(self) -> None:
+        assert router_breaches(self.rs, self.routed, self.delivered) == []
 
     @invariant()
     def the_client_never_moves_the_clock(self) -> None:
         assert self.clock.now_ms() <= self.t_ms
-
-    @invariant()
-    def every_routed_sms_is_accounted_for(self) -> None:
-        assert self.sent + self.rs.dropped_count + len(self.rs.pending_sms) == self.routed
 
 
 TestRouterMachine = RouterMachine.TestCase
