@@ -10,6 +10,8 @@ replay and its config.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 from motoguard.controller import (MODE_EDGES, SMS_QUEUE_MAX, ControllerState, Mode, ModeChange,
                                   RouterState)
 from motoguard.core import (ActuatorCommand, Alert, AlertKind, ControllerConfig, Ignition,
@@ -110,13 +112,19 @@ def run_breaches(log: EventLog, cfg: ControllerConfig) -> list[str]:
         problems.append(f"the log opens with {changes[:1]}")
     problems += edge_breaches(Mode.PARKED, changes[1:])
     problems += cooldown_breaches({}, log.alerts(), cfg)
-    instants: dict[int, list] = {}
-    for rec in records:
-        instants.setdefault(rec.t_ms, []).append(rec)
-    mode = Mode.PARKED  # the mode each instant starts in
-    for group in instants.values():
+    for mode, group in instants(log):
         alerts = [r for r in group if type(r) is Alert]
         problems += sms_breaches(alerts, [r for r in group if type(r) is ActuatorCommand], cfg)
         problems += beacon_breaches(mode, alerts)
-        mode = next((r.mode for r in reversed(group) if type(r) is ModeChange), mode)
     return problems
+
+
+def instants(log: EventLog) -> Iterator[tuple[Mode, list]]:
+    """Each instant's records, in log order, with the mode the instant starts in."""
+    groups: dict[int, list] = {}
+    for rec in log.records:
+        groups.setdefault(rec.t_ms, []).append(rec)
+    mode = Mode.PARKED
+    for group in groups.values():
+        yield mode, group
+        mode = next((r.mode for r in reversed(group) if type(r) is ModeChange), mode)

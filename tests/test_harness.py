@@ -26,7 +26,7 @@ from motoguard.harness import (Alert, CaseResult, ConfusionMatrix, EventLog,
                                render_report, report_json, report_json_text, run, save_scenario)
 from oracles import (greedy_match, json_lines_reference, loads_scenario_reference,
                      log_to_jsonl_reference, run_reference)
-from spec import run_breaches
+from spec import beacon_breaches, cooldown_breaches, instants, run_breaches
 
 HEADER = '{"name": "t"}'
 
@@ -1131,3 +1131,17 @@ def test_corpus_logs_keep_every_run_property(corpus_dir: Path) -> None:
         sc = load_scenario(path)
         assert run_breaches(run(sc), core.apply_overrides(DEFAULT_CONFIG, sc.config)) == [], \
             path.name
+
+
+def test_corpus_respects_per_kind_cooldown(corpus_dir: Path) -> None:
+    for path in sorted(corpus_dir.glob("*.jsonl")):
+        sc = load_scenario(path)
+        cfg = core.apply_overrides(DEFAULT_CONFIG, sc.config)
+        assert cooldown_breaches({}, run(sc).alerts(), cfg) == [], path.name
+
+
+def test_corpus_beacons_only_while_parked_or_lockdown(corpus_dir: Path) -> None:
+    for path in sorted(corpus_dir.glob("*.jsonl")):
+        breaches = [b for mode, group in instants(run(load_scenario(path)))
+                    for b in beacon_breaches(mode, [r for r in group if type(r) is Alert])]
+        assert breaches == [], path.name
