@@ -76,9 +76,6 @@ class EventLog(MutableRecord):
     def alerts(self) -> list[Alert]:
         return [r for r in self.records if isinstance(r, Alert)]
 
-    def commands(self) -> list[ActuatorCommand]:
-        return [r for r in self.records if isinstance(r, ActuatorCommand)]
-
 
 # --- scenario files --------------------------------------------------------
 
@@ -283,10 +280,6 @@ def dumps_scenario(sc: Scenario) -> str:
     out = [json.dumps(header)]
     out.extend(json.dumps(event_to_record(ev)) for ev in sc.events)
     return "\n".join(out) + "\n"
-
-
-def save_scenario(sc: Scenario, path: str | Path) -> None:
-    Path(path).write_text(dumps_scenario(sc), encoding="utf-8")
 
 
 # --- replay ---------------------------------------------------------------

@@ -149,6 +149,18 @@ def theft_trigger_times(fixes: list[tuple[int, GpsFix, bool]],
     return out
 
 
+def vector_distance_m(a: GeoPoint, b: GeoPoint) -> float:
+    """Great-circle distance by another route than haversine_m's: the angle
+    between the two position vectors, by atan2 of their cross and dot products."""
+    def unit(p: GeoPoint) -> tuple[float, float, float]:
+        lat, lon = math.radians(p.lat_deg), math.radians(p.lon_deg)
+        return math.cos(lat) * math.cos(lon), math.cos(lat) * math.sin(lon), math.sin(lat)
+
+    (ax, ay, az), (bx, by, bz) = unit(a), unit(b)
+    cross = math.hypot(ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx)
+    return 6_371_000.0 * math.atan2(cross, ax * bx + ay * by + az * bz)
+
+
 def greedy_match(alerts: list, expected: list) -> tuple[tuple[int, int, int, int], list, list]:
     """Expected ((tp, tn, fp, fn), strays, missed) of the windowed label matcher.
 

@@ -14,7 +14,7 @@ from motoguard.detectors import (CollisionState, CrashState, MagState, TheftStat
                                  mag_step, overspeed_step, overtake_assist, preride_faults,
                                  theft_step, ttc)
 from oracles import (breath_fails, crash_trigger_times, leak_fails, mag_trigger_indices,
-                     overspeed_trigger_indices, theft_trigger_times)
+                     overspeed_trigger_indices, theft_trigger_times, vector_distance_m)
 
 
 # --- time to collision -----------------------------------------------------
@@ -305,6 +305,29 @@ def test_haversine_nonnegative_and_small_locally(lat, lon, dlat, dlon) -> None:
     d = haversine_m(a, b)
     assert d >= 0.0
     assert d < 4000.0  # 0.01 degrees is under two kilometers on either axis
+
+
+# pairs from a few metres to tens of kilometres, at the poles, the equator and
+# across the antimeridian, one of them a point with itself
+REFERENCE_PAIRS = [
+    ((0.0, 0.0), (0.001, 0.0)), ((0.0, 0.0), (0.0, 0.001)),
+    ((14.5995, 120.9842), (14.5996, 120.9843)), ((45.0, 90.0), (45.0001, 90.0001)),
+    ((-33.8568, 151.2153), (-33.8570, 151.2155)), ((51.5074, -0.1278), (51.5075, -0.1280)),
+    ((35.6762, 139.6503), (35.6760, 139.6505)), ((64.1466, -21.9426), (64.1470, -21.9420)),
+    ((-54.8019, -68.3030), (-54.8021, -68.3032)), ((89.9, 0.0), (89.9001, 10.0)),
+    ((0.5, 179.9), (0.5001, 179.9001)), ((-0.5, -179.9), (-0.5002, -179.9002)),
+    ((14.5995, 120.9842), (14.5995, 120.9842)), ((10.0, 10.0), (10.1, 10.1)),
+    ((-45.0, 170.0), (-45.05, 170.05)), ((60.0, 25.0), (60.0002, 25.0002)),
+    ((22.3193, 114.1694), (22.3200, 114.1700)), ((40.7128, -74.0060), (40.7130, -74.0070)),
+    ((-1.2921, 36.8219), (-1.2930, 36.8230)), ((48.8566, 2.3522), (48.8570, 2.3530)),
+]
+
+
+def test_haversine_agrees_with_the_vector_reference() -> None:
+    for raw_a, raw_b in REFERENCE_PAIRS:
+        a, b = GeoPoint(*raw_a), GeoPoint(*raw_b)
+        want = vector_distance_m(a, b)
+        assert haversine_m(a, b) == (0.0 if want == 0.0 else pytest.approx(want, rel=1e-4))
 
 
 # --- anti-theft ------------------------------------------------------------

@@ -53,6 +53,7 @@ class NoRefModem(FakeModem):
 
 def test_init_golden_transcript() -> None:
     _, modem, client = fresh()
+    assert modem.read_available() == b""  # a fresh channel holds no bytes
     client.modem_init()
     assert client.phase is ModemPhase.READY
     assert modem.transcript == [b"AT\r", b"ATE0\r", b"AT+CMGF=1\r"]

@@ -11,7 +11,8 @@ import pytest
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((REPO_ROOT / "src" / "motoguard").glob("*.py"))
-MODULES = sorted([*PACKAGE, *(REPO_ROOT / "tests").glob("*.py")])
+MODULES = sorted([*PACKAGE, *(path for name in ("tests", "tools", "mutants")
+                               for path in (REPO_ROOT / name).glob("*.py"))])
 
 
 def unused_imports(source: str) -> list[str]:

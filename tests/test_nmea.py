@@ -255,7 +255,7 @@ def outcome(parse, line: str):
 @example(good_with("GPRMC", "GLRMC"))
 @example(good_with("230394,", "230394."))
 @example(with_checksum("$GPRMC,123519,A,4807.038,N,01131.000,E,022.4,084.4,230394*"))
-@given(rmc_lines())
+@given(st.one_of(rmc_lines(), st.text()))
 def test_parse_agrees_with_the_field_walk_oracle(line: str) -> None:
     # the same RmcData, or the same exception type and text
     assert outcome(parse_rmc, line) == outcome(parse_rmc_reference, line)
